@@ -13,15 +13,19 @@ which vectorizes over k through per-family generation counts; otherwise a
 bracket-safeguarded Newton iteration is used.
 
 The lower/upper separator functions are the liminf/limsup of beta_k over k.
-From a finite run these are estimated by the min/max of beta_k over a sampled
-window of generations. The default window is the full range [1, k_max] with a
-schedule-aware sampling stride: for periodic schedules the samples are
-period-aligned (where beta_k equals its limit exactly, with no O(1/k)
-truncation wobble), and for block schedules every generation is evaluated so
-that the oscillation envelope is actually seen. A half-range tail window
-[k_max/2, k_max] provably spans less than a factor-2 range of block mixing
-fractions and cannot see both envelope branches, so it is not the default;
-callers may still request any window.
+From a finite run these are estimated by the min/max of beta_k over a window
+[lo, hi] of generations, by default [1, k_max]. Periodic schedules are sampled
+at period-aligned generations, where beta_k has no O(1/k) truncation wobble.
+Block schedules are evaluated only at lo, hi and the boundary pairs T_j - 1,
+T_j, which is exact: inside one block only the active family's count m grows,
+so log S_k(q, t) = C(t) + m phi_f(t). Under constant ratios
+beta = (N + m A_f) / (D + m L_f) is a Moebius map in m; otherwise the root
+moves monotonically toward phi_f's root (d beta/dm has the sign of
+phi_f(beta); a zero at one m pins beta at that root for every m). Either
+way the min and max over a run of generations inside one block sit at the
+run's ends. A half-range tail window [k_max/2, k_max] provably spans less than
+a factor-2 range of block mixing fractions and cannot see both envelope
+branches, so it is not the default; callers may still request any window.
 
 Independently of the beta route, Theta(q) and Delta(q) are liminf/limsup
 estimates of log(moment sum)/(-log r) read off a moment table, reported next
@@ -50,7 +54,6 @@ from .counting import MomentTable, partition_moment_table
 
 FULL_WINDOW = (0.0, 1.0)
 TAIL_WINDOW = (0.5, 1.0)
-_MAX_DENSE_KS = 1 << 21
 _CONVERGED_TOL = 1e-6
 
 
@@ -186,9 +189,8 @@ class BetaSequence:
 
 def default_stride(spec: MoranSpec, k_max: int, target: int = 2048) -> int:
     """
-    Schedule-aware sampling stride: a multiple of the schedule period when one
-    exists (period-aligned beta_k has no truncation wobble), 1 for block
-    schedules small enough to evaluate densely.
+    Period-aligned sampling stride giving about ``target`` samples over
+    [1, k_max]; 1 for block schedules, which have no period.
     """
     period = spec.schedule.period
     if period is None:
@@ -197,8 +199,23 @@ def default_stride(spec: MoranSpec, k_max: int, target: int = 2048) -> int:
     return period * per
 
 
-def sample_generations(spec: MoranSpec, k_max: int, stride: int | None = None) -> np.ndarray:
-    """Generation indices at which beta_k is evaluated."""
+def window_bounds(k_max: int, window: tuple[float, float]) -> tuple[int, int]:
+    """Generations [lo, hi] of a window of fractions of k_max ([1, k_max] if empty)."""
+    lo = max(1, math.ceil(window[0] * k_max))
+    hi = min(k_max, math.floor(window[1] * k_max))
+    return (lo, hi) if lo <= hi else (1, k_max)
+
+
+def sample_generations(spec: MoranSpec, k_max: int, stride: int | None = None,
+                       lo: int = 1, hi: int | None = None) -> np.ndarray:
+    """
+    Generation indices at which beta_k is evaluated for the window [lo, hi]
+    (default [1, k_max]). An explicit ``stride`` gives stride, 2 stride, ...,
+    plus k_max (every generation for stride 1). Otherwise a block schedule
+    gets lo, hi and each T_j - 1, T_j inside [lo, hi], where the window's min
+    and max of beta_k are attained exactly (module docstring); other
+    schedules use ``default_stride``.
+    """
     if stride is not None and stride >= 1:
         ks = np.arange(stride, k_max + 1, stride, dtype=np.int64)
         if ks.size == 0 or ks[-1] != k_max:
@@ -206,19 +223,23 @@ def sample_generations(spec: MoranSpec, k_max: int, stride: int | None = None) -
         return np.unique(ks)
     sched = spec.schedule
     if isinstance(sched, BlockSchedule):
-        constant = all(spec.families[i].constant_ratio for i in spec.referenced_families)
-        if constant and k_max <= _MAX_DENSE_KS:
-            return np.arange(1, k_max + 1, dtype=np.int64)
-        pts = set()
+        hi = k_max if hi is None else hi
+        pts = {lo, hi}
         for t in sched.boundaries:
-            for d in (-1, 0, 1):
-                if 1 <= t + d <= k_max:
-                    pts.add(t + d)
-        geo = np.unique(np.round(np.geomspace(1, k_max, 512)).astype(np.int64))
-        pts.update(int(g) for g in geo)
-        pts.add(k_max)
+            pts.update(k for k in (t - 1, t) if lo <= k <= hi)
         return np.array(sorted(pts), dtype=np.int64)
     return sample_generations(spec, k_max, default_stride(spec, k_max))
+
+
+def _windowed_samples(spec: MoranSpec, k_max: int, stride: int | None, window):
+    """Sampled generations, their family counts and the in-window mask."""
+    lo, hi = window_bounds(k_max, window)
+    ks = sample_generations(spec, k_max, stride, lo, hi)
+    counts = family_generation_counts(spec, ks).astype(float)
+    mask = (ks >= lo) & (ks <= hi)
+    if not mask.any():  # a stride can step over a narrow window
+        mask[:] = True
+    return ks, counts, mask
 
 
 def beta_sequence(
@@ -234,14 +255,8 @@ def beta_sequence(
     """
     if k_max > spec.depth_cap:
         raise TooDeep(f"k_max {k_max} exceeds depth_cap {spec.depth_cap}")
-    ks = sample_generations(spec, k_max, stride)
-    counts = family_generation_counts(spec, ks).astype(float)
+    ks, counts, mask = _windowed_samples(spec, k_max, stride, window)
     vals = _beta_bulk(spec, q, ks, counts)
-    lo = max(1, int(math.ceil(window[0] * k_max)))
-    hi = int(math.floor(window[1] * k_max))
-    mask = (ks >= lo) & (ks <= hi)
-    if not mask.any():
-        mask = np.ones_like(ks, dtype=bool)
     return BetaSequence(
         q=q,
         k_samples=ks,
@@ -267,13 +282,6 @@ def numeric_derivative(q_grid, values, q: float) -> float:
     if i == 0:
         return float((values[1] - values[0]) / (q_grid[1] - q_grid[0]))
     return float((values[-1] - values[-2]) / (q_grid[-1] - q_grid[-2]))
-
-
-def derivative_curve(q_grid, values) -> np.ndarray:
-    """Central differences at interior points, one-sided at the boundary."""
-    q_grid = np.asarray(q_grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    return np.gradient(values, q_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +320,13 @@ def theta_delta_from_moments(table: MomentTable, q: float) -> ThetaDelta:
 
 @dataclass
 class SeparatorGrid:
-    """Estimated separator functions over a q grid, with per-q diagnostics."""
+    """
+    Estimated separator functions over a q grid, with per-q diagnostics
+    (window, oscillation, converged, the generations k_b and k_B attaining
+    b and B, first in sample order, and the number of generations evaluated).
+    ``Lambda`` is an alias of B (always ``B.copy()``, as B(q) = Lambda(q)), so
+    the ``B <= Lambda`` half of the chain check holds trivially.
+    """
 
     q_grid: np.ndarray
     b: np.ndarray
@@ -416,28 +430,27 @@ def separator_grid(
     partition-moment table as an independent cross-check route.
     """
     q_grid = np.asarray(q_grid, dtype=float)
-    ks = sample_generations(spec, k_max, stride)
-    counts = family_generation_counts(spec, ks).astype(float)
-    lo = max(1, int(math.ceil(window[0] * k_max)))
-    hi = int(math.floor(window[1] * k_max))
-    mask = (ks >= lo) & (ks <= hi)
-    if not mask.any():
-        mask = np.ones_like(ks, dtype=bool)
+    ks, counts, mask = _windowed_samples(spec, k_max, stride, window)
+    in_window = ks[mask]
 
     b = np.empty(q_grid.size)
     B = np.empty(q_grid.size)
     diagnostics = []
     for i, q in enumerate(q_grid):
-        vals = _beta_bulk(spec, q, ks, counts)
-        sel = vals[mask]
-        b[i] = float(sel.min())
-        B[i] = float(sel.max())
+        sel = _beta_bulk(spec, q, ks, counts)[mask]
+        i_b = int(np.argmin(sel))
+        i_B = int(np.argmax(sel))
+        b[i] = float(sel[i_b])
+        B[i] = float(sel[i_B])
         diagnostics.append(
             {
                 "q": float(q),
-                "window": [int(ks[mask][0]), int(ks[mask][-1])],
+                "window": [int(in_window[0]), int(in_window[-1])],
                 "oscillation": float(B[i] - b[i]),
                 "converged": bool(B[i] - b[i] <= _CONVERGED_TOL),
+                "k_b": int(in_window[i_b]),
+                "k_B": int(in_window[i_B]),
+                "generations": int(ks.size),
             }
         )
 

@@ -122,9 +122,6 @@ class ConstantSchedule:
     def family_index(self, generation: int) -> int:
         return self.family
 
-    def index_array(self, k_max: int) -> np.ndarray:
-        return np.full(k_max, self.family, dtype=np.int64)
-
     def as_dict(self) -> dict:
         return {"type": "constant", "family": self.family}
 
@@ -150,10 +147,6 @@ class PeriodicSchedule:
 
     def family_index(self, generation: int) -> int:
         return self.pattern[(generation - 1) % len(self.pattern)]
-
-    def index_array(self, k_max: int) -> np.ndarray:
-        reps = -(-k_max // len(self.pattern))
-        return np.tile(np.asarray(self.pattern, dtype=np.int64), reps)[:k_max]
 
     def as_dict(self) -> dict:
         return {"type": "periodic", "pattern": list(self.pattern)}
@@ -195,16 +188,6 @@ class BlockSchedule:
         j = bisect_right(self.boundaries, generation) - 1
         return self.families[j]
 
-    def index_array(self, k_max: int) -> np.ndarray:
-        out = np.empty(k_max, dtype=np.int64)
-        b = list(self.boundaries) + [k_max + 1]
-        for j, fam in enumerate(self.families):
-            lo = min(b[j], k_max + 1)
-            hi = min(b[j + 1], k_max + 1)
-            if hi > lo:
-                out[lo - 1 : hi - 1] = fam
-        return out
-
     def as_dict(self) -> dict:
         return {
             "type": "blocks",
@@ -237,9 +220,6 @@ class MoranSpec:
     def family_at(self, generation: int) -> GenerationFamily:
         return self.families[self.schedule.family_index(generation)]
 
-    def family_index_array(self, k_max: int) -> np.ndarray:
-        return self.schedule.index_array(k_max)
-
     @property
     def referenced_families(self) -> tuple[int, ...]:
         return self.schedule.referenced
@@ -249,20 +229,6 @@ class MoranSpec:
         if self.gap_policy is GapPolicy.NO_GAPS:
             return 0.0
         return (1.0 - family.ratio_sum) / (family.arity - 1)
-
-    @property
-    def separation_delta(self) -> float:
-        """
-        Uniform sibling-separation constant inf_k gap_k / max_j c_kj over the
-        families the schedule can reach (0 for NoGaps layouts).
-        """
-        if self.gap_policy is GapPolicy.NO_GAPS:
-            return 0.0
-        vals = [
-            self.family_gap(self.families[i]) / self.families[i].max_ratio
-            for i in self.referenced_families
-        ]
-        return min(vals)
 
     def as_dict(self) -> dict:
         return {

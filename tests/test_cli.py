@@ -87,6 +87,24 @@ def test_dims_outputs_and_determinism(spec_file, tmp_path):
     assert header[1] == "q,b,B,Lambda,Theta,Delta,osc,converged"
 
 
+def test_dims_block_diagnostics_report_attainment(tmp_path):
+    spec_path = Path(__file__).parent.parent / "specs" / "block_switched.json"
+    out = tmp_path / "out"
+    proc = run_cli("dims", "--spec", str(spec_path), "--q-min", "-1", "--q-max", "1",
+                   "--q-step", "1", "--k-max", "1048576", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    per_q = json.loads((out / "diagnostics.json").read_text())["per_q"]
+    endpoints = {1, 3, 4, 63, 64, 4095, 4096, 1048575, 1048576}
+    assert len(per_q) == 3
+    for d in per_q:
+        assert d["window"] == [1, 1048576]
+        assert d["generations"] == len(endpoints)
+        assert d["k_b"] in endpoints and d["k_B"] in endpoints
+    assert (out / "separators.csv").read_text().splitlines()[1] == (
+        "q,b,B,Lambda,Theta,Delta,osc,converged"
+    )
+
+
 def test_dims_uniform_rows(tmp_path):
     spec = dict(VALID_SPEC, families=[{"probs": [0.5, 0.5], "ratios": [0.5, 0.5]}])
     path = tmp_path / "uniform.json"

@@ -1,6 +1,7 @@
 """Normalization exponents, envelope estimates, separator grids."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsmf import (
+    BlockSchedule,
     ConstantSchedule,
     GapPolicy,
     GenerationFamily,
@@ -22,9 +24,12 @@ from hsmf import (
 )
 from hsmf.counting import MomentKind, MomentTable, log_partition_moment
 from hsmf.errors import InsufficientScales
+from hsmf.scaling import FULL_WINDOW, TAIL_WINDOW, sample_generations, window_bounds
+from hsmf.specs import load_spec
 from hsmf.oracles import periodic_moran_beta, switching_binomial_tau
 
 LOG2_6_OVER_5 = math.log2(6) / 5  # 0.51699250014423122
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +150,6 @@ def test_beta_sequence_switching_branches(switching_spec):
 def test_beta_sequence_window_restriction(switching_spec):
     # a tail half-window only sees one mixing regime of a block schedule,
     # so its envelope is strictly narrower than the full-range one
-    from hsmf.scaling import TAIL_WINDOW
-
     full = beta_sequence(switching_spec, 0.5, 4**10)
     tail = beta_sequence(switching_spec, 0.5, 4**10, window=TAIL_WINDOW)
     assert tail.k_samples is not None
@@ -170,9 +173,7 @@ def test_beta_sequence_depth_cap_guard(uniform_spec):
 
 
 def test_beta_sequence_block_nonconstant_ratios():
-    # sampled root-solve path for block schedules whose ratios differ per child
-    from hsmf import BlockSchedule
-
+    # root-solve path for block schedules whose ratios differ per child
     fam_a = GenerationFamily((0.3, 0.7), (0.2, 0.35))
     fam_b = GenerationFamily((0.5, 0.5), (0.3, 0.25))
     spec = validate_spec(
@@ -185,10 +186,103 @@ def test_beta_sequence_block_nonconstant_ratios():
     )
     bs = beta_sequence(spec, 1.5, 2000)
     assert not bs.check_invariants()
-    # sampled envelope brackets directly solved interior values
+    # the endpoint envelope brackets directly solved interior values
     for k in (7, 63, 511, 1999):
         val = solve_beta_k(spec, 1.5, k)
         assert bs.liminf_est - 1e-12 <= val <= bs.limsup_est + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# block envelopes from block endpoints
+# ---------------------------------------------------------------------------
+
+def _random_block_spec(rng, closed: bool, k_max: int) -> MoranSpec:
+    """A block schedule over 1-3 random families, some boundaries past k_max;
+    ``closed`` picks constant per-family ratios (closed form) or mixed ratios
+    (Newton path)."""
+    n_fam = int(rng.integers(1, 4))
+    gap = GapPolicy.NO_GAPS if rng.random() < 0.5 else GapPolicy.EQUAL_GAPS
+    fams = []
+    for _ in range(n_fam):
+        arity = int(rng.integers(2, 5))
+        p = rng.dirichlet(np.ones(arity) * 2.0)
+        total = 1.0 if gap is GapPolicy.NO_GAPS else float(rng.uniform(0.3, 0.9))
+        if closed:
+            c = np.full(arity, total / arity)
+        else:
+            c = np.clip(rng.dirichlet(np.ones(arity) * 2.0) * total, 1e-4, 1 - 1e-9)
+            if gap is GapPolicy.NO_GAPS:
+                c = c / c.sum()
+        fams.append(GenerationFamily(tuple(p / p.sum()), tuple(c)))
+    n_bounds = int(rng.integers(1, min(8, k_max)))
+    inner = rng.choice(np.arange(2, k_max + k_max // 4 + 1), size=n_bounds, replace=False)
+    bounds = (1, *sorted(int(t) for t in inner))
+    families = tuple(int(rng.integers(0, n_fam)) for _ in bounds)
+    return validate_spec(
+        MoranSpec(tuple(fams), BlockSchedule(bounds, families), gap, depth_cap=2 * k_max)
+    )
+
+
+def _flat_table(qs) -> MomentTable:
+    """Stand-in Theta/Delta table: the envelope route is what is under test."""
+    scales = 2.0 ** -np.arange(1, 13)
+    return MomentTable(MomentKind.PARTITION_MOMENT, qs, scales, np.ones((len(qs), scales.size)))
+
+
+@pytest.mark.parametrize("closed,k_cap", [(True, 4000), (False, 300)])
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_block_endpoint_envelope_matches_dense(closed, k_cap, seed):
+    rng = np.random.default_rng(seed)
+    k_max = int(rng.integers(4, k_cap + 1))
+    spec = _random_block_spec(rng, closed, k_max)
+    qs = np.round(np.sort(rng.uniform(-4.0, 4.0, size=3)), 6)
+    for window in (FULL_WINDOW, TAIL_WINDOW):
+        lo, hi = window_bounds(k_max, window)
+        endpoints = set(sample_generations(spec, k_max, None, lo, hi).tolist())
+        assert all(lo <= k <= hi for k in endpoints)
+        grid = separator_grid(spec, qs, k_max, window=window, theta_table=_flat_table(qs))
+        for i, q in enumerate(qs):
+            dense = beta_sequence(spec, float(q), k_max, stride=1, window=window)
+            assert grid.b[i] == pytest.approx(dense.liminf_est, abs=1e-12)
+            assert grid.B[i] == pytest.approx(dense.limsup_est, abs=1e-12)
+            d = grid.diagnostics[i]
+            assert d["k_b"] in endpoints and d["k_B"] in endpoints
+            assert d["generations"] == len(endpoints)
+            assert d["window"] == [lo, hi]
+
+
+def test_block_endpoints_on_shipped_spec():
+    # structural guard: a 2^20-generation block envelope costs a handful of
+    # generations, not a dense scan
+    spec = load_spec(SPECS / "block_switched.json")
+    ks = sample_generations(spec, 1 << 20)
+    assert ks.size <= 2 * len(spec.schedule.boundaries) + 2
+    assert ks[0] == 1 and ks[-1] == 1 << 20
+
+
+def test_block_endpoint_envelope_shipped_specs_dense():
+    qs = np.arange(-8.0, 8.0 + 0.5, 0.5)
+    for name in ("block_switched", "switching_binomial"):
+        spec = load_spec(SPECS / f"{name}.json")
+        grid = separator_grid(spec, qs, 4**8)
+        for i, q in enumerate(qs):
+            dense = beta_sequence(spec, float(q), 4**8, stride=1)
+            assert grid.b[i] == pytest.approx(dense.liminf_est, abs=1e-14)
+            assert grid.B[i] == pytest.approx(dense.limsup_est, abs=1e-14)
+
+
+def test_grid_attainment_diagnostics(uniform_spec, periodic_spec, block_spec):
+    qs = np.array([-1.0, 0.5, 2.0])
+    for spec, k_max in ((uniform_spec, 64), (periodic_spec, 1000), (block_spec, 4**8)):
+        grid = separator_grid(spec, qs, k_max)
+        ks = sample_generations(spec, k_max)
+        for i, d in enumerate(grid.diagnostics):
+            assert d["generations"] == ks.size
+            assert d["k_b"] in ks and d["k_B"] in ks
+            assert solve_beta_k(spec, float(qs[i]), d["k_b"]) == pytest.approx(grid.b[i], abs=1e-12)
+            assert solve_beta_k(spec, float(qs[i]), d["k_B"]) == pytest.approx(grid.B[i], abs=1e-12)
+        assert not grid.check_invariants()
 
 
 # ---------------------------------------------------------------------------
