@@ -17,6 +17,7 @@ from .errors import (
     HsmfError,
     InsufficientScales,
     NoBracket,
+    NoConvergence,
     ParameterOutOfRange,
     ScaleTooSmall,
     SpecValidationError,

@@ -38,7 +38,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ScaleTooSmall, TooDeep
 from .specs import (
@@ -230,19 +229,45 @@ def packing_moment(
 # Partition moments (exact, factorized)
 # ---------------------------------------------------------------------------
 
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum exp(a) over the last axis, split as scipy.special.logsumexp
+    splits it: the largest terms factor out and the rest go through log1p."""
+    top = a.max(axis=-1, keepdims=True)
+    is_top = a == top
+    n_top = is_top.sum(axis=-1)
+    rest = np.where(is_top, 0.0, np.exp(a - top)).sum(axis=-1)
+    return np.log1p(rest / n_top) + np.log(n_top) + top[..., 0]
+
+
+def log_partition(spec: MoranSpec, q, t, counts) -> tuple[np.ndarray, np.ndarray]:
+    """
+    log S(q, t) = sum_f n_f log sum_j p_fj^q c_fj^t and its t-derivative for
+    each column of a (families x n) matrix of generation counts n_f; q and t
+    broadcast against the columns. Families are accumulated one at a time
+    with elementwise operations and children are reduced along the last
+    axis, so a column's value does not depend on which columns share the call.
+    """
+    q = np.asarray(q, dtype=float)[..., None]
+    t = np.asarray(t, dtype=float)[..., None]
+    counts = np.asarray(counts, dtype=float)
+    shape = np.broadcast_shapes(q.shape[:-1], t.shape[:-1], counts.shape[1:])
+    g, dg = np.zeros(shape), np.zeros(shape)
+    for fam, n in zip(spec.families, counts):
+        if n.any():
+            v = q * fam.log_probs + t * fam.log_ratios
+            ls = logsumexp(v)
+            g += n * ls
+            dg += n * (np.exp(v - ls[..., None]) * fam.log_ratios).sum(axis=-1)
+    return g, dg
+
+
 def log_partition_moment(spec: MoranSpec, q: float, t: float, k: int) -> float:
     """
     log of S_k(q, t) = sum over generation-k cells of mass^q length^t,
     computed in the factorized form prod_i (sum_j p_ij^q c_ij^t) without
-    enumerating cells. O(k-independent) per family via generation counts.
+    enumerating cells (``log_partition`` at one generation).
     """
-    counts = family_generation_counts(spec, k)[:, 0]
-    total = 0.0
-    for f, fam in enumerate(spec.families):
-        if counts[f] == 0:
-            continue
-        total += counts[f] * float(logsumexp(q * fam.log_probs + t * fam.log_ratios))
-    return total
+    return float(log_partition(spec, q, t, family_generation_counts(spec, k))[0][0])
 
 
 def partition_moment(spec: MoranSpec, q: float, t: float, k: int) -> float:
@@ -300,13 +325,12 @@ class MomentTable:
 def partition_moment_table(spec: MoranSpec, q_grid, ks, t: float = 0.0) -> MomentTable:
     """Partition moments S_k(q, t) indexed by the max cell length at each k."""
     ks = sorted(int(k) for k in ks)
-    scales = []
-    vals = np.empty((len(q_grid), len(ks)))
-    for j, k in enumerate(ks):
-        scales.append(max_length_at(spec, k))
-        for i, q in enumerate(q_grid):
-            vals[i, j] = math.exp(min(log_partition_moment(spec, q, t, k), 700.0))
-    return MomentTable(MomentKind.PARTITION_MOMENT, np.asarray(q_grid), np.asarray(scales), vals)
+    q_grid = np.asarray(q_grid, dtype=float)
+    log_s, _ = log_partition(spec, q_grid[:, None], t, family_generation_counts(spec, ks))
+    # math.exp, not np.exp: numpy's SIMD exp can round the last bit differently
+    vals = np.vectorize(math.exp, otypes=[float])(np.minimum(log_s, 700.0))
+    scales = [max_length_at(spec, k) for k in ks]
+    return MomentTable(MomentKind.PARTITION_MOMENT, q_grid, np.asarray(scales), vals)
 
 
 def counting_moment_table(

@@ -50,6 +50,10 @@ class NoBracket(HsmfError):
     """The root bracket for the normalization exponent could not be established."""
 
 
+class NoConvergence(HsmfError):
+    """The Newton iteration for the normalization exponent hit its iteration cap."""
+
+
 class DegenerateGrid(HsmfError):
     """A q grid lacks points of both signs away from zero."""
 

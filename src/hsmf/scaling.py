@@ -9,8 +9,11 @@ common ratio the root has the closed form
 
     beta_k(q) = sum_i log(sum_j p_ij^q) / sum_i -log(c_i),
 
-which vectorizes over k through per-family generation counts; otherwise a
-bracket-safeguarded Newton iteration is used.
+evaluated for all k at once through per-family generation counts; otherwise
+a bracket-safeguarded Newton iteration runs on all requested generations at
+once and raises NoConvergence rather than return an unconverged root. Both
+routes go through the elementwise kernel ``counting.log_partition``, so
+beta_k at one generation is the same to the bit whatever is solved with it.
 
 The lower/upper separator functions are the liminf/limsup of beta_k over k.
 From a finite run these are estimated by the min/max of beta_k over a window
@@ -31,9 +34,7 @@ Independently of the beta route, Theta(q) and Delta(q) are liminf/limsup
 estimates of log(moment sum)/(-log r) read off a moment table, reported next
 to b and B so discrepancies between the two routes surface.
 
-Per-q computations are independent and safe to parallelize; the only
-sequential structure is the running product over generations inside a single
-envelope evaluation.
+Per-q computations are independent and safe to parallelize.
 """
 
 from __future__ import annotations
@@ -42,119 +43,88 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import InsufficientScales, NoBracket, TooDeep
+from .errors import InsufficientScales, NoBracket, NoConvergence, TooDeep
 from .specs import (
     BlockSchedule,
     MoranSpec,
     family_generation_counts,
 )
-from .counting import MomentTable, partition_moment_table
+from .counting import MomentTable, log_partition, partition_moment_table
 
 FULL_WINDOW = (0.0, 1.0)
 TAIL_WINDOW = (0.5, 1.0)
 _CONVERGED_TOL = 1e-6
+_NEWTON_MAX_ITER = 100
 
 
 # ---------------------------------------------------------------------------
 # beta_k(q)
 # ---------------------------------------------------------------------------
 
-def _family_terms(spec: MoranSpec, q: float) -> tuple[np.ndarray, np.ndarray, bool]:
+def _newton_roots(spec: MoranSpec, q: float, ks: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """
-    Per-family (A_f, L_f) with A_f = log sum_j p_fj^q and L_f = -log c_f when
-    the family ratio is constant. The bool says whether the closed form
-    applies to every referenced family.
+    Roots in t of log S_k(q, t) = 0 for every k in ``ks`` (counts are their
+    family generation counts), each with its own bracket [lo, hi]: start at
+    [-64, 64] and double until g(lo) >= 0 >= g(hi), then take Newton steps
+    that stay inside the bracket (else bisect) until |g| <= 1e-13 k. Each
+    element stops on its own, so every root is the one a lone solve gives.
     """
-    n = len(spec.families)
-    A = np.zeros(n)
-    L = np.zeros(n)
-    closed = True
-    for f, fam in enumerate(spec.families):
-        A[f] = float(logsumexp(q * fam.log_probs))
-        if fam.constant_ratio:
-            L[f] = -math.log(fam.ratios[0])
-        else:
-            closed = False
-    return A, L, closed
-
-
-def _partition_terms(spec: MoranSpec, q: float, counts: np.ndarray):
-    """Per-family (count, q*log_probs, log_ratios) for the root solve."""
-    terms = []
-    for f, fam in enumerate(spec.families):
-        c = float(counts[f])
-        if c:
-            terms.append((c, q * fam.log_probs, fam.log_ratios))
-    return terms
-
-
-def _g_and_slope(terms, beta: float) -> tuple[float, float]:
-    """log S_k(q, beta) and its beta-derivative (both per the factorization)."""
-    g = 0.0
-    dg = 0.0
-    for c, qlp, lr in terms:
-        v = qlp + beta * lr
-        m = v.max()
-        w = np.exp(v - m)
-        s = w.sum()
-        g += c * (m + math.log(s))
-        dg += c * float((w @ lr) / s)
-    return g, dg
-
-
-def solve_beta_k(spec: MoranSpec, q: float, k: int) -> float:
-    """
-    The generation-k normalization exponent. Closed form under constant
-    per-family ratios, else a bracket-safeguarded Newton iteration on the
-    strictly decreasing convex map beta -> log S_k(q, beta); the residual is
-    held to |log S_k| <= 1e-13 * k.
-    """
-    if k > spec.depth_cap:
-        raise TooDeep(f"generation {k} exceeds depth_cap {spec.depth_cap}")
-    counts = family_generation_counts(spec, k)[:, 0]
-    A, L, closed = _family_terms(spec, q)
-    if closed:
-        num = float(np.dot(counts, A))
-        den = float(np.dot(counts, L))
-        return num / den
-    terms = _partition_terms(spec, q, counts)
-    lo, hi = -64.0, 64.0
-    glo, _ = _g_and_slope(terms, lo)
-    ghi, _ = _g_and_slope(terms, hi)
-    tries = 0
-    while glo < 0.0 or ghi > 0.0:
-        lo *= 2.0
-        hi *= 2.0
-        glo, _ = _g_and_slope(terms, lo)
-        ghi, _ = _g_and_slope(terms, hi)
-        tries += 1
-        if tries > 12:
-            raise NoBracket(f"no sign change for beta in [{lo}, {hi}] at q={q}, k={k}")
-    beta = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
-    tol = 1e-13 * max(k, 1)
-    for _ in range(100):
-        g, dg = _g_and_slope(terms, beta)
-        if abs(g) <= tol:
+    lo, hi = np.full(ks.size, -64.0), np.full(ks.size, 64.0)
+    todo = np.arange(ks.size)
+    for _ in range(13):
+        glo, _ = log_partition(spec, q, lo[todo], counts[:, todo])
+        ghi, _ = log_partition(spec, q, hi[todo], counts[:, todo])
+        todo = todo[(glo < 0.0) | (ghi > 0.0)]
+        if todo.size == 0:
+            break
+        lo[todo] *= 2.0
+        hi[todo] *= 2.0
+    else:
+        i = todo[0]
+        raise NoBracket(f"no sign change for beta in [{lo[i]}, {hi[i]}] at q={q}, k={ks[i]}")
+    beta = np.zeros(ks.size)
+    tol = 1e-13 * np.maximum(ks, 1)
+    todo = np.arange(ks.size)
+    for _ in range(_NEWTON_MAX_ITER):
+        b = beta[todo]
+        g, dg = log_partition(spec, q, b, counts[:, todo])
+        moving = np.abs(g) > tol[todo]
+        todo, b, g, dg = todo[moving], b[moving], g[moving], dg[moving]
+        if todo.size == 0:
             return beta
-        if g > 0.0:
-            lo = beta
-        else:
-            hi = beta
-        step = beta - g / dg if dg != 0.0 else 0.5 * (lo + hi)
-        beta = step if lo < step < hi else 0.5 * (lo + hi)
-    return beta
+        up = g > 0.0
+        lo[todo] = np.where(up, b, lo[todo])
+        hi[todo] = np.where(up, hi[todo], b)
+        mid = 0.5 * (lo[todo] + hi[todo])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = b - g / dg  # dg == 0 gives a non-finite step, hence mid
+        beta[todo] = np.where((lo[todo] < step) & (step < hi[todo]), step, mid)
+    raise NoConvergence(
+        f"beta_k did not converge in {_NEWTON_MAX_ITER} Newton steps at q={q}, "
+        f"k={ks[todo[0]]} ({todo.size} of {ks.size} generations unconverged)"
+    )
 
 
-def _beta_bulk(spec: MoranSpec, q: float, ks: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """beta_k(q) for many k at once; counts is family_generation_counts(spec, ks)."""
-    A, L, closed = _family_terms(spec, q)
-    if closed:
-        num = A @ counts
-        den = L @ counts
-        return num / den
-    return np.array([solve_beta_k(spec, q, int(k)) for k in ks])
+def solve_beta_k(spec: MoranSpec, q: float, k):
+    """
+    The generation-k normalization exponent for one k (a float) or an array
+    of generations (an array): the closed form under constant per-family
+    ratios, else ``_newton_roots`` on all generations at once, holding the
+    residual to |log S_k| <= 1e-13 k. Raises NoConvergence or NoBracket
+    rather than return a root that misses that bound.
+    """
+    ks = np.asarray(k, dtype=np.int64)
+    if ks.size and ks.max() > spec.depth_cap:
+        raise TooDeep(f"generation {ks.max()} exceeds depth_cap {spec.depth_cap}")
+    counts = family_generation_counts(spec, ks)
+    if all(fam.constant_ratio for fam in spec.families):
+        num, _ = log_partition(spec, q, 0.0, counts)
+        den = sum(n * -math.log(fam.ratios[0]) for fam, n in zip(spec.families, counts))
+        beta = num / den
+    else:
+        beta = _newton_roots(spec, q, ks.ravel(), counts)
+    return float(beta[0]) if ks.ndim == 0 else beta
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +202,13 @@ def sample_generations(spec: MoranSpec, k_max: int, stride: int | None = None,
 
 
 def _windowed_samples(spec: MoranSpec, k_max: int, stride: int | None, window):
-    """Sampled generations, their family counts and the in-window mask."""
+    """Sampled generations and the in-window mask."""
     lo, hi = window_bounds(k_max, window)
     ks = sample_generations(spec, k_max, stride, lo, hi)
-    counts = family_generation_counts(spec, ks).astype(float)
     mask = (ks >= lo) & (ks <= hi)
     if not mask.any():  # a stride can step over a narrow window
         mask[:] = True
-    return ks, counts, mask
+    return ks, mask
 
 
 def beta_sequence(
@@ -255,8 +224,8 @@ def beta_sequence(
     """
     if k_max > spec.depth_cap:
         raise TooDeep(f"k_max {k_max} exceeds depth_cap {spec.depth_cap}")
-    ks, counts, mask = _windowed_samples(spec, k_max, stride, window)
-    vals = _beta_bulk(spec, q, ks, counts)
+    ks, mask = _windowed_samples(spec, k_max, stride, window)
+    vals = solve_beta_k(spec, q, ks)
     return BetaSequence(
         q=q,
         k_samples=ks,
@@ -375,27 +344,18 @@ class SeparatorGrid:
             )
 
 
-def _log_max_length(spec: MoranSpec, k: int) -> float:
-    counts = family_generation_counts(spec, k)[:, 0]
-    return float(
-        sum(c * math.log(spec.families[f].max_ratio) for f, c in enumerate(counts) if c)
-    )
-
-
 def _table_generations(spec: MoranSpec, k_max: int, q_grid: np.ndarray) -> list[int]:
     """Generations for the cross-check partition table, capped (by bisection
     on the exact log scales) so raw moment values and scales stay
     representable across the q grid."""
-    As = [
-        _family_terms(spec, q)[0]
-        for q in (float(q_grid.min()), float(q_grid.max()), 0.0)
-    ]
+    qs = np.array([q_grid.min(), q_grid.max(), 0.0])
+    log_max = [math.log(fam.max_ratio) for fam in spec.families]
 
     def representable(k: int) -> bool:
-        counts = family_generation_counts(spec, k)[:, 0].astype(float)
-        if -_log_max_length(spec, k) > 600.0:
+        counts = family_generation_counts(spec, k)
+        if -sum(c * lm for c, lm in zip(counts[:, 0], log_max) if c) > 600.0:
             return False
-        return all(abs(float(counts @ A)) <= 600.0 for A in As)
+        return bool(np.all(np.abs(log_partition(spec, qs[:, None], 0.0, counts)[0]) <= 600.0))
 
     hi = min(k_max, 1 << 20)
     if not representable(hi):
@@ -427,17 +387,19 @@ def separator_grid(
     """
     Estimate b, B, Lambda over a q grid from the beta_k envelope (b the
     windowed min, B = Lambda the windowed max), plus Theta/Delta from a
-    partition-moment table as an independent cross-check route.
+    partition-moment table as an independent cross-check route. When that
+    table spans too few scales, Theta and Delta are nan and each diagnostics
+    entry says why under ``theta_delta``.
     """
     q_grid = np.asarray(q_grid, dtype=float)
-    ks, counts, mask = _windowed_samples(spec, k_max, stride, window)
+    ks, mask = _windowed_samples(spec, k_max, stride, window)
     in_window = ks[mask]
 
     b = np.empty(q_grid.size)
     B = np.empty(q_grid.size)
     diagnostics = []
     for i, q in enumerate(q_grid):
-        sel = _beta_bulk(spec, q, ks, counts)[mask]
+        sel = solve_beta_k(spec, float(q), ks)[mask]
         i_b = int(np.argmin(sel))
         i_B = int(np.argmax(sel))
         b[i] = float(sel[i_b])
@@ -457,12 +419,16 @@ def separator_grid(
     if theta_table is None:
         table_ks = _table_generations(spec, k_max, q_grid)
         theta_table = partition_moment_table(spec, q_grid, table_ks)
-    Theta = np.empty(q_grid.size)
-    Delta = np.empty(q_grid.size)
-    for i, q in enumerate(q_grid):
-        td = theta_delta_from_moments(theta_table, float(q))
-        Theta[i] = td.theta
-        Delta[i] = td.delta
+    Theta = np.full(q_grid.size, np.nan)
+    Delta = np.full(q_grid.size, np.nan)
+    try:
+        for i, q in enumerate(q_grid):
+            td = theta_delta_from_moments(theta_table, float(q))
+            Theta[i] = td.theta
+            Delta[i] = td.delta
+    except InsufficientScales as e:  # no cross-check at these scales; b and B stand
+        for d in diagnostics:
+            d["theta_delta"] = str(e)
 
     return SeparatorGrid(
         q_grid=q_grid,

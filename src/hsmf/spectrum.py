@@ -23,8 +23,8 @@ from math import lgamma
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .counting import logsumexp
 from .errors import DegenerateGrid, ScaleTooSmall
 from .scaling import SeparatorGrid, numeric_derivative, solve_beta_k
 from .specs import (

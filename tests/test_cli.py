@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, artifact formats, byte determinism."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -207,3 +208,49 @@ def test_verify_invalid_fixture_exits_1(tmp_path):
     proc = run_cli("verify", "--out", str(tmp_path / "v"), "--fixtures", str(fdir))
     assert proc.returncode == 1
     assert "NonProbabilityVector" in proc.stdout
+
+
+def test_dims_without_theta_delta_scales_keeps_b_and_B(tmp_path):
+    # at k_max 8 a 0.95 ratio leaves the cross-check table less than 4
+    # octaves wide: Theta/Delta are missing, the envelope route still reports
+    spec = dict(VALID_SPEC, families=[{"probs": [0.5, 0.5], "ratios": [0.95, 0.05]}])
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    proc = run_cli("dims", "--spec", str(path), "--q-min", "-2", "--q-max", "2",
+                   "--q-step", "1", "--k-max", "8", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    rows = (out / "separators.csv").read_text().splitlines()[2:]
+    assert len(rows) == 5
+    for row in rows:
+        _, b, B, _, theta, delta, _, _ = row.split(",")
+        assert math.isfinite(float(b)) and math.isfinite(float(B))
+        assert theta == delta == "nan"
+    per_q = json.loads((out / "diagnostics.json").read_text())["per_q"]
+    assert all(d["theta_delta"] == "scales must span at least 4 octaves" for d in per_q)
+
+
+def test_dims_reports_newton_non_convergence(tmp_path, monkeypatch, capsys):
+    from hsmf import cli, scaling
+
+    spec = dict(VALID_SPEC, gap_policy="equal_gaps",
+                families=[{"probs": [0.2, 0.5, 0.3], "ratios": [0.2, 0.3, 0.25]}])
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(spec))
+    args = ["dims", "--spec", str(path), "--q-min", "-1", "--q-max", "1", "--q-step", "1",
+            "--k-max", "32"]
+    assert cli.main([*args, "--out", str(tmp_path / "ok")]) == 0
+    monkeypatch.setattr(scaling, "_NEWTON_MAX_ITER", 1)
+    assert cli.main([*args, "--out", str(tmp_path / "capped")]) == 1
+    assert "did not converge in 1 Newton steps at q=-1.0" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # structural guard: scipy is a test-only dependency
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hsmf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

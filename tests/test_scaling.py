@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from hsmf import (
     BlockSchedule,
@@ -14,6 +15,7 @@ from hsmf import (
     GapPolicy,
     GenerationFamily,
     MoranSpec,
+    PeriodicSchedule,
     beta_sequence,
     numeric_derivative,
     partition_moment_table,
@@ -22,10 +24,10 @@ from hsmf import (
     theta_delta_from_moments,
     validate_spec,
 )
-from hsmf.counting import MomentKind, MomentTable, log_partition_moment
-from hsmf.errors import InsufficientScales
+from hsmf.counting import MomentKind, MomentTable, log_partition, log_partition_moment
+from hsmf.errors import InsufficientScales, NoConvergence
 from hsmf.scaling import FULL_WINDOW, TAIL_WINDOW, sample_generations, window_bounds
-from hsmf.specs import load_spec
+from hsmf.specs import family_generation_counts, load_spec
 from hsmf.oracles import periodic_moran_beta, switching_binomial_tau
 
 LOG2_6_OVER_5 = math.log2(6) / 5  # 0.51699250014423122
@@ -56,26 +58,21 @@ def test_beta_periodic_even_generations(periodic_spec):
 
 
 def test_beta_closed_form_matches_root_solver():
-    # same family twice: once as stored (constant ratios -> closed form) and
-    # once perturbed so the iterative path runs; solutions must agree
+    # constant ratios take the closed form; it must agree with the root of
+    # the partition kernel found by plain bisection
     fam = GenerationFamily((0.3, 0.7), (0.25, 0.25))
     spec = validate_spec(
         MoranSpec((fam,), ConstantSchedule(0), GapPolicy.EQUAL_GAPS, depth_cap=256)
     )
-    from hsmf.scaling import _g_and_slope, _partition_terms
-    from hsmf.specs import family_generation_counts
-
     for q in (-2.0, -0.5, 0.0, 0.7, 1.0, 3.0):
         k = 37
         closed = solve_beta_k(spec, q, k)
-        # force the iterative branch by bisection on the same function
-        counts = family_generation_counts(spec, k)[:, 0]
-        terms = _partition_terms(spec, q, counts)
+        counts = family_generation_counts(spec, k)
         lo, hi = -64.0, 64.0
         for _ in range(90):
             mid = 0.5 * (lo + hi)
-            g, _ = _g_and_slope(terms, mid)
-            if g > 0:
+            g, _ = log_partition(spec, q, mid, counts)
+            if g[0] > 0:
                 lo = mid
             else:
                 hi = mid
@@ -196,10 +193,10 @@ def test_beta_sequence_block_nonconstant_ratios():
 # block envelopes from block endpoints
 # ---------------------------------------------------------------------------
 
-def _random_block_spec(rng, closed: bool, k_max: int) -> MoranSpec:
-    """A block schedule over 1-3 random families, some boundaries past k_max;
-    ``closed`` picks constant per-family ratios (closed form) or mixed ratios
-    (Newton path)."""
+def _random_families(rng, closed: bool):
+    """1-3 random families of arity 2-4 under a random gap policy; ``closed``
+    picks constant per-family ratios (closed form) or mixed ratios (Newton
+    path)."""
     n_fam = int(rng.integers(1, 4))
     gap = GapPolicy.NO_GAPS if rng.random() < 0.5 else GapPolicy.EQUAL_GAPS
     fams = []
@@ -214,12 +211,18 @@ def _random_block_spec(rng, closed: bool, k_max: int) -> MoranSpec:
             if gap is GapPolicy.NO_GAPS:
                 c = c / c.sum()
         fams.append(GenerationFamily(tuple(p / p.sum()), tuple(c)))
+    return tuple(fams), gap
+
+
+def _random_block_spec(rng, closed: bool, k_max: int) -> MoranSpec:
+    """A block schedule over ``_random_families``, some boundaries past k_max."""
+    fams, gap = _random_families(rng, closed)
     n_bounds = int(rng.integers(1, min(8, k_max)))
     inner = rng.choice(np.arange(2, k_max + k_max // 4 + 1), size=n_bounds, replace=False)
     bounds = (1, *sorted(int(t) for t in inner))
-    families = tuple(int(rng.integers(0, n_fam)) for _ in bounds)
+    families = tuple(int(rng.integers(0, len(fams))) for _ in bounds)
     return validate_spec(
-        MoranSpec(tuple(fams), BlockSchedule(bounds, families), gap, depth_cap=2 * k_max)
+        MoranSpec(fams, BlockSchedule(bounds, families), gap, depth_cap=2 * k_max)
     )
 
 
@@ -283,6 +286,155 @@ def test_grid_attainment_diagnostics(uniform_spec, periodic_spec, block_spec):
             assert solve_beta_k(spec, float(qs[i]), d["k_b"]) == pytest.approx(grid.b[i], abs=1e-12)
             assert solve_beta_k(spec, float(qs[i]), d["k_B"]) == pytest.approx(grid.B[i], abs=1e-12)
         assert not grid.check_invariants()
+
+
+# ---------------------------------------------------------------------------
+# batched beta_k: scalar oracle, closed form, batch independence, iteration cap
+# ---------------------------------------------------------------------------
+
+def _random_spec(rng, closed: bool) -> MoranSpec:
+    """``_random_families`` under a constant, periodic or block schedule, in
+    the style of verify's random specs, with room for k up to 300."""
+    fams, gap = _random_families(rng, closed)
+    n_fam = len(fams)
+    kind = int(rng.integers(0, 3)) if n_fam > 1 else 0
+    if kind == 0:
+        sched = ConstantSchedule(0)
+    elif kind == 1:
+        pattern = rng.integers(0, n_fam, size=int(rng.integers(2, 5)))
+        sched = PeriodicSchedule(tuple(int(f) for f in pattern))
+    else:
+        bounds = tuple(int(t) for t in np.cumsum([1, *rng.integers(1, 100, size=3)]))
+        sched = BlockSchedule(bounds, tuple(int(f) for f in rng.integers(0, n_fam, size=4)))
+    return validate_spec(MoranSpec(fams, sched, gap, depth_cap=512))
+
+
+def _oracle_newton_beta_k(spec: MoranSpec, q: float, k: int) -> float:
+    """The scalar Newton solve the package ran before the batched kernel, one
+    generation at a time: same bracket expansion, safeguard and 1e-13 k
+    residual target, on per-family terms built independently of the kernel."""
+    counts = family_generation_counts(spec, k)[:, 0]
+    terms = [(float(c), q * f.log_probs, f.log_ratios)
+             for f, c in zip(spec.families, counts) if c]
+
+    def g_and_slope(beta):
+        g = dg = 0.0
+        for c, qlp, lr in terms:
+            v = qlp + beta * lr
+            m = v.max()
+            w = np.exp(v - m)
+            g += c * (m + math.log(w.sum()))
+            dg += c * float((w @ lr) / w.sum())
+        return g, dg
+
+    lo, hi = -64.0, 64.0
+    while g_and_slope(lo)[0] < 0.0 or g_and_slope(hi)[0] > 0.0:
+        lo, hi = 2.0 * lo, 2.0 * hi
+    beta = 0.0
+    for _ in range(100):
+        g, dg = g_and_slope(beta)
+        if abs(g) <= 1e-13 * k:
+            return beta
+        lo, hi = (beta, hi) if g > 0.0 else (lo, beta)
+        step = beta - g / dg
+        beta = step if lo < step < hi else 0.5 * (lo + hi)
+    raise AssertionError("oracle did not converge")
+
+
+def _sampled_ks(rng, k_top: int = 300) -> np.ndarray:
+    return np.unique(np.concatenate([[1, k_top], rng.integers(1, k_top + 1, size=14)]))
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_batched_newton_matches_scalar_oracle(seed):
+    rng = np.random.default_rng(seed)
+    spec = _random_spec(rng, closed=False)
+    ks = _sampled_ks(rng)
+    q = float(rng.uniform(-5.0, 5.0))
+    betas = solve_beta_k(spec, q, ks)
+    for k, beta in zip(ks.tolist(), betas):
+        assert beta == pytest.approx(_oracle_newton_beta_k(spec, q, k), abs=1e-12)
+        assert abs(log_partition_moment(spec, q, float(beta), k)) <= 1e-12 * k
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_closed_form_matches_count_products(seed):
+    rng = np.random.default_rng(seed)
+    spec = _random_spec(rng, closed=True)
+    ks = _sampled_ks(rng)
+    q = float(rng.uniform(-8.0, 8.0))
+    counts = family_generation_counts(spec, ks)
+    A = np.array([logsumexp(q * f.log_probs) for f in spec.families])
+    L = np.array([-math.log(f.ratios[0]) for f in spec.families])
+    want = (A @ counts) / (L @ counts)
+    got = solve_beta_k(spec, q, ks)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+
+def _wide_spec(rng) -> MoranSpec:
+    """Arity 9 with mixed ratios: wide enough that numpy sums the children
+    pairwise rather than in sequence."""
+    c = rng.dirichlet(np.ones(9)) * 0.8
+    fam = GenerationFamily(tuple(rng.dirichlet(np.ones(9))), tuple(np.clip(c, 1e-4, None)))
+    return validate_spec(MoranSpec((fam,), ConstantSchedule(0), GapPolicy.EQUAL_GAPS, 512))
+
+
+@pytest.mark.parametrize("kind", ["closed", "newton", "block-closed", "block-newton", "wide"])
+def test_solve_is_batch_independent(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    for _ in range(6):
+        if kind == "wide":
+            spec = _wide_spec(rng)
+        elif kind.startswith("block"):
+            spec = _random_block_spec(rng, kind == "block-closed", 256)
+        else:
+            spec = _random_spec(rng, kind == "closed")
+        ks = _sampled_ks(rng, 256)
+        for q in (-4.5, -1.0, 0.5, 2.0, 6.0):
+            batch = solve_beta_k(spec, q, ks)
+            alone = np.array([solve_beta_k(spec, q, int(k)) for k in ks])
+            assert np.array_equal(batch, alone)
+            assert np.array_equal(solve_beta_k(spec, q, ks[::3]), batch[::3])
+
+
+def test_grid_unchanged_by_extra_generations():
+    # stride=1 adds every generation between the block endpoints; where the
+    # attaining generation is unchanged, so is the envelope value, to the bit
+    fam_a = GenerationFamily((0.3, 0.7), (0.2, 0.35))
+    fam_b = GenerationFamily((0.5, 0.5), (0.3, 0.25))
+    newton = validate_spec(MoranSpec(
+        (fam_a, fam_b), BlockSchedule((1, 8, 64, 512), (0, 1, 0, 1)), GapPolicy.EQUAL_GAPS, 4096,
+    ))
+    qs = np.arange(-4.0, 4.25, 0.5)
+    for spec, k_max in ((load_spec(SPECS / "block_switched.json"), 4**6), (newton, 2000)):
+        table = _flat_table(qs)
+        ends = separator_grid(spec, qs, k_max, theta_table=table)
+        dense = separator_grid(spec, qs, k_max, stride=1, theta_table=table)
+        same = 0
+        for i, (d_end, d_dense) in enumerate(zip(ends.diagnostics, dense.diagnostics)):
+            assert d_dense["generations"] == k_max > d_end["generations"]
+            if d_end["k_b"] == d_dense["k_b"]:
+                assert ends.b[i] == dense.b[i]
+                same += 1
+            if d_end["k_B"] == d_dense["k_B"]:
+                assert ends.B[i] == dense.B[i]
+                same += 1
+        assert same >= qs.size
+
+
+def test_newton_iteration_cap_raises(monkeypatch):
+    from hsmf import scaling
+
+    fam = GenerationFamily((0.2, 0.5, 0.3), (0.2, 0.3, 0.25))
+    spec = validate_spec(MoranSpec((fam,), ConstantSchedule(0), GapPolicy.EQUAL_GAPS, 256))
+    assert np.all(np.isfinite(solve_beta_k(spec, 2.0, np.array([5, 40]))))
+    monkeypatch.setattr(scaling, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(NoConvergence, match=r"q=2\.0, k=5 \(2 of 2 generations"):
+        solve_beta_k(spec, 2.0, np.array([5, 40]))
+    with pytest.raises(NoConvergence):
+        separator_grid(spec, [0.5, 2.0], 64)
 
 
 # ---------------------------------------------------------------------------
