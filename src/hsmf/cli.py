@@ -21,7 +21,14 @@ from .counting import MomentKind, counting_moment_table, partition_moment_table
 from .errors import HsmfError, SpecValidationError
 from .output import config_hash, csv_bytes, json_bytes, meta_line
 from .scaling import separator_grid
-from .specs import check_spec, load_spec, matched_generation, sample_paths, validate_spec
+from .specs import (
+    _num_cells,
+    check_spec,
+    load_spec,
+    matched_generation,
+    sample_paths,
+    validate_spec,
+)
 from .spectrum import spectrum_result
 
 USAGE_ERROR = 2
@@ -235,12 +242,7 @@ def _matchable(spec, r) -> bool:
         k = matched_generation(spec, r)
     except HsmfError:
         return False
-    n = 1
-    for g in range(1, k + 1):
-        n *= spec.family_at(g).arity
-        if n > (1 << 16):
-            return False
-    return True
+    return _num_cells(spec, k) <= 1 << 16
 
 
 def cmd_sample(args) -> int:

@@ -323,12 +323,16 @@ class MomentTable:
 
 
 def partition_moment_table(spec: MoranSpec, q_grid, ks, t: float = 0.0) -> MomentTable:
-    """Partition moments S_k(q, t) indexed by the max cell length at each k."""
+    """
+    Partition moments S_k(q, t) indexed by the max cell length at each k. A
+    moment past the double range is written as inf, never as a clamped
+    finite number.
+    """
     ks = sorted(int(k) for k in ks)
     q_grid = np.asarray(q_grid, dtype=float)
     log_s, _ = log_partition(spec, q_grid[:, None], t, family_generation_counts(spec, ks))
-    # math.exp, not np.exp: numpy's SIMD exp can round the last bit differently
-    vals = np.vectorize(math.exp, otypes=[float])(np.minimum(log_s, 700.0))
+    with np.errstate(over="ignore"):
+        vals = np.exp(log_s)
     scales = [max_length_at(spec, k) for k in ks]
     return MomentTable(MomentKind.PARTITION_MOMENT, q_grid, np.asarray(scales), vals)
 

@@ -31,8 +31,11 @@ a factor-2 range of block mixing fractions and cannot see both envelope
 branches, so it is not the default; callers may still request any window.
 
 Independently of the beta route, Theta(q) and Delta(q) are liminf/limsup
-estimates of log(moment sum)/(-log r) read off a moment table, reported next
-to b and B so discrepancies between the two routes surface.
+estimates of log S_k(q, 0)/(-log r_k), with r_k the largest generation-k cell
+length, reported next to b and B so discrepancies between the two routes
+surface. Both logs are exact family sums over 16 generations spanning
+[k_max/16, k_max], whatever the q grid, so no raw moment or scale has to fit
+in a double.
 
 Per-q computations are independent and safe to parallelize.
 """
@@ -50,7 +53,7 @@ from .specs import (
     MoranSpec,
     family_generation_counts,
 )
-from .counting import MomentTable, log_partition, partition_moment_table
+from .counting import log_partition
 
 FULL_WINDOW = (0.0, 1.0)
 TAIL_WINDOW = (0.5, 1.0)
@@ -190,7 +193,7 @@ def sample_generations(spec: MoranSpec, k_max: int, stride: int | None = None,
         ks = np.arange(stride, k_max + 1, stride, dtype=np.int64)
         if ks.size == 0 or ks[-1] != k_max:
             ks = np.append(ks, k_max)
-        return np.unique(ks)
+        return ks
     sched = spec.schedule
     if isinstance(sched, BlockSchedule):
         hi = k_max if hi is None else hi
@@ -259,28 +262,30 @@ def numeric_derivative(q_grid, values, q: float) -> float:
 
 @dataclass
 class ThetaDelta:
-    theta: float
-    delta: float
-    lsq_slope: float
+    """Per-q estimates, one array entry per row of the log-moment table."""
+
+    theta: np.ndarray
+    delta: np.ndarray
+    lsq_slope: np.ndarray
 
 
-def theta_delta_from_moments(table: MomentTable, q: float) -> ThetaDelta:
+def theta_delta_from_moments(log_moments, neg_log_r) -> ThetaDelta:
     """
-    liminf/limsup of log(moment)/(-log r) over the finest half of the table's
-    scales (min/max there), with the least-squares slope of log value against
-    -log r as a diagnostic. Requires >= 8 scales spanning >= 4 octaves.
+    liminf/limsup of log(moment)/(-log r) over the finest half of the scales
+    (min/max there) for each row of a (q x scales) array of log moments, with
+    the least-squares slope of log moment against -log r as a diagnostic.
+    Scales are given as increasing -log r. Requires >= 8 scales spanning
+    >= 4 octaves.
     """
-    if table.scales.size < 8:
+    log_moments = np.atleast_2d(log_moments)
+    neg_log_r = np.asarray(neg_log_r, dtype=float)
+    if neg_log_r.size < 8:
         raise InsufficientScales("need at least 8 scales")
-    if table.scales[0] / table.scales[-1] < 16.0:
+    if neg_log_r[-1] - neg_log_r[0] < math.log(16.0):
         raise InsufficientScales("scales must span at least 4 octaves")
-    vals = table.row(q)
-    neg_log_r = -np.log(table.scales)
-    x = np.log(vals) / neg_log_r
-    half = table.scales.size // 2
-    fine = x[half:]
-    slope = float(np.polyfit(neg_log_r, np.log(vals), 1)[0])
-    return ThetaDelta(theta=float(fine.min()), delta=float(fine.max()), lsq_slope=slope)
+    fine = (log_moments / neg_log_r)[:, neg_log_r.size // 2:]
+    slope = np.polyfit(neg_log_r, log_moments.T, 1)[0]
+    return ThetaDelta(theta=fine.min(axis=1), delta=fine.max(axis=1), lsq_slope=slope)
 
 
 # ---------------------------------------------------------------------------
@@ -344,29 +349,11 @@ class SeparatorGrid:
             )
 
 
-def _table_generations(spec: MoranSpec, k_max: int, q_grid: np.ndarray) -> list[int]:
-    """Generations for the cross-check partition table, capped (by bisection
-    on the exact log scales) so raw moment values and scales stay
-    representable across the q grid."""
-    qs = np.array([q_grid.min(), q_grid.max(), 0.0])
-    log_max = [math.log(fam.max_ratio) for fam in spec.families]
-
-    def representable(k: int) -> bool:
-        counts = family_generation_counts(spec, k)
-        if -sum(c * lm for c, lm in zip(counts[:, 0], log_max) if c) > 600.0:
-            return False
-        return bool(np.all(np.abs(log_partition(spec, qs[:, None], 0.0, counts)[0]) <= 600.0))
-
-    hi = min(k_max, 1 << 20)
-    if not representable(hi):
-        lo = 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if representable(mid):
-                lo = mid
-            else:
-                hi = mid - 1
-    cap = max(hi, 8)
+def _table_generations(spec: MoranSpec, k_max: int) -> list[int]:
+    """Generations for the Theta/Delta cross-check: 16 period-aligned points
+    over [k_max/16, k_max], or the first 16 periods when that gives fewer
+    than 8."""
+    cap = max(k_max, 8)
     period = spec.schedule.period or 1
     ks = sorted(
         {max(period, period * round(k / period)) for k in np.linspace(cap / 16, cap, 16)}
@@ -382,14 +369,13 @@ def separator_grid(
     k_max: int,
     stride: int | None = None,
     window: tuple[float, float] = FULL_WINDOW,
-    theta_table: MomentTable | None = None,
 ) -> SeparatorGrid:
     """
     Estimate b, B, Lambda over a q grid from the beta_k envelope (b the
-    windowed min, B = Lambda the windowed max), plus Theta/Delta from a
-    partition-moment table as an independent cross-check route. When that
-    table spans too few scales, Theta and Delta are nan and each diagnostics
-    entry says why under ``theta_delta``.
+    windowed min, B = Lambda the windowed max), plus Theta/Delta from exact
+    log partition sums as an independent cross-check route. When those span
+    too few scales, Theta and Delta are nan and each diagnostics entry says
+    why under ``theta_delta``.
     """
     q_grid = np.asarray(q_grid, dtype=float)
     ks, mask = _windowed_samples(spec, k_max, stride, window)
@@ -416,17 +402,14 @@ def separator_grid(
             }
         )
 
-    if theta_table is None:
-        table_ks = _table_generations(spec, k_max, q_grid)
-        theta_table = partition_moment_table(spec, q_grid, table_ks)
-    Theta = np.full(q_grid.size, np.nan)
-    Delta = np.full(q_grid.size, np.nan)
+    counts = family_generation_counts(spec, _table_generations(spec, k_max))
+    log_s, _ = log_partition(spec, q_grid[:, None], 0.0, counts)
+    neg_log_r = sum(n * -math.log(fam.max_ratio) for fam, n in zip(spec.families, counts))
     try:
-        for i, q in enumerate(q_grid):
-            td = theta_delta_from_moments(theta_table, float(q))
-            Theta[i] = td.theta
-            Delta[i] = td.delta
+        td = theta_delta_from_moments(log_s, neg_log_r)
+        Theta, Delta = td.theta, td.delta
     except InsufficientScales as e:  # no cross-check at these scales; b and B stand
+        Theta, Delta = np.full(q_grid.size, np.nan), np.full(q_grid.size, np.nan)
         for d in diagnostics:
             d["theta_delta"] = str(e)
 

@@ -584,7 +584,7 @@ def matched_generation(spec: MoranSpec, r: float) -> int:
     while length > r:
         k += 1
         if k > spec.depth_cap:
-            raise ScaleTooSmall(f"radius {r!r} is below generation {spec.depth_cap} resolution")
+            raise ScaleTooSmall(f"radius {float(r)!r} is below generation {spec.depth_cap} resolution")
         length *= spec.family_at(k).max_ratio
     return k
 

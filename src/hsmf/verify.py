@@ -358,18 +358,17 @@ def criterion_5(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
     return res
 
 
-def criterion_6(seed: int = 0, tol_scale: float = 1.0, grids: dict | None = None) -> CriterionResult:
+def criterion_6(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
     """Structural suite on every emitted separator grid and oracle curve."""
     res = _result(6, "structural invariants of grids and oracle curves", 30.0)
     t0 = time.perf_counter()
-    if grids is None:
-        qs = np.arange(-5.0, 5.0 + 0.25, 0.25)
-        grids = {
-            "uniform": separator_grid(spec_uniform(), qs, 64),
-            "periodic": separator_grid(spec_periodic(), qs, 1000),
-            "block": separator_grid(spec_block(), qs, 4**8),
-            "switching": separator_grid(spec_switching(), qs, 4**8),
-        }
+    qs = np.arange(-5.0, 5.0 + 0.25, 0.25)
+    grids = {
+        "uniform": separator_grid(spec_uniform(), qs, 64),
+        "periodic": separator_grid(spec_periodic(), qs, 1000),
+        "block": separator_grid(spec_block(), qs, 4**8),
+        "switching": separator_grid(spec_switching(), qs, 4**8),
+    }
     for name, grid in grids.items():
         problems = grid.check_invariants(tol=1e-8, zero_tol=1e-9)
         res.record(f"grid invariants: {name}", not problems, problems=problems)

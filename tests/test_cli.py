@@ -230,6 +230,46 @@ def test_dims_without_theta_delta_scales_keeps_b_and_B(tmp_path):
     assert all(d["theta_delta"] == "scales must span at least 4 octaves" for d in per_q)
 
 
+LOPSIDED = Path(__file__).resolve().parent / "fixtures" / "lopsided.json"
+
+
+def test_dims_theta_delta_finite_at_wide_q(tmp_path):
+    # S_k(-20, 0) passes the double range by generation 8; the cross-check
+    # is taken from logs, so it still spans [k_max/16, k_max]
+    out = tmp_path / "out"
+    proc = run_cli("dims", "--spec", str(LOPSIDED), "--q-min", "-20", "--q-max", "20",
+                   "--q-step", "1", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    rows = (out / "separators.csv").read_text().splitlines()[2:]
+    assert len(rows) == 41
+    for row in rows:
+        _, _, _, _, theta, delta, _, _ = row.split(",")
+        assert math.isfinite(float(theta)) and math.isfinite(float(delta))
+    per_q = json.loads((out / "diagnostics.json").read_text())["per_q"]
+    assert not any("theta_delta" in d for d in per_q)
+
+
+def test_moments_past_double_range_write_inf(tmp_path):
+    out = tmp_path / "m"
+    proc = run_cli("moments", "--spec", str(LOPSIDED), "--q-min", "-50", "--q-max", "0",
+                   "--q-step", "50", "--r-octaves", "4", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    values = [line.split(",")[3] for line in (out / "moments.csv").read_text().splitlines()[2:]
+              if line.startswith("partition_moment,-50,")]
+    assert len(values) == 4 and "inf" in values
+    assert all(v == "inf" or float(v) < math.exp(700.0) for v in values)
+
+
+def test_spectrum_radius_error_prints_plain_float(tmp_path):
+    spec = dict(VALID_SPEC, families=[{"probs": [0.5, 0.5], "ratios": [0.95, 0.05]}])
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(spec))
+    proc = run_cli("spectrum", "--spec", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert "below generation 64 resolution" in proc.stderr
+    assert "np.float64" not in proc.stderr
+
+
 def test_dims_reports_newton_non_convergence(tmp_path, monkeypatch, capsys):
     from hsmf import cli, scaling
 

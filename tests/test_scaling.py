@@ -24,9 +24,9 @@ from hsmf import (
     theta_delta_from_moments,
     validate_spec,
 )
-from hsmf.counting import MomentKind, MomentTable, log_partition, log_partition_moment
+from hsmf.counting import MomentTable, log_partition, log_partition_moment
 from hsmf.errors import InsufficientScales, NoConvergence
-from hsmf.scaling import FULL_WINDOW, TAIL_WINDOW, sample_generations, window_bounds
+from hsmf.scaling import FULL_WINDOW, TAIL_WINDOW, ThetaDelta, sample_generations, window_bounds
 from hsmf.specs import family_generation_counts, load_spec
 from hsmf.oracles import periodic_moran_beta, switching_binomial_tau
 
@@ -160,6 +160,14 @@ def test_beta_sequence_explicit_stride(periodic_spec):
     assert bs.k_samples.tolist() == [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
 
 
+def test_sample_generations_explicit_stride_increasing(periodic_spec):
+    k_max = 100
+    for stride in (1, 3, k_max, k_max + 5):
+        ks = sample_generations(periodic_spec, k_max, stride)
+        assert np.all(np.diff(ks) > 0)
+        assert ks[-1] == k_max
+
+
 def test_beta_sequence_depth_cap_guard(uniform_spec):
     from hsmf.errors import TooDeep
 
@@ -226,12 +234,6 @@ def _random_block_spec(rng, closed: bool, k_max: int) -> MoranSpec:
     )
 
 
-def _flat_table(qs) -> MomentTable:
-    """Stand-in Theta/Delta table: the envelope route is what is under test."""
-    scales = 2.0 ** -np.arange(1, 13)
-    return MomentTable(MomentKind.PARTITION_MOMENT, qs, scales, np.ones((len(qs), scales.size)))
-
-
 @pytest.mark.parametrize("closed,k_cap", [(True, 4000), (False, 300)])
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=12, deadline=None)
@@ -244,7 +246,7 @@ def test_block_endpoint_envelope_matches_dense(closed, k_cap, seed):
         lo, hi = window_bounds(k_max, window)
         endpoints = set(sample_generations(spec, k_max, None, lo, hi).tolist())
         assert all(lo <= k <= hi for k in endpoints)
-        grid = separator_grid(spec, qs, k_max, window=window, theta_table=_flat_table(qs))
+        grid = separator_grid(spec, qs, k_max, window=window)
         for i, q in enumerate(qs):
             dense = beta_sequence(spec, float(q), k_max, stride=1, window=window)
             assert grid.b[i] == pytest.approx(dense.liminf_est, abs=1e-12)
@@ -409,9 +411,8 @@ def test_grid_unchanged_by_extra_generations():
     ))
     qs = np.arange(-4.0, 4.25, 0.5)
     for spec, k_max in ((load_spec(SPECS / "block_switched.json"), 4**6), (newton, 2000)):
-        table = _flat_table(qs)
-        ends = separator_grid(spec, qs, k_max, theta_table=table)
-        dense = separator_grid(spec, qs, k_max, stride=1, theta_table=table)
+        ends = separator_grid(spec, qs, k_max)
+        dense = separator_grid(spec, qs, k_max, stride=1)
         same = 0
         for i, (d_end, d_dense) in enumerate(zip(ends.diagnostics, dense.diagnostics)):
             assert d_dense["generations"] == k_max > d_end["generations"]
@@ -441,45 +442,88 @@ def test_newton_iteration_cap_raises(monkeypatch):
 # theta/delta from tables
 # ---------------------------------------------------------------------------
 
-def _synthetic_table(d_even: float, d_odd: float | None = None) -> MomentTable:
-    scales = 2.0 ** -np.arange(1, 13)
-    qs = np.array([0.0])
-    vals = np.empty((1, scales.size))
-    for j, r in enumerate(scales):
-        d = d_even if (d_odd is None or j % 2 == 0) else d_odd
-        vals[0, j] = r**-d
-    return MomentTable(MomentKind.PARTITION_MOMENT, qs, scales, vals)
+def _theta_delta_linear(table: MomentTable, q: float) -> ThetaDelta:
+    """Reference route: Theta/Delta of one row read off a linear-valued
+    table, valid only while every moment and scale is representable."""
+    if table.scales.size < 8:
+        raise InsufficientScales("need at least 8 scales")
+    if table.scales[0] / table.scales[-1] < 16.0:
+        raise InsufficientScales("scales must span at least 4 octaves")
+    vals = table.row(q)
+    neg_log_r = -np.log(table.scales)
+    x = np.log(vals) / neg_log_r
+    fine = x[table.scales.size // 2:]
+    slope = float(np.polyfit(neg_log_r, np.log(vals), 1)[0])
+    return ThetaDelta(theta=float(fine.min()), delta=float(fine.max()), lsq_slope=slope)
+
+
+def _synthetic_logs(d_even: float, d_odd: float | None = None):
+    """log(r^-d) at dyadic scales r = 2^-1 .. 2^-12, d alternating if d_odd."""
+    neg_log_r = np.arange(1, 13) * math.log(2.0)
+    d = np.full(neg_log_r.size, d_even)
+    if d_odd is not None:
+        d[1::2] = d_odd
+    return d * neg_log_r, neg_log_r
 
 
 def test_theta_delta_exact_power_law():
     for d in (0.0, 0.5, 1.0):
-        td = theta_delta_from_moments(_synthetic_table(d), 0.0)
-        assert td.theta == pytest.approx(d, abs=1e-12)
-        assert td.delta == pytest.approx(d, abs=1e-12)
+        td = theta_delta_from_moments(*_synthetic_logs(d))
+        assert td.theta[0] == pytest.approx(d, abs=1e-12)
+        assert td.delta[0] == pytest.approx(d, abs=1e-12)
         # lsq_slope is the fitted exponent of value ~ r^-d, comparable to theta
-        assert td.lsq_slope == pytest.approx(d, abs=1e-10)
+        assert td.lsq_slope[0] == pytest.approx(d, abs=1e-10)
 
 
 def test_theta_delta_alternating_oscillation():
-    td = theta_delta_from_moments(_synthetic_table(0.3, 0.8), 0.0)
-    assert td.theta == pytest.approx(0.3, abs=1e-12)
-    assert td.delta == pytest.approx(0.8, abs=1e-12)
+    td = theta_delta_from_moments(*_synthetic_logs(0.3, 0.8))
+    assert td.theta[0] == pytest.approx(0.3, abs=1e-12)
+    assert td.delta[0] == pytest.approx(0.8, abs=1e-12)
 
 
 def test_theta_delta_requires_scales():
-    t = _synthetic_table(0.5)
-    t.scales = t.scales[:4]
-    t.values = t.values[:, :4]
-    with pytest.raises(InsufficientScales):
-        theta_delta_from_moments(t, 0.0)
+    logs, neg_log_r = _synthetic_logs(0.5)
+    with pytest.raises(InsufficientScales, match="8 scales"):
+        theta_delta_from_moments(logs[:4], neg_log_r[:4])
+    with pytest.raises(InsufficientScales, match="4 octaves"):
+        theta_delta_from_moments(logs, neg_log_r / 4.0)
 
 
 def test_theta_matches_beta_route(uniform_spec):
     # partition moments at dyadic scales reproduce beta(2) = -1
-    table = partition_moment_table(uniform_spec, [2.0], list(range(2, 24)))
-    td = theta_delta_from_moments(table, 2.0)
-    assert td.theta == pytest.approx(-1.0, abs=0.01)
-    assert td.delta == pytest.approx(-1.0, abs=0.01)
+    ks = np.arange(2, 24)
+    log_s, _ = log_partition(uniform_spec, [[2.0]], 0.0, family_generation_counts(uniform_spec, ks))
+    td = theta_delta_from_moments(log_s, ks * math.log(2.0))
+    assert td.theta[0] == pytest.approx(-1.0, abs=0.01)
+    assert td.delta[0] == pytest.approx(-1.0, abs=0.01)
+
+
+def test_log_route_matches_linear_table(binomial_spec, periodic_spec):
+    # on a table whose moments and scales all fit in a double, the log route
+    # and the linear-valued reference agree to rounding
+    qs = np.arange(-4.0, 4.5, 0.5)
+    ks = list(range(4, 68, 4))
+    for spec in (binomial_spec, periodic_spec, load_spec(SPECS / "block_switched.json")):
+        table = partition_moment_table(spec, qs, ks)
+        assert np.all(np.isfinite(table.values)) and np.all(table.values > 0)
+        counts = family_generation_counts(spec, ks)
+        log_s, _ = log_partition(spec, qs[:, None], 0.0, counts)
+        neg_log_r = sum(n * -math.log(f.max_ratio) for f, n in zip(spec.families, counts))
+        td = theta_delta_from_moments(log_s, neg_log_r)
+        for i, q in enumerate(qs):
+            ref = _theta_delta_linear(table, q)
+            assert td.theta[i] == pytest.approx(ref.theta, rel=0, abs=1e-13)
+            assert td.delta[i] == pytest.approx(ref.delta, rel=0, abs=1e-13)
+            assert td.lsq_slope[i] == pytest.approx(ref.lsq_slope, rel=0, abs=1e-13)
+
+
+def test_theta_delta_independent_of_q_range():
+    spec = load_spec(SPECS / "switching_binomial.json")
+    narrow = separator_grid(spec, np.arange(-1.0, 1.5, 1.0), 1024)
+    wide = separator_grid(spec, np.arange(-8.0, 8.5, 1.0), 1024)
+    assert wide.q_grid[7] == narrow.q_grid[0] == -1.0
+    assert wide.Theta[7] == narrow.Theta[0]
+    assert wide.Delta[7] == narrow.Delta[0]
 
 
 def test_theta_cross_check_on_worked_specs(periodic_spec, binomial_spec):
