@@ -65,54 +65,56 @@ class MomentKind(str, Enum):
 # Greedy center selection
 # ---------------------------------------------------------------------------
 
-def _covering_centers(points: np.ndarray, lefts: np.ndarray, rights: np.ndarray, r: float) -> list[float]:
+def _covering_centers(points: np.ndarray, lefts: np.ndarray, rights: np.ndarray, r: float) -> list[int]:
     """
-    Greedy left-to-right cover of the union of [lefts, rights] intervals by
-    closed balls of radius r centered at ``points`` (sorted). At each step the
-    farthest candidate that still covers the leftmost uncovered point is
-    taken; on the line this sweep is optimal within the candidate class.
+    Indices into ``points`` (sorted) of a greedy left-to-right cover of the
+    union of [lefts, rights] intervals (sorted) by closed balls of radius r.
+    At each step the farthest candidate that still covers the leftmost
+    uncovered point is taken; on the line this sweep is optimal within the
+    candidate class. That point is lefts[0] at the start and, after a ball at
+    j, max(points[j] + r, left end of the first piece reaching past it), so
+    every step is a lookup in arrays built once.
     """
-    centers: list[float] = []
-    pos = lefts[0]
-    last = rights[-1]
-    guard = 0
+    n = points.size
+    reach = points + r
+    piece = np.searchsorted(rights, reach, side="right")
+    done = (piece >= lefts.size).tolist()  # the ball at j reaches past the support
+    pos = np.append(np.maximum(reach, lefts[np.minimum(piece, lefts.size - 1)]), lefts[0])
+    take = np.searchsorted(points, pos + r, side="right") - 1
+    stuck = ((take < 0) | (points[take] < pos - r)).tolist()
+    take = take.tolist()
+    centers: list[int] = []
+    j = n  # the start slot of ``pos``
     while True:
-        j = np.searchsorted(points, pos + r, side="right") - 1
-        if j < 0 or points[j] < pos - r:
+        if stuck[j]:
             raise ScaleTooSmall("candidate centers cannot cover the support at this radius")
-        c = float(points[j])
-        centers.append(c)
-        covered = c + r
-        if covered >= last:
+        j = take[j]
+        centers.append(j)
+        if done[j]:
             return centers
-        # next uncovered support point
-        i = np.searchsorted(rights, covered, side="right")
-        if i >= lefts.size:
-            return centers
-        pos = max(covered, lefts[i])
-        if lefts[i] <= covered < rights[i]:
-            pos = covered
-        guard += 1
-        if guard > points.size + 1:
+        if len(centers) > n + 1:
             raise ScaleTooSmall("covering sweep failed to progress")
 
 
-def _packing_centers(points: np.ndarray, r: float) -> list[float]:
-    """Greedy maximal r-separated subset of sorted candidate points."""
-    centers = [float(points[0])]
-    i = 0
-    while True:
-        i = np.searchsorted(points, centers[-1] + r, side="left")
-        if i >= points.size:
-            return centers
-        centers.append(float(points[i]))
+def _packing_centers(points: np.ndarray, r: float) -> list[int]:
+    """Indices of a greedy maximal r-separated subset of sorted candidate
+    points: from each chosen point, the first one at distance >= r."""
+    nxt = np.searchsorted(points, points + r, side="left").tolist()
+    centers = [0]
+    while (i := nxt[centers[-1]]) < points.size:
+        if i <= centers[-1]:
+            raise ScaleTooSmall("packing sweep failed to progress")
+        centers.append(i)
+    return centers
 
 
 def _candidates(spec: MoranSpec, k: int, centers: str):
+    """Sorted distinct candidate centers at generation k with their cell weights."""
+    lefts, lengths, masses = cells(spec, k)
     if centers == "endpoints":
-        return cell_endpoints(spec, k), None
+        pts, first = np.unique(np.concatenate([lefts, lefts + lengths]), return_index=True)
+        return pts, np.concatenate([masses, masses])[first]
     if centers == "midpoints":
-        lefts, lengths, masses = cells(spec, k)
         return lefts + 0.5 * lengths, masses
     raise ValueError(f"unknown center class {centers!r}")
 
@@ -120,20 +122,7 @@ def _candidates(spec: MoranSpec, k: int, centers: str):
 @lru_cache(maxsize=64)
 def _candidate_ball_masses(spec: MoranSpec, k: int, r: float, bd: int, centers: str):
     """Candidate centers with cell weights and ball masses, cached per scale."""
-    if centers == "endpoints":
-        lefts, lengths, masses = cells(spec, k)
-        pts = np.concatenate([lefts, lefts + lengths])
-        cell_w = np.concatenate([masses, masses])
-        order = np.argsort(pts, kind="stable")
-        pts = pts[order]
-        cell_w = cell_w[order]
-        keep = np.ones(pts.size, dtype=bool)
-        keep[1:] = np.diff(pts) > 0
-        pts, cell_w = pts[keep], cell_w[keep]
-    else:
-        lefts, lengths, masses = cells(spec, k)
-        pts = lefts + 0.5 * lengths
-        cell_w = masses
+    pts, cell_w = _candidates(spec, k, centers)
     ball = np.array([ball_mass(spec, float(x), r, bd)[0] for x in pts])
     for a in (pts, cell_w, ball):
         a.setflags(write=False)
@@ -186,8 +175,7 @@ def covering_moment(
     pts, _, ball = _candidate_ball_masses(spec, k, float(r), bd, centers)
     lefts, lengths = support_intervals(spec, k)
     cs = _covering_centers(pts, lefts, lefts + lengths, r)
-    idx = np.searchsorted(pts, np.asarray(cs))
-    return float(np.sum(ball[idx] ** q))
+    return float(np.sum(ball[cs] ** q))
 
 
 def packing_moment(
@@ -362,8 +350,8 @@ def counting_moment_table(
             cs = _covering_centers(pts, lefts, lefts + lengths, r)
         else:
             cs = _packing_centers(pts, r)
-        idx = np.searchsorted(pts, np.asarray(cs))
-        masses = ball[idx]
+        masses = ball[cs]
+        # per q on purpose: numpy's scalar q = -1, 0.5, 2 powers round unlike a (q x centers) one
         for i, q in enumerate(q_grid):
             if kind in (MomentKind.COVERING_COUNT, MomentKind.PACKING_COUNT):
                 vals[i, j] = len(cs)

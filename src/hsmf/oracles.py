@@ -8,18 +8,24 @@ distinct liminf/limsup branches given by the two single-family exponents; the
 switching binomial's branches are the two dyadic moment exponents. The brute
 force solves the exact packing/covering optimum over the midpoint-center
 class by dynamic programming on the line, certifying the greedy estimators
-within that class.
+within that class, on the ball-mass table those estimators use. Both programs
+are O(n) past one sorted lookup per point. In the covering program the first
+support point ns_i left uncovered by ball i is non-decreasing in i, so the
+balls that may precede ball j form a suffix [lo_j, j) whose start never moves
+left, and a monotone deque yields each suffix minimum, an existing value.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from .counting import _candidate_ball_masses
 from .errors import ParameterOutOfRange, TooDeep
-from .specs import MoranSpec, ball_mass, cells, support_intervals
+from .specs import MoranSpec, _num_cells, support_intervals
 
 _BRUTE_FORCE_MAX_CELLS = 1 << 13
 
@@ -147,41 +153,28 @@ class BruteForceMoments:
     covering: float  # min of sum mu(B)^q over midpoint covers of the support
 
 
-from functools import lru_cache
-
-
-@lru_cache(maxsize=64)
-def _midpoint_ball_masses_cached(spec: MoranSpec, r: float, depth: int, bd: int):
-    lefts, lengths, _ = cells(spec, depth)
-    if lefts.size > _BRUTE_FORCE_MAX_CELLS:
-        raise TooDeep(f"brute force capped at {_BRUTE_FORCE_MAX_CELLS} cells")
-    mids = lefts + 0.5 * lengths
-    masses = np.array([ball_mass(spec, float(x), r, bd)[0] for x in mids])
-    mids.setflags(write=False)
-    masses.setflags(write=False)
-    return mids, masses
-
-
 def midpoint_ball_masses(spec: MoranSpec, r: float, depth: int, ball_depth: int | None = None):
-    """Cell midpoints at ``depth`` with their ball masses mu(B(mid, r))."""
+    """Cell midpoints at ``depth`` with their ball masses mu(B(mid, r)): the
+    table the greedy ``centers="midpoints"`` estimators use at this scale."""
+    if _num_cells(spec, depth) > _BRUTE_FORCE_MAX_CELLS:
+        raise TooDeep(f"brute force capped at {_BRUTE_FORCE_MAX_CELLS} cells")
     bd = ball_depth if ball_depth is not None else min(spec.depth_cap, depth + 8)
-    return _midpoint_ball_masses_cached(spec, float(r), int(depth), int(bd))
+    mids, _, masses = _candidate_ball_masses(spec, int(depth), float(r), int(bd), "midpoints")
+    return mids, masses
 
 
 def _max_packing_value(points: np.ndarray, weights: np.ndarray, r: float) -> float:
     """
-    Exact max of sum(weights) over subsets with pairwise distance >= r:
-    prefix-max dynamic program on the sorted line.
+    Exact max of sum(weights) over subsets of the sorted ``points`` with
+    pairwise distance >= r: prefix-max dynamic program on the line, where the
+    last point at distance >= r left of each point is found in one pass.
     """
-    n = points.size
-    best = np.empty(n)       # best[i] = max value of a packing whose rightmost point is i
-    prefix = np.empty(n)     # running max of best[:i+1]
-    for i in range(n):
-        j = np.searchsorted(points, points[i] - r, side="right") - 1
-        prev = prefix[j] if j >= 0 else 0.0
-        best[i] = weights[i] + max(prev, 0.0)
-        prefix[i] = best[i] if i == 0 else max(prefix[i - 1], best[i])
-    return float(prefix[-1])
+    before = (np.searchsorted(points, points - r, side="right") - 1).tolist()
+    prefix: list[float] = []  # prefix[i] = max value of a packing within points[:i+1]
+    for i, (j, w) in enumerate(zip(before, weights.tolist())):
+        best = w + max(prefix[j] if j >= 0 else 0.0, 0.0)  # packing ending at i
+        prefix.append(best if i == 0 else max(prefix[-1], best))
+    return prefix[-1]
 
 
 def _min_cover_value(
@@ -196,7 +189,8 @@ def _min_cover_value(
     the union of [lefts, rights]. Dynamic program over centers in left-to-
     right order: ball j may extend a chain ending at ball i when no support
     point lies in the gap (reach_i, points_j - r), i.e. when points_j - r is
-    at most the first support point beyond reach_i.
+    at most ns_i, the first support point beyond reach_i. ``points`` and the
+    pieces must be sorted; then ns is non-decreasing (module docstring).
     """
     n = points.size
     start = float(lefts[0])
@@ -206,24 +200,23 @@ def _min_cover_value(
     idx = np.searchsorted(rights, reach, side="right")
     ns = np.full(n, math.inf)
     inside = idx < lefts.size
-    safe_idx = np.minimum(idx, lefts.size - 1)
-    piece_left = lefts[safe_idx]
-    ns[inside] = np.where(piece_left[inside] <= reach[inside], reach[inside], piece_left[inside])
-
-    cost = np.full(n, math.inf)
-    init = (points - r <= start) & (start <= reach)
-    cost[init] = weights[init]
-    for j in range(1, n):
-        thresh = points[j] - r
-        ok = ns[:j] >= thresh
-        if ok.any():
-            prev = cost[:j][ok].min()
-            if prev + weights[j] < cost[j]:
-                cost[j] = prev + weights[j]
-    done = ~np.isfinite(ns)
-    if not done.any() or not np.isfinite(cost[done]).any():
-        return math.inf
-    return float(cost[done].min())
+    ns[inside] = np.maximum(reach[inside], lefts[idx[inside]])
+    assert np.all(ns[1:] >= ns[:-1]), "points and support pieces must be sorted"
+    lo = np.searchsorted(ns, points - r, side="left").tolist()
+    init = ((points - r <= start) & (start <= reach)).tolist()
+    cost: list[float] = []
+    window: deque[int] = deque()  # indices in [lo_j, j) with increasing cost
+    for j, w in enumerate(weights.tolist()):
+        c = w if init[j] else math.inf
+        while window and window[0] < lo[j]:
+            window.popleft()
+        if window and cost[window[0]] + w < c:
+            c = cost[window[0]] + w
+        cost.append(c)
+        while window and cost[window[-1]] >= c:
+            window.pop()
+        window.append(j)
+    return min(cost[int(np.searchsorted(ns, math.inf)):], default=math.inf)
 
 
 def brute_force_ball_moments(spec: MoranSpec, q: float, r: float, depth: int) -> BruteForceMoments:

@@ -37,7 +37,9 @@ surface. Both logs are exact family sums over 16 generations spanning
 [k_max/16, k_max], whatever the q grid, so no raw moment or scale has to fit
 in a double.
 
-Per-q computations are independent and safe to parallelize.
+A separator grid makes one (q x k) root solve: ``solve_beta_k`` broadcasts
+the q grid against the sampled generations, and since every (q, k) pair is
+solved elementwise, each value is the one a lone solve gives.
 """
 
 from __future__ import annotations
@@ -65,19 +67,21 @@ _NEWTON_MAX_ITER = 100
 # beta_k(q)
 # ---------------------------------------------------------------------------
 
-def _newton_roots(spec: MoranSpec, q: float, ks: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _newton_roots(spec: MoranSpec, q: np.ndarray, ks: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """
-    Roots in t of log S_k(q, t) = 0 for every k in ``ks`` (counts are their
-    family generation counts), each with its own bracket [lo, hi]: start at
-    [-64, 64] and double until g(lo) >= 0 >= g(hi), then take Newton steps
-    that stay inside the bracket (else bisect) until |g| <= 1e-13 k. Each
-    element stops on its own, so every root is the one a lone solve gives.
+    Roots in t of log S_k(q, t) = 0 for every (q, k) pair of the flat arrays
+    ``q`` and ``ks`` (counts are the family generation counts of ``ks``), each
+    with its own bracket [lo, hi]: start at [-64, 64] and double until
+    g(lo) >= 0 >= g(hi), then take Newton steps that stay inside the bracket
+    (else bisect) until |g| <= 1e-13 k. Each element stops on its own, so
+    every root is the one a lone solve gives. Errors name the first failing
+    pair and count the unconverged generations at its q.
     """
     lo, hi = np.full(ks.size, -64.0), np.full(ks.size, 64.0)
     todo = np.arange(ks.size)
     for _ in range(13):
-        glo, _ = log_partition(spec, q, lo[todo], counts[:, todo])
-        ghi, _ = log_partition(spec, q, hi[todo], counts[:, todo])
+        glo, _ = log_partition(spec, q[todo], lo[todo], counts[:, todo])
+        ghi, _ = log_partition(spec, q[todo], hi[todo], counts[:, todo])
         todo = todo[(glo < 0.0) | (ghi > 0.0)]
         if todo.size == 0:
             break
@@ -85,13 +89,13 @@ def _newton_roots(spec: MoranSpec, q: float, ks: np.ndarray, counts: np.ndarray)
         hi[todo] *= 2.0
     else:
         i = todo[0]
-        raise NoBracket(f"no sign change for beta in [{lo[i]}, {hi[i]}] at q={q}, k={ks[i]}")
+        raise NoBracket(f"no sign change for beta in [{lo[i]}, {hi[i]}] at q={float(q[i])}, k={ks[i]}")
     beta = np.zeros(ks.size)
     tol = 1e-13 * np.maximum(ks, 1)
     todo = np.arange(ks.size)
     for _ in range(_NEWTON_MAX_ITER):
         b = beta[todo]
-        g, dg = log_partition(spec, q, b, counts[:, todo])
+        g, dg = log_partition(spec, q[todo], b, counts[:, todo])
         moving = np.abs(g) > tol[todo]
         todo, b, g, dg = todo[moving], b[moving], g[moving], dg[moving]
         if todo.size == 0:
@@ -103,31 +107,40 @@ def _newton_roots(spec: MoranSpec, q: float, ks: np.ndarray, counts: np.ndarray)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = b - g / dg  # dg == 0 gives a non-finite step, hence mid
         beta[todo] = np.where((lo[todo] < step) & (step < hi[todo]), step, mid)
+    i = todo[0]
+    at_q = q == q[i]
     raise NoConvergence(
-        f"beta_k did not converge in {_NEWTON_MAX_ITER} Newton steps at q={q}, "
-        f"k={ks[todo[0]]} ({todo.size} of {ks.size} generations unconverged)"
+        f"beta_k did not converge in {_NEWTON_MAX_ITER} Newton steps at q={float(q[i])}, "
+        f"k={ks[i]} ({np.count_nonzero(at_q[todo])} of {np.count_nonzero(at_q)} generations unconverged)"
     )
 
 
-def solve_beta_k(spec: MoranSpec, q: float, k):
+def solve_beta_k(spec: MoranSpec, q, k):
     """
-    The generation-k normalization exponent for one k (a float) or an array
-    of generations (an array): the closed form under constant per-family
-    ratios, else ``_newton_roots`` on all generations at once, holding the
-    residual to |log S_k| <= 1e-13 k. Raises NoConvergence or NoBracket
-    rather than return a root that misses that bound.
+    The generation-k normalization exponent with q and k broadcast against
+    each other: a float for scalar q and k, else an array of the broadcast
+    shape (``q[:, None]`` against an array of generations gives a (q x k)
+    grid). The closed form under constant per-family ratios, else
+    ``_newton_roots`` on all (q, k) pairs at once, holding the residual to
+    |log S_k| <= 1e-13 k. Raises NoConvergence or NoBracket rather than
+    return a root that misses that bound.
     """
+    qs = np.asarray(q, dtype=float)
     ks = np.asarray(k, dtype=np.int64)
     if ks.size and ks.max() > spec.depth_cap:
         raise TooDeep(f"generation {ks.max()} exceeds depth_cap {spec.depth_cap}")
-    counts = family_generation_counts(spec, ks)
+    counts = family_generation_counts(spec, ks.ravel())
     if all(fam.constant_ratio for fam in spec.families):
-        num, _ = log_partition(spec, q, 0.0, counts)
+        counts = counts.reshape(-1, *ks.shape)
+        num, _ = log_partition(spec, qs, 0.0, counts)
         den = sum(n * -math.log(fam.ratios[0]) for fam, n in zip(spec.families, counts))
         beta = num / den
     else:
-        beta = _newton_roots(spec, q, ks.ravel(), counts)
-    return float(beta[0]) if ks.ndim == 0 else beta
+        shape = np.broadcast_shapes(qs.shape, ks.shape)
+        cols = np.broadcast_to(np.arange(ks.size).reshape(ks.shape), shape).ravel()
+        q_flat = np.broadcast_to(qs, shape).ravel()
+        beta = _newton_roots(spec, q_flat, ks.ravel()[cols], counts[:, cols]).reshape(shape)
+    return float(beta) if beta.ndim == 0 else beta
 
 
 # ---------------------------------------------------------------------------
@@ -381,26 +394,22 @@ def separator_grid(
     ks, mask = _windowed_samples(spec, k_max, stride, window)
     in_window = ks[mask]
 
-    b = np.empty(q_grid.size)
-    B = np.empty(q_grid.size)
-    diagnostics = []
-    for i, q in enumerate(q_grid):
-        sel = solve_beta_k(spec, float(q), ks)[mask]
-        i_b = int(np.argmin(sel))
-        i_B = int(np.argmax(sel))
-        b[i] = float(sel[i_b])
-        B[i] = float(sel[i_B])
-        diagnostics.append(
-            {
-                "q": float(q),
-                "window": [int(in_window[0]), int(in_window[-1])],
-                "oscillation": float(B[i] - b[i]),
-                "converged": bool(B[i] - b[i] <= _CONVERGED_TOL),
-                "k_b": int(in_window[i_b]),
-                "k_B": int(in_window[i_B]),
-                "generations": int(ks.size),
-            }
-        )
+    betas = solve_beta_k(spec, q_grid[:, None], ks)[:, mask]
+    rows = np.arange(q_grid.size)
+    i_b, i_B = betas.argmin(axis=1), betas.argmax(axis=1)
+    b, B = betas[rows, i_b], betas[rows, i_B]
+    diagnostics = [
+        {
+            "q": float(q),
+            "window": [int(in_window[0]), int(in_window[-1])],
+            "oscillation": float(B[i] - b[i]),
+            "converged": bool(B[i] - b[i] <= _CONVERGED_TOL),
+            "k_b": int(in_window[i_b[i]]),
+            "k_B": int(in_window[i_B[i]]),
+            "generations": int(ks.size),
+        }
+        for i, q in enumerate(q_grid)
+    ]
 
     counts = family_generation_counts(spec, _table_generations(spec, k_max))
     log_s, _ = log_partition(spec, q_grid[:, None], 0.0, counts)

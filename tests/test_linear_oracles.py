@@ -1,0 +1,177 @@
+"""
+The linear-time exact DPs and pointer-following greedy sweeps against the
+quadratic per-step versions they replaced, kept here as test-only oracles.
+Values and center lists must agree exactly (``==``), not to a tolerance:
+the verify artifacts are byte-compared, so the rewrite may not move a bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hsmf.counting import _covering_centers, _packing_centers
+from hsmf.errors import ScaleTooSmall
+from hsmf.oracles import _max_packing_value, _min_cover_value, midpoint_ball_masses
+from hsmf.specs import max_length_at, support_intervals
+from hsmf.verify import spec_binomial, spec_middle_thirds, spec_uniform
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: one searchsorted or one rescan per step
+# ---------------------------------------------------------------------------
+
+def _ref_max_packing_value(points, weights, r):
+    n = points.size
+    best = np.empty(n)
+    prefix = np.empty(n)
+    for i in range(n):
+        j = np.searchsorted(points, points[i] - r, side="right") - 1
+        prev = prefix[j] if j >= 0 else 0.0
+        best[i] = weights[i] + max(prev, 0.0)
+        prefix[i] = best[i] if i == 0 else max(prefix[i - 1], best[i])
+    return float(prefix[-1])
+
+
+def _ref_min_cover_value(points, weights, r, lefts, rights):
+    n = points.size
+    start = float(lefts[0])
+    reach = points + r
+    idx = np.searchsorted(rights, reach, side="right")
+    ns = np.full(n, math.inf)
+    inside = idx < lefts.size
+    safe_idx = np.minimum(idx, lefts.size - 1)
+    piece_left = lefts[safe_idx]
+    ns[inside] = np.where(piece_left[inside] <= reach[inside], reach[inside], piece_left[inside])
+    cost = np.full(n, math.inf)
+    init = (points - r <= start) & (start <= reach)
+    cost[init] = weights[init]
+    for j in range(1, n):
+        ok = ns[:j] >= points[j] - r
+        if ok.any():
+            prev = cost[:j][ok].min()
+            if prev + weights[j] < cost[j]:
+                cost[j] = prev + weights[j]
+    done = ~np.isfinite(ns)
+    if not done.any() or not np.isfinite(cost[done]).any():
+        return math.inf
+    return float(cost[done].min())
+
+
+def _ref_covering_centers(points, lefts, rights, r):
+    centers = []
+    pos = lefts[0]
+    last = rights[-1]
+    guard = 0
+    while True:
+        j = np.searchsorted(points, pos + r, side="right") - 1
+        if j < 0 or points[j] < pos - r:
+            raise ScaleTooSmall("candidate centers cannot cover the support at this radius")
+        c = float(points[j])
+        centers.append(c)
+        covered = c + r
+        if covered >= last:
+            return centers
+        i = np.searchsorted(rights, covered, side="right")
+        if i >= lefts.size:
+            return centers
+        pos = max(covered, lefts[i])
+        if lefts[i] <= covered < rights[i]:
+            pos = covered
+        guard += 1
+        if guard > points.size + 1:
+            raise ScaleTooSmall("covering sweep failed to progress")
+
+
+def _ref_packing_centers(points, r):
+    centers = [float(points[0])]
+    while True:
+        i = np.searchsorted(points, centers[-1] + r, side="left")
+        if i >= points.size:
+            return centers
+        centers.append(float(points[i]))
+
+
+def _assert_same_cover(points, lefts, rights, r):
+    try:
+        want = _ref_covering_centers(points, lefts, rights, r)
+    except ScaleTooSmall as e:
+        with pytest.raises(ScaleTooSmall, match=str(e)):
+            _covering_centers(points, lefts, rights, r)
+        return
+    assert points[_covering_centers(points, lefts, rights, r)].tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# Random problems on a dyadic grid: ties, touching and one-point pieces, gaps
+# wider than 2r, single candidates, zero masses, q of both signs
+# ---------------------------------------------------------------------------
+
+@st.composite
+def line_problems(draw):
+    grid = draw(st.sampled_from([4, 16, 256]))
+    n = draw(st.integers(1, 40))
+    points = np.sort(np.array(draw(st.lists(st.integers(0, grid), min_size=n, max_size=n)))) / grid
+    m = draw(st.integers(1, 6))
+    ends = sorted(draw(st.lists(st.integers(0, grid), min_size=2 * m, max_size=2 * m)))
+    lefts = np.array(ends[0::2], dtype=float) / grid
+    rights = np.array(ends[1::2], dtype=float) / grid
+    if draw(st.booleans()):
+        r = draw(st.integers(1, grid)) / grid / draw(st.sampled_from([1, 2, 8]))
+    else:
+        r = draw(st.floats(1e-3, 0.75))
+    masses = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=n, max_size=n,
+    )))
+    q = draw(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.5]))
+    with np.errstate(divide="ignore"):
+        weights = masses**q
+    return points, weights, r, lefts, rights
+
+
+@given(line_problems())
+@settings(max_examples=200, deadline=None)
+def test_equal_the_per_step_oracles(problem):
+    points, weights, r, lefts, rights = problem
+    assert _max_packing_value(points, weights, r) == _ref_max_packing_value(points, weights, r)
+    assert _min_cover_value(points, weights, r, lefts, rights) == _ref_min_cover_value(
+        points, weights, r, lefts, rights
+    )
+    assert points[_packing_centers(points, r)].tolist() == _ref_packing_centers(points, r)
+    _assert_same_cover(points, lefts, rights, r)
+
+
+def test_cover_dp_rejects_unsorted_points():
+    points = np.array([0.5, 0.1, 0.9])
+    with pytest.raises(AssertionError, match="sorted"):
+        _min_cover_value(points, np.ones(3), 0.2, np.array([0.0]), np.array([1.0]))
+
+
+def test_packing_sweep_without_progress_raises():
+    # a radius below the spacing resolution of the points cannot advance
+    with pytest.raises(ScaleTooSmall, match="progress"):
+        _packing_centers(np.array([1.0, 2.0]), 1e-20)
+
+
+# ---------------------------------------------------------------------------
+# The measures certified by verify's criterion 10, at a smaller depth
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("factory", [spec_uniform, spec_middle_thirds, spec_binomial])
+def test_equal_on_verify_measures(factory):
+    spec = factory()
+    depth = 8
+    lefts, lengths = support_intervals(spec, depth)
+    rights = lefts + lengths
+    for r in (max_length_at(spec, depth), 2.7 * max_length_at(spec, depth)):
+        mids, masses = midpoint_ball_masses(spec, r, depth)
+        assert mids[_packing_centers(mids, r)].tolist() == _ref_packing_centers(mids, r)
+        _assert_same_cover(mids, lefts, rights, r)
+        for q in (-1.0, 0.0, 1.0, 2.0):
+            w = masses**q
+            assert _max_packing_value(mids, w, r) == _ref_max_packing_value(mids, w, r)
+            assert _min_cover_value(mids, w, r, lefts, rights) == _ref_min_cover_value(
+                mids, w, r, lefts, rights
+            )

@@ -241,3 +241,29 @@ def test_greedy_within_certified_bracket(cantor_spec, q):
     tol = 1e-9 * max(1.0, abs(bf.covering), abs(bf.packing))
     assert g_cov >= bf.covering - tol
     assert g_pak <= bf.packing + tol
+
+
+def test_brute_force_shares_the_greedy_ball_mass_table(monkeypatch, cantor_spec):
+    """The oracle and the greedy midpoint estimators at one (spec, r, depth)
+    evaluate each midpoint's ball mass once between them."""
+    import sys
+
+    from hsmf import counting, specs
+
+    counting._candidate_ball_masses.cache_clear()
+    original = specs.ball_mass
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hsmf" and getattr(module, "ball_mass", None) is original:
+            monkeypatch.setattr(module, "ball_mass", counted)
+    depth = 7
+    r = 1.9 * max_length_at(cantor_spec, depth)
+    brute_force_ball_moments(cantor_spec, 2.0, r, depth)
+    covering_moment(cantor_spec, 2.0, r, depth=depth, centers="midpoints")
+    packing_moment(cantor_spec, 2.0, r, depth=depth, centers="midpoints")
+    assert len(calls) == 2**depth

@@ -25,7 +25,7 @@ from hsmf import (
     validate_spec,
 )
 from hsmf.counting import MomentTable, log_partition, log_partition_moment
-from hsmf.errors import InsufficientScales, NoConvergence
+from hsmf.errors import InsufficientScales, NoBracket, NoConvergence
 from hsmf.scaling import FULL_WINDOW, TAIL_WINDOW, ThetaDelta, sample_generations, window_bounds
 from hsmf.specs import family_generation_counts, load_spec
 from hsmf.oracles import periodic_moran_beta, switching_binomial_tau
@@ -394,11 +394,17 @@ def test_solve_is_batch_independent(kind):
         else:
             spec = _random_spec(rng, kind == "closed")
         ks = _sampled_ks(rng, 256)
-        for q in (-4.5, -1.0, 0.5, 2.0, 6.0):
+        qs = np.array([-4.5, -1.0, 0.5, 2.0, 6.0])
+        grid = solve_beta_k(spec, qs[:, None], ks)
+        assert grid.shape == (qs.size, ks.size)
+        for i, q in enumerate(qs):
             batch = solve_beta_k(spec, q, ks)
             alone = np.array([solve_beta_k(spec, q, int(k)) for k in ks])
             assert np.array_equal(batch, alone)
+            assert np.array_equal(grid[i], alone)
             assert np.array_equal(solve_beta_k(spec, q, ks[::3]), batch[::3])
+        for j in (0, ks.size - 1):
+            assert np.array_equal(solve_beta_k(spec, qs, int(ks[j])), grid[:, j])
 
 
 def test_grid_unchanged_by_extra_generations():
@@ -436,6 +442,23 @@ def test_newton_iteration_cap_raises(monkeypatch):
         solve_beta_k(spec, 2.0, np.array([5, 40]))
     with pytest.raises(NoConvergence):
         separator_grid(spec, [0.5, 2.0], 64)
+
+
+def test_batched_solve_errors_name_the_first_failing_pair(monkeypatch):
+    from hsmf import scaling
+
+    fam = GenerationFamily((0.2, 0.5, 0.3), (0.2, 0.3, 0.25))
+    spec = validate_spec(MoranSpec((fam,), ConstantSchedule(0), GapPolicy.EQUAL_GAPS, 256))
+    ks = np.array([5, 40])
+    # no root within the 13 bracket doublings, |beta| <= 2^18, at this q
+    with pytest.raises(NoBracket, match=r"at q=10000000\.0, k=5$"):
+        solve_beta_k(spec, np.array([0.5, 1e7])[:, None], ks)
+    # beta_k(1) = 0 is the starting point, so q = 1 converges in one step
+    monkeypatch.setattr(scaling, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(NoConvergence, match=r"q=2\.0, k=5 \(2 of 2 generations"):
+        solve_beta_k(spec, np.array([1.0, 2.0, 3.0])[:, None], ks)
+    with pytest.raises(NoConvergence, match=r"q=3\.0, k=40 \(1 of 1 generations"):
+        solve_beta_k(spec, np.array([1.0, 3.0]), np.array([7, 40]))
 
 
 # ---------------------------------------------------------------------------
