@@ -48,6 +48,7 @@ from .specs import (
     family_generation_counts,
     matched_generation,
     max_length_at,
+    path_lefts,
     sample_paths,
     support_intervals,
 )
@@ -123,7 +124,7 @@ def _candidates(spec: MoranSpec, k: int, centers: str):
 def _candidate_ball_masses(spec: MoranSpec, k: int, r: float, bd: int, centers: str):
     """Candidate centers with cell weights and ball masses, cached per scale."""
     pts, cell_w = _candidates(spec, k, centers)
-    ball = np.array([ball_mass(spec, float(x), r, bd)[0] for x in pts])
+    ball = np.array([ball_mass(spec, x, r, bd)[0] for x in pts.tolist()])
     for a in (pts, cell_w, ball):
         a.setflags(write=False)
     return pts, cell_w, ball
@@ -420,14 +421,10 @@ def auxiliary_statistics(
     # measure-distributed points for the integral
     depth = min(spec.depth_cap, k + 12)
     paths = sample_paths(spec, 1.0, 0.0, depth, sample_count, seed)
-    from .specs import interval_of  # local import to keep module top tidy
-
     if q == 0.0:
         vals = np.ones(sample_count)
     else:
-        xs = np.empty(sample_count)
-        for i in range(sample_count):
-            xs[i] = interval_of(spec, tuple(int(v) for v in paths[i]))[0]
+        xs = path_lefts(spec, paths).tolist()
         vals = np.array([ball_mass(spec, x, r, bd)[0] ** q for x in xs])
     integral = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(sample_count)) if sample_count > 1 else 0.0
@@ -478,10 +475,7 @@ def doubling_ratio(
     r_min = min(r_list)
     depth = min(spec.depth_cap, matched_generation(spec, min(r_min, 1.0)) + 10)
     paths = sample_paths(spec, 1.0, 0.0, depth, sample_count, seed)
-    from .specs import interval_of
-
-    for i in range(sample_count):
-        probes.append(interval_of(spec, tuple(int(v) for v in paths[i]))[0])
+    probes.extend(path_lefts(spec, paths).tolist())
     best = 0.0
     for r in r_list:
         bd = min(spec.depth_cap, matched_generation(spec, min(r, 1.0)) + 10)

@@ -21,8 +21,13 @@ generation. Interval masses are products of child probabilities along the
 address; lengths are products of ratios. Deep products are accumulated in log
 space where underflow matters.
 
-Specs are immutable after construction; every function here is pure given its
-inputs (plus an explicit seed for sampling) and safe to call concurrently.
+Each spec carries one child table (``MoranSpec.child_table``): per family, the
+children's left offsets, ratios and log probabilities, which ``ball_mass``,
+``interval_of``, ``cells`` and ``path_lefts`` all read. It is built on first
+use from the spec's own fields; building it is deterministic and idempotent
+(a concurrent second build yields the same floats), so specs still behave as
+immutable values. Every function here is pure given its inputs (plus an
+explicit seed for sampling) and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -230,6 +235,24 @@ class MoranSpec:
             return 0.0
         return (1.0 - family.ratio_sum) / (family.arity - 1)
 
+    @cached_property
+    def child_table(self) -> tuple[tuple[tuple[float, float, float], ...], ...]:
+        """
+        Per family, one ``(left offset, ratio, log p)`` row per child, left to
+        right, in parent-length units: under equal gaps the first child starts
+        at 0 and the last child ends at 1. Built on first use, never changed.
+        """
+        table = []
+        for fam in self.families:
+            gap = self.family_gap(fam)
+            rows = []
+            pos = 0.0
+            for c, p in zip(fam.ratios, fam.probs):
+                rows.append((pos, c, math.log(p)))
+                pos += c + gap
+            table.append(tuple(rows))
+        return tuple(table)
+
     def as_dict(self) -> dict:
         return {
             "families": [f.as_dict() for f in self.families],
@@ -334,25 +357,6 @@ def validate_spec(spec: MoranSpec) -> MoranSpec:
 # Geometry
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def child_layout(family: GenerationFamily, gap_policy: GapPolicy) -> tuple[tuple[float, ...], float]:
-    """
-    Left offsets of the children inside a unit parent, plus the sibling gap
-    (both in parent-length units). Children are ordered left to right; under
-    equal gaps the first child starts at 0 and the last child ends at 1.
-    """
-    c = family.ratios
-    gap = 0.0
-    if gap_policy is GapPolicy.EQUAL_GAPS:
-        gap = (1.0 - math.fsum(c)) / (family.arity - 1)
-    offsets = []
-    pos = 0.0
-    for j in range(family.arity):
-        offsets.append(pos)
-        pos += c[j] + gap
-    return tuple(offsets), gap
-
-
 def interval_of(spec: MoranSpec, address: tuple[int, ...]) -> tuple[float, float, float]:
     """
     Return ``(left, length, mass)`` of the basic interval at a 1-based address.
@@ -366,34 +370,31 @@ def interval_of(spec: MoranSpec, address: tuple[int, ...]) -> tuple[float, float
     length = 1.0
     mass = 1.0
     for g, idx in enumerate(address, start=1):
-        fam = spec.family_at(g)
-        if not (1 <= idx <= fam.arity):
-            raise AddressOutOfRange(f"index {idx} at generation {g} outside 1..{fam.arity}")
-        offsets, _ = child_layout(fam, spec.gap_policy)
-        left += offsets[idx - 1] * length
-        length *= fam.ratios[idx - 1]
-        mass *= fam.probs[idx - 1]
+        f = spec.schedule.family_index(g)
+        rows = spec.child_table[f]
+        if not (1 <= idx <= len(rows)):
+            raise AddressOutOfRange(f"index {idx} at generation {g} outside 1..{len(rows)}")
+        offset, ratio, _ = rows[idx - 1]
+        left += offset * length
+        length *= ratio
+        mass *= spec.families[f].probs[idx - 1]
     return left, length, mass
 
 
-def log_interval_of(spec: MoranSpec, address: tuple[int, ...]) -> tuple[float, float, float]:
-    """(left, log_length, log_mass) variant for deep addresses."""
-    if len(address) > spec.depth_cap:
-        raise AddressOutOfRange(f"address depth {len(address)} exceeds depth_cap {spec.depth_cap}")
-    left = 0.0
-    length = 1.0
-    log_length = 0.0
-    log_mass = 0.0
-    for g, idx in enumerate(address, start=1):
-        fam = spec.family_at(g)
-        if not (1 <= idx <= fam.arity):
-            raise AddressOutOfRange(f"index {idx} at generation {g} outside 1..{fam.arity}")
-        offsets, _ = child_layout(fam, spec.gap_policy)
-        left += offsets[idx - 1] * length
-        length *= fam.ratios[idx - 1]
-        log_length += math.log(fam.ratios[idx - 1])
-        log_mass += math.log(fam.probs[idx - 1])
-    return left, log_length, log_mass
+def path_lefts(spec: MoranSpec, paths: np.ndarray) -> np.ndarray:
+    """
+    Left endpoints of the cells at the 1-based addresses in the rows of
+    ``paths`` (as from ``sample_paths``): row by row the same floats as
+    ``interval_of(spec, row)[0]``, from one pass over the generations.
+    """
+    lefts = np.zeros(paths.shape[0])
+    lengths = np.ones(paths.shape[0])
+    for g in range(1, paths.shape[1] + 1):
+        offsets, ratios, _ = np.array(spec.child_table[spec.schedule.family_index(g)]).T
+        idx = paths[:, g - 1] - 1
+        lefts += offsets[idx] * lengths
+        lengths *= ratios[idx]
+    return lefts
 
 
 def ball_mass(spec: MoranSpec, x: float, r: float, depth: int) -> tuple[float, float]:
@@ -406,6 +407,11 @@ def ball_mass(spec: MoranSpec, x: float, r: float, depth: int) -> tuple[float, f
     their total mass is returned as a rigorous two-sided error bound (the true
     value lies in [mass - error, mass + error]). Zero-length overlaps are
     ignored: the measures here are atomless.
+
+    The traversal is a depth-first search from a stack that pops the
+    rightmost child first. Its visiting order fixes the summation order of
+    ``mass`` and ``error``, so that order must not change if results are to
+    stay bit-identical.
     """
     if depth > spec.depth_cap:
         raise TooDeep(f"depth {depth} exceeds depth_cap {spec.depth_cap}")
@@ -413,15 +419,17 @@ def ball_mass(spec: MoranSpec, x: float, r: float, depth: int) -> tuple[float, f
     hi = min(1.0, x + r)
     if hi <= lo:
         return 0.0, 0.0
+    table = spec.child_table
+    family_index = spec.schedule.family_index
     mass = 0.0
     error = 0.0
-    # stack entries: (generation of the node, left, length, log_mass)
+    # stack entries: (generation of the node, left, length, log_mass); only
+    # children that overlap the window are pushed (the root always does)
     stack = [(0, 0.0, 1.0, 0.0)]
+    push = stack.append
     while stack:
         g, left, length, logm = stack.pop()
         right = left + length
-        if left >= hi or right <= lo:
-            continue
         if lo <= left and right <= hi:
             mass += math.exp(logm)
             continue
@@ -432,17 +440,12 @@ def ball_mass(spec: MoranSpec, x: float, r: float, depth: int) -> tuple[float, f
                 mass += m
             error += m
             continue
-        fam = spec.family_at(g + 1)
-        offsets, _ = child_layout(fam, spec.gap_policy)
-        for j in range(fam.arity):
-            stack.append(
-                (
-                    g + 1,
-                    left + offsets[j] * length,
-                    fam.ratios[j] * length,
-                    logm + math.log(fam.probs[j]),
-                )
-            )
+        g += 1
+        for offset, ratio, logp in table[family_index(g)]:
+            child_left = left + offset * length
+            child_length = ratio * length
+            if child_left < hi and child_left + child_length > lo:
+                push((g, child_left, child_length, logm + logp))
     return mass, error
 
 
@@ -536,11 +539,9 @@ def cells(spec: MoranSpec, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lengths = np.ones(1)
     masses = np.ones(1)
     for g in range(1, k + 1):
-        fam = spec.family_at(g)
-        offsets, _ = child_layout(fam, spec.gap_policy)
-        off = np.asarray(offsets)
-        ratios = fam.ratio_array
-        probs = fam.prob_array
+        f = spec.schedule.family_index(g)
+        off, ratios, _ = np.array(spec.child_table[f]).T
+        probs = spec.families[f].prob_array
         lefts = (lefts[:, None] + lengths[:, None] * off[None, :]).ravel()
         masses = (masses[:, None] * probs[None, :]).ravel()
         lengths = (lengths[:, None] * ratios[None, :]).ravel()

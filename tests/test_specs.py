@@ -204,27 +204,6 @@ def test_ball_mass_error_bound_brackets_truth(binomial_spec):
 # sampling
 # ---------------------------------------------------------------------------
 
-def test_log_interval_matches_direct(binomial_spec):
-    from hsmf.specs import log_interval_of
-
-    addr = (2, 1, 2, 2, 1)
-    left, length, mass = interval_of(binomial_spec, addr)
-    l2, log_len, log_mass = log_interval_of(binomial_spec, addr)
-    assert l2 == left
-    assert math.exp(log_len) == pytest.approx(length, rel=1e-14)
-    assert math.exp(log_mass) == pytest.approx(mass, rel=1e-14)
-
-
-def test_log_interval_survives_depth(switching_spec):
-    # direct products underflow far above this depth; log accumulation holds
-    from hsmf.specs import log_interval_of
-
-    addr = tuple(1 for _ in range(5000))
-    _, log_len, log_mass = log_interval_of(switching_spec, addr)
-    assert log_len == pytest.approx(5000 * math.log(0.5), rel=1e-12)
-    assert math.isfinite(log_mass) and log_mass < log_len < 0
-
-
 def test_sample_path_deterministic(binomial_spec):
     p1 = sample_path(binomial_spec, 1.0, 0.0, 12, seed=5)
     p2 = sample_path(binomial_spec, 1.0, 0.0, 12, seed=5)
