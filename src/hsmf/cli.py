@@ -251,13 +251,10 @@ def cmd_sample(args) -> int:
         spec, args.q, args.t, args.depth, args.count, args.seed, with_logs=True
     )
     records = [
-        {
-            "path": [int(i) for i in paths[j]],
-            "log_mass": float(log_mass[j]),
-            "log_length": float(log_len[j]),
-            "alpha_hat": float(log_mass[j] / log_len[j]),
-        }
-        for j in range(args.count)
+        {"path": path, "log_mass": m, "log_length": ln, "alpha_hat": a}
+        for path, m, ln, a in zip(
+            paths.tolist(), log_mass.tolist(), log_len.tolist(), (log_mass / log_len).tolist()
+        )
     ]
     out = _outdir(args)
     payload = {

@@ -357,7 +357,8 @@ def counting_moment_table(
             if kind in (MomentKind.COVERING_COUNT, MomentKind.PACKING_COUNT):
                 vals[i, j] = len(cs)
             else:
-                vals[i, j] = float(np.sum(masses**q))
+                with np.errstate(over="ignore"):
+                    vals[i, j] = float(np.sum(masses**q))
                 flags[i, j] = q < 0
     return MomentTable(kind, q_grid, np.asarray(r_list), vals, flags)
 

@@ -49,6 +49,7 @@ from .errors import (
     TooDeep,
     Violation,
 )
+from .output import json_bytes
 
 PROB_TOL = 1e-12
 # Hard cap for exhaustive cell enumeration (counts, coarse histograms, oracles).
@@ -668,6 +669,5 @@ def load_spec(path) -> MoranSpec:
 
 
 def save_spec(spec: MoranSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(json_bytes(spec.as_dict()))

@@ -260,6 +260,45 @@ def test_moments_past_double_range_write_inf(tmp_path):
     assert all(v == "inf" or float(v) < math.exp(700.0) for v in values)
 
 
+def test_moments_overflowing_greedy_moments_write_inf_without_warning(tmp_path):
+    out = tmp_path / "m"
+    proc = run_cli("moments", "--spec", str(LOPSIDED), "--q-min", "-50", "--q-max", "50",
+                   "--q-step", "50", "--r-octaves", "12", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    rows = [line.split(",") for line in (out / "moments.csv").read_text().splitlines()[2:]]
+    for kind in ("covering_moment", "packing_moment"):
+        assert any(r[0] == kind and r[3] == "inf" for r in rows)
+
+
+@pytest.mark.parametrize("spec_name, q, depth", [("binomial_quarter", 2.0, 64),
+                                                 ("block_switched", 0.5, 40)])
+def test_sample_json_equals_stdlib_encoding_of_per_element_records(tmp_path, spec_name, q, depth):
+    from hsmf import cli
+    from hsmf.specs import load_spec, sample_paths
+
+    spec = Path(__file__).resolve().parents[1] / "specs" / f"{spec_name}.json"
+    count, seed = 512, 3
+    assert cli.main(["sample", "--spec", str(spec), "--q", str(q), "--t", "0", "--depth",
+                     str(depth), "--count", str(count), "--seed", str(seed),
+                     "--out", str(tmp_path)]) == 0
+    written = (tmp_path / "samples.json").read_bytes()
+    paths, log_mass, log_len = sample_paths(load_spec(spec), q, 0.0, depth, count, seed,
+                                            with_logs=True)
+    records = [
+        {
+            "path": [int(i) for i in paths[j]],
+            "log_mass": float(log_mass[j]),
+            "log_length": float(log_len[j]),
+            "alpha_hat": float(log_mass[j] / log_len[j]),
+        }
+        for j in range(count)
+    ]
+    payload = {"meta": json.loads(written)["meta"], "samples": records}
+    oracle = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    assert written == oracle.encode("ascii")
+
+
 def test_spectrum_radius_error_prints_plain_float(tmp_path):
     spec = dict(VALID_SPEC, families=[{"probs": [0.5, 0.5], "ratios": [0.95, 0.05]}])
     path = tmp_path / "skew.json"
