@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import __version__
 from .counting import MomentKind, counting_moment_table, partition_moment_table
 from .errors import HsmfError, SpecValidationError
-from .output import config_hash, csv_bytes, json_bytes, meta_line
+from .output import JsonStream, config_hash, csv_bytes, json_bytes, meta_line, write_json
 from .scaling import separator_grid
 from .specs import (
     _num_cells,
@@ -33,6 +34,9 @@ from .spectrum import spectrum_result
 
 USAGE_ERROR = 2
 FAILURE = 1
+# samples.json records built and encoded at a time, which bounds the
+# command's memory by its (count, depth) paths array
+SAMPLE_BATCH = 512
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -40,12 +44,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"hsmf {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, spec_required=True):
-        if spec_required:
-            sp.add_argument("--spec", required=True, help="measure spec JSON file")
+    def common(sp, formats=("csv", "json")):
+        sp.add_argument("--spec", required=True, help="measure spec JSON file")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        # The default stays "csv" even where csv is refused (sample): the
+        # config hash that every artifact carries includes it.
+        sp.add_argument("--format", choices=formats, default="csv")
         sp.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
     sp = sub.add_parser("validate", help="check a spec file against all invariants")
@@ -75,7 +80,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--r-octaves", type=int, default=10)
 
     sp = sub.add_parser("sample", help="draw tilted addresses")
-    common(sp)
+    common(sp, formats=("json",))
     sp.add_argument("--q", type=float, default=1.0)
     sp.add_argument("--t", type=float, default=0.0)
     sp.add_argument("--depth", type=int, default=16)
@@ -105,10 +110,25 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write(path: Path, data: bytes, force: bool) -> None:
+def _write(path: Path, data, force: bool) -> None:
+    """
+    Write ``data`` (bytes, or a function that writes to a binary file) to
+    ``path`` through a temporary file in the same directory, so ``path``
+    holds either its old contents or the whole new file.
+    """
     if path.exists() and not force:
         raise FileExistsError(f"{path} exists; pass --force to overwrite")
-    path.write_bytes(data)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            if isinstance(data, bytes):
+                f.write(data)
+            else:
+                data(f)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _emit_table(out: Path, stem: str, columns, rows, meta: str, args) -> None:
@@ -246,23 +266,29 @@ def _matchable(spec, r) -> bool:
 
 
 def cmd_sample(args) -> int:
+    if args.depth < 1:
+        raise ValueError(f"--depth must be at least 1, got {args.depth}")
     spec = validate_spec(load_spec(args.spec))
     paths, log_mass, log_len = sample_paths(
         spec, args.q, args.t, args.depth, args.count, args.seed, with_logs=True
     )
-    records = [
-        {"path": path, "log_mass": m, "log_length": ln, "alpha_hat": a}
-        for path, m, ln, a in zip(
-            paths.tolist(), log_mass.tolist(), log_len.tolist(), (log_mass / log_len).tolist()
-        )
-    ]
     out = _outdir(args)
     payload = {
         "meta": {**_json_meta(args, spec), "q": args.q, "t": args.t},
-        "samples": records,
+        "samples": JsonStream(_sample_records(paths, log_mass, log_len)),
     }
-    _write(out / "samples.json", json_bytes(payload), args.force)
+    _write(out / "samples.json", lambda f: write_json(payload, f.write), args.force)
     return 0
+
+
+def _sample_records(paths, log_mass, log_len):
+    """samples.json records, built SAMPLE_BATCH at a time from array slices."""
+    for lo in range(0, len(paths), SAMPLE_BATCH):
+        rows = slice(lo, lo + SAMPLE_BATCH)
+        m, ln = log_mass[rows], log_len[rows]
+        for path, mass, length, alpha in zip(paths[rows].tolist(), m.tolist(), ln.tolist(),
+                                             (m / ln).tolist()):
+            yield {"path": path, "log_mass": mass, "log_length": length, "alpha_hat": alpha}
 
 
 def cmd_verify(args) -> int:

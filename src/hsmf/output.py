@@ -4,7 +4,8 @@ Deterministic, locale-independent serialization for CSV/JSON artifacts.
 ``json_bytes`` writes exactly the bytes of ``json.dumps(obj, sort_keys=True,
 indent=2, ensure_ascii=True) + "\n"`` without the stdlib's pure-Python
 encoder, which ``indent`` forces and which allocates several times the
-output size in small chunk strings.
+output size in small chunk strings. ``write_json`` streams the same bytes
+into a sink, so a document with a ``JsonStream`` array never exists whole.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ import hashlib
 import io
 import json
 import math
+from collections.abc import Callable, Iterable
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
 
 _INDENT = "  "
 # str pieces joined into one ASCII chunk at a time, which bounds how many are alive
-_FLUSH = 4096
+_FLUSH = 1024
 
 
 def fmt(x) -> str:
@@ -35,21 +37,40 @@ def fmt(x) -> str:
     return f"{xf:.17g}"
 
 
+class JsonStream:
+    """A JSON array whose elements come from ``items``, consumed once as it is written."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items: Iterable):
+        self.items = items
+
+
 def json_bytes(obj) -> bytes:
     """
     Canonical JSON: sorted keys, two-space indent, ASCII, newline-terminated.
 
     Accepts what the stdlib encoder accepts without ``default=`` (str and
     str subclasses such as ``GapPolicy``, int, float including
-    ``np.float64``, bool, None, list, tuple, dict) and raises ``TypeError``
-    on anything else, such as ``np.int64``, set or bytes.
+    ``np.float64``, bool, None, list, tuple, dict), plus ``JsonStream``, and
+    raises ``TypeError`` on anything else, such as ``np.int64``, set or bytes.
     """
     chunks: list[bytes] = []
-    parts: list[str] = []
-    _write(obj, "\n", parts, chunks)
-    parts.append("\n")
-    chunks.append("".join(parts).encode("ascii"))
+    write_json(obj, chunks.append)
     return b"".join(chunks)
+
+
+def write_json(obj, sink: Callable[[bytes], object]) -> None:
+    """
+    Pass the bytes of ``json_bytes(obj)`` to ``sink`` in ASCII chunks.
+
+    ``obj`` may also hold ``JsonStream`` arrays, written as lists are, one
+    element at a time.
+    """
+    parts: list[str] = []
+    _write(obj, "\n", parts, sink)
+    parts.append("\n")
+    sink("".join(parts).encode("ascii"))
 
 
 def _json_float(x: float) -> str:
@@ -76,7 +97,7 @@ def _json_scalar(v) -> str | None:
         return int.__repr__(v)
     if isinstance(v, float):
         return _json_float(v)
-    if isinstance(v, (list, tuple, dict)):
+    if isinstance(v, (list, tuple, dict, JsonStream)):
         return None
     raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
 
@@ -88,17 +109,14 @@ def _json_key(k) -> str:
     return text
 
 
-def _write(obj, nl: str, parts: list[str], chunks: list[bytes]) -> None:
-    """Append ``obj``'s text at indent ``nl`` to ``parts``, flushing full ones to ``chunks``."""
+def _write(obj, nl: str, parts: list[str], sink: Callable[[bytes], object]) -> None:
+    """Append ``obj``'s text at indent ``nl`` to ``parts``, flushing full ones to ``sink``."""
     text = _json_scalar(obj)
     if text is not None:
         parts.append(text)
         return
-    if not obj:
-        parts.append("{}" if isinstance(obj, dict) else "[]")
-        return
     inner = nl + _INDENT
-    kinds = () if isinstance(obj, dict) else set(map(type, obj))
+    kinds = set(map(type, obj)) if isinstance(obj, (list, tuple)) else ()
     if kinds == {int} or kinds == {float}:
         texts = map(int.__repr__ if kinds == {int} else _json_float, obj)
         parts.append("[" + inner + ("," + inner).join(texts) + nl + "]")
@@ -108,19 +126,19 @@ def _write(obj, nl: str, parts: list[str], chunks: list[bytes]) -> None:
             items = [(_json_str(_json_key(k)) + ": ", v) for k, v in sorted(obj.items())]
         else:
             brackets = "[]"
-            items = zip(repeat(""), obj)
-        sep = brackets[0] + inner
+            items = zip(repeat(""), obj.items if isinstance(obj, JsonStream) else obj)
+        sep = first = brackets[0] + inner
         for head, v in items:
             text = _json_scalar(v)
             if text is None:
                 parts.append(sep + head)
-                _write(v, inner, parts, chunks)
+                _write(v, inner, parts, sink)
             else:
                 parts.append(sep + head + text)
             sep = "," + inner
-        parts.append(nl + brackets[1])
+        parts.append(brackets if sep is first else nl + brackets[1])
     if len(parts) >= _FLUSH:
-        chunks.append("".join(parts).encode("ascii"))
+        sink("".join(parts).encode("ascii"))
         parts.clear()
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ VALID_SPEC = {
     "gap_policy": "no_gaps",
     "depth_cap": 64,
 }
+SPECS = Path(__file__).resolve().parents[1] / "specs"
 
 
 def run_cli(*args, cwd=None):
@@ -271,14 +273,22 @@ def test_moments_overflowing_greedy_moments_write_inf_without_warning(tmp_path):
         assert any(r[0] == kind and r[3] == "inf" for r in rows)
 
 
-@pytest.mark.parametrize("spec_name, q, depth", [("binomial_quarter", 2.0, 64),
-                                                 ("block_switched", 0.5, 40)])
-def test_sample_json_equals_stdlib_encoding_of_per_element_records(tmp_path, spec_name, q, depth):
+@pytest.mark.parametrize("spec_name, q, depth, count", [
+    pytest.param("binomial_quarter", 2.0, 64, 512, id="binomial_quarter-2.0-64"),
+    pytest.param("block_switched", 0.5, 40, 512, id="block_switched-0.5-40"),
+    pytest.param("binomial_quarter", 2.0, 64, 0, id="count-0"),
+    pytest.param("binomial_quarter", 2.0, 64, 1, id="count-1"),
+    pytest.param("block_switched", 0.5, 40, 2 * 512 + 37, id="count-off-batch"),
+    pytest.param("binomial_quarter", 2.0, 1, 700, id="depth-1"),
+])
+def test_sample_json_equals_stdlib_encoding_of_per_element_records(tmp_path, spec_name, q, depth,
+                                                                    count):
     from hsmf import cli
     from hsmf.specs import load_spec, sample_paths
 
-    spec = Path(__file__).resolve().parents[1] / "specs" / f"{spec_name}.json"
-    count, seed = 512, 3
+    assert cli.SAMPLE_BATCH == 512  # the counts above straddle batch boundaries
+    spec = SPECS / f"{spec_name}.json"
+    seed = 3
     assert cli.main(["sample", "--spec", str(spec), "--q", str(q), "--t", "0", "--depth",
                      str(depth), "--count", str(count), "--seed", str(seed),
                      "--out", str(tmp_path)]) == 0
@@ -297,6 +307,88 @@ def test_sample_json_equals_stdlib_encoding_of_per_element_records(tmp_path, spe
     payload = {"meta": json.loads(written)["meta"], "samples": records}
     oracle = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
     assert written == oracle.encode("ascii")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["samples.json"]
+
+
+def test_sample_default_format_keeps_config_hash(tmp_path):
+    """The hash of a run without --format, as written before csv was refused on sample."""
+    proc = run_cli("sample", "--spec", str(SPECS / "binomial_quarter.json"), "--q", "2",
+                   "--t", "0", "--depth", "64", "--count", "0", "--seed", "11",
+                   "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "samples.json").read_text())["meta"]["config"] == "999261816d70"
+
+
+@pytest.mark.parametrize("bad, message", [(("--depth", "0"), "--depth must be at least 1"),
+                                          (("--depth", "-3"), "--depth must be at least 1"),
+                                          (("--format", "csv"), "invalid choice: 'csv'")],
+                         ids=["depth-0", "depth-negative", "format-csv"])
+def test_sample_usage_errors_write_nothing(spec_file, tmp_path, bad, message):
+    out = tmp_path / "s"
+    proc = run_cli("sample", "--spec", str(spec_file), "--count", "3", "--out", str(out), *bad)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert not out.exists()
+
+
+def test_sample_format_json_is_accepted(spec_file, tmp_path):
+    proc = run_cli("sample", "--spec", str(spec_file), "--count", "3", "--format", "json",
+                   "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads((tmp_path / "samples.json").read_text())["samples"]) == 3
+
+
+def test_failed_stream_leaves_no_file_and_keeps_the_old_one(spec_file, tmp_path, monkeypatch):
+    from hsmf import cli
+
+    real = cli.write_json
+
+    def fail_after_first_chunk(obj, sink):
+        def write_then_fail(chunk):
+            sink(chunk)
+            raise OSError("disk full")
+        real(obj, write_then_fail)
+
+    out = tmp_path / "out"
+    args = ["sample", "--spec", str(spec_file), "--depth", "20", "--count", "2000",
+            "--out", str(out)]
+    monkeypatch.setattr(cli, "write_json", fail_after_first_chunk)
+    with pytest.raises(OSError, match="disk full"):
+        cli.main(args)
+    assert list(out.iterdir()) == []
+
+    monkeypatch.setattr(cli, "write_json", real)
+    assert cli.main(args) == 0
+    before = (out / "samples.json").read_bytes()
+    assert cli.main(args) == 2  # exists, no --force: refused before anything is written
+    monkeypatch.setattr(cli, "write_json", fail_after_first_chunk)
+    with pytest.raises(OSError, match="disk full"):
+        cli.main([*args, "--seed", "1", "--force"])
+    assert (out / "samples.json").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["samples.json"]
+
+
+def test_sample_peak_allocation_is_bounded_by_its_arrays(tmp_path):
+    """
+    Allocation guard, not a timing gate. At 4096 paths of depth 64 the paths
+    and log arrays take 2.2 MB. Streaming samples.json keeps the traced peak
+    near 1.8x that; building the whole document first peaks past 4x.
+    """
+    from hsmf import cli
+
+    count, depth = 4096, 64
+    arrays = count * depth * 8 + 2 * count * 8
+    tracemalloc.start()
+    try:
+        code = cli.main(["sample", "--spec", str(SPECS / "binomial_quarter.json"), "--q", "2",
+                         "--t", "0", "--depth", str(depth), "--count", str(count),
+                         "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2.5 * arrays, f"peak {peak / 1e6:.1f} MB for {arrays / 1e6:.1f} MB of arrays"
 
 
 def test_spectrum_radius_error_prints_plain_float(tmp_path):
