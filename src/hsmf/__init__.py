@@ -35,9 +35,7 @@ from .specs import (
     check_spec,
     interval_of,
     load_spec,
-    local_exponent_ball,
     matched_generation,
-    sample_path,
     sample_paths,
     save_spec,
     spec_from_dict,
@@ -46,15 +44,12 @@ from .specs import (
 from .counting import (
     MomentKind,
     MomentTable,
-    auxiliary_statistics,
     counting_moment_table,
     covering_count,
     covering_moment,
-    doubling_ratio,
     log_partition_moment,
     packing_count,
     packing_moment,
-    partition_moment,
     partition_moment_table,
 )
 from .scaling import (

@@ -268,6 +268,8 @@ def _matchable(spec, r) -> bool:
 def cmd_sample(args) -> int:
     if args.depth < 1:
         raise ValueError(f"--depth must be at least 1, got {args.depth}")
+    if args.count < 0:
+        raise ValueError(f"--count must be at least 0, got {args.count}")
     spec = validate_spec(load_spec(args.spec))
     paths, log_mass, log_len = sample_paths(
         spec, args.q, args.t, args.depth, args.count, args.seed, with_logs=True

@@ -1,6 +1,6 @@
 """
-Fixed-radius covering/packing counts and q-moment sums, plus partition moments
-and auxiliary integral/entropy/volume statistics.
+Fixed-radius covering/packing counts and q-moment sums, plus exact factorized
+partition moments and the moment tables built from them.
 
 Greedy estimators
 -----------------
@@ -30,7 +30,6 @@ are independent of evaluation order.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
@@ -43,13 +42,10 @@ from .errors import ScaleTooSmall, TooDeep
 from .specs import (
     MoranSpec,
     ball_mass,
-    cell_endpoints,
     cells,
     family_generation_counts,
     matched_generation,
     max_length_at,
-    path_lefts,
-    sample_paths,
     support_intervals,
 )
 
@@ -259,11 +255,6 @@ def log_partition_moment(spec: MoranSpec, q: float, t: float, k: int) -> float:
     return float(log_partition(spec, q, t, family_generation_counts(spec, k))[0][0])
 
 
-def partition_moment(spec: MoranSpec, q: float, t: float, k: int) -> float:
-    """S_k(q, t) itself; exact up to floating point, may overflow for huge k."""
-    return float(math.exp(log_partition_moment(spec, q, t, k)))
-
-
 # ---------------------------------------------------------------------------
 # Moment tables
 # ---------------------------------------------------------------------------
@@ -361,129 +352,3 @@ def counting_moment_table(
                     vals[i, j] = float(np.sum(masses**q))
                 flags[i, j] = q < 0
     return MomentTable(kind, q_grid, np.asarray(r_list), vals, flags)
-
-
-# ---------------------------------------------------------------------------
-# Auxiliary statistics
-# ---------------------------------------------------------------------------
-
-def _shannon_entropy(spec: MoranSpec, k: int) -> float:
-    """Shannon entropy (nats) of the generation-k mass partition, factorized."""
-    counts = family_generation_counts(spec, k)[:, 0]
-    h = 0.0
-    for f, fam in enumerate(spec.families):
-        if counts[f]:
-            h += counts[f] * float(-np.sum(fam.prob_array * fam.log_probs))
-    return h
-
-
-def _renyi_entropy(spec: MoranSpec, q: float, k: int) -> float:
-    """Order-q entropy (nats) of the generation-k partition; q = 1 is Shannon."""
-    if q == 1.0:
-        return _shannon_entropy(spec, k)
-    return log_partition_moment(spec, q, 0.0, k) / (1.0 - q)
-
-
-def _merged_neighborhood(lefts: np.ndarray, rights: np.ndarray, r: float) -> list[tuple[float, float]]:
-    out: list[tuple[float, float]] = []
-    for a, b in zip(lefts - r, rights + r):
-        if out and a <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], b))
-        else:
-            out.append((a, b))
-    return out
-
-
-def auxiliary_statistics(
-    spec: MoranSpec,
-    q: float,
-    r: float,
-    sample_count: int = 4096,
-    seed: int = 0,
-) -> dict:
-    """
-    The three side statistics at one scale:
-
-    * ``renyi_integral``: Monte-Carlo estimate of the integral of
-      mu(B(x, r))^q dmu(x) using measure-distributed sample points (leaf left
-      endpoints, which lie in the support); unbiased over the sampling, with
-      standard error reported.
-    * ``renyi_entropy``: order-q entropy (nats) of the matched-generation
-      partition; q = 1 gives the Shannon entropy.
-    * ``minkowski_volume``: (1/r) * integral of mu(B(x, r))^q over the open
-      r-neighborhood of the support, by deterministic midpoint quadrature
-      (exact for q = 0).
-    """
-    if not (0.0 < r <= 1.0):
-        raise ScaleTooSmall("auxiliary statistics need r in (0, 1]")
-    k = matched_generation(spec, r)
-    bd = min(spec.depth_cap, k + 8)
-
-    # measure-distributed points for the integral
-    depth = min(spec.depth_cap, k + 12)
-    paths = sample_paths(spec, 1.0, 0.0, depth, sample_count, seed)
-    if q == 0.0:
-        vals = np.ones(sample_count)
-    else:
-        xs = path_lefts(spec, paths).tolist()
-        vals = np.array([ball_mass(spec, x, r, bd)[0] ** q for x in xs])
-    integral = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(sample_count)) if sample_count > 1 else 0.0
-
-    entropy = _renyi_entropy(spec, q, k)
-
-    lefts, lengths = support_intervals(spec, k)
-    pieces = _merged_neighborhood(lefts, lefts + lengths, r)
-    pieces = [(max(a, -r), min(b, 1.0 + r)) for a, b in pieces]
-    if q == 0.0:
-        volume = sum(b - a for a, b in pieces) / r
-    else:
-        total = 0.0
-        for a, b in pieces:
-            n_panel = max(16, min(4096, int(math.ceil((b - a) / (r / 8.0)))))
-            h = (b - a) / n_panel
-            mids = a + h * (np.arange(n_panel) + 0.5)
-            total += h * float(sum(ball_mass(spec, float(x), r, bd)[0] ** q for x in mids))
-        volume = total / r
-    return {
-        "renyi_integral": integral,
-        "renyi_integral_se": stderr,
-        "renyi_entropy": entropy,
-        "minkowski_volume": volume,
-    }
-
-
-def doubling_ratio(
-    spec: MoranSpec,
-    a: float,
-    r_list: Sequence[float],
-    sample_count: int = 512,
-    seed: int = 0,
-    probe_generation: int = 2,
-) -> float:
-    """
-    Empirical sup of mu(B(x, a r)) / mu(B(x, r)) over probed support points
-    and the given radii: a lower bound for the doubling constant at these
-    scales. Probe points are measure samples plus the cell endpoints of the
-    first ``probe_generation`` generations (support points that include the
-    coarse cell boundaries). Deep-generation boundaries are deliberately not
-    probed: for lopsided measures the ratio at generation-m boundaries grows
-    without bound in m, so any finite probe set only certifies a lower bound.
-    """
-    if a <= 1.0:
-        raise ValueError("doubling factor must exceed 1")
-    probes: list[float] = [float(x) for x in cell_endpoints(spec, min(probe_generation, spec.depth_cap))]
-    r_min = min(r_list)
-    depth = min(spec.depth_cap, matched_generation(spec, min(r_min, 1.0)) + 10)
-    paths = sample_paths(spec, 1.0, 0.0, depth, sample_count, seed)
-    probes.extend(path_lefts(spec, paths).tolist())
-    best = 0.0
-    for r in r_list:
-        bd = min(spec.depth_cap, matched_generation(spec, min(r, 1.0)) + 10)
-        for x in probes:
-            denom, _ = ball_mass(spec, x, r, bd)
-            if denom <= 0.0:
-                continue
-            numer, _ = ball_mass(spec, x, a * r, bd)
-            best = max(best, numer / denom)
-    return best

@@ -23,7 +23,7 @@ space where underflow matters.
 
 Each spec carries one child table (``MoranSpec.child_table``): per family, the
 children's left offsets, ratios and log probabilities, which ``ball_mass``,
-``interval_of``, ``cells`` and ``path_lefts`` all read. It is built on first
+``interval_of`` and ``cells`` all read. It is built on first
 use from the spec's own fields; building it is deterministic and idempotent
 (a concurrent second build yields the same floats), so specs still behave as
 immutable values. Every function here is pure given its inputs (plus an
@@ -382,22 +382,6 @@ def interval_of(spec: MoranSpec, address: tuple[int, ...]) -> tuple[float, float
     return left, length, mass
 
 
-def path_lefts(spec: MoranSpec, paths: np.ndarray) -> np.ndarray:
-    """
-    Left endpoints of the cells at the 1-based addresses in the rows of
-    ``paths`` (as from ``sample_paths``): row by row the same floats as
-    ``interval_of(spec, row)[0]``, from one pass over the generations.
-    """
-    lefts = np.zeros(paths.shape[0])
-    lengths = np.ones(paths.shape[0])
-    for g in range(1, paths.shape[1] + 1):
-        offsets, ratios, _ = np.array(spec.child_table[spec.schedule.family_index(g)]).T
-        idx = paths[:, g - 1] - 1
-        lefts += offsets[idx] * lengths
-        lengths *= ratios[idx]
-    return lefts
-
-
 def ball_mass(spec: MoranSpec, x: float, r: float, depth: int) -> tuple[float, float]:
     """
     Evaluate mu(B(x, r)) by tree descent truncated at ``depth``.
@@ -448,14 +432,6 @@ def ball_mass(spec: MoranSpec, x: float, r: float, depth: int) -> tuple[float, f
             if child_left < hi and child_left + child_length > lo:
                 push((g, child_left, child_length, logm + logp))
     return mass, error
-
-
-def local_exponent_ball(spec: MoranSpec, x: float, r: float, depth: int) -> float:
-    """Coarse local dimension log mu(B(x, r)) / log r at a single scale."""
-    m, _ = ball_mass(spec, x, r, depth)
-    if m <= 0.0:
-        return math.inf
-    return math.log(m) / math.log(r)
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +485,6 @@ def sample_paths(
     return paths
 
 
-def sample_path(spec: MoranSpec, q: float, t: float, depth: int, seed: int) -> tuple[int, ...]:
-    """Single tilted address (1-based), deterministic given the seed."""
-    return tuple(int(i) for i in sample_paths(spec, q, t, depth, 1, seed)[0])
-
-
 # ---------------------------------------------------------------------------
 # Enumeration and scale matching
 # ---------------------------------------------------------------------------
@@ -558,12 +529,6 @@ def support_intervals(spec: MoranSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
         return np.array([0.0]), np.array([1.0])
     lefts, lengths, _ = cells(spec, k)
     return lefts, lengths
-
-
-def cell_endpoints(spec: MoranSpec, k: int) -> np.ndarray:
-    """Sorted distinct generation-k cell endpoints (all of them lie in supp mu)."""
-    lefts, lengths, _ = cells(spec, k)
-    return np.unique(np.concatenate([lefts, lefts + lengths]))
 
 
 def max_length_at(spec: MoranSpec, k: int) -> float:

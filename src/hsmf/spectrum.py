@@ -121,10 +121,6 @@ class MassDistribution:
     total_log_cells: float
     sample_count: int = 0
 
-    @property
-    def n_values(self) -> int:
-        return self.log_masses.size
-
 
 def mass_distribution(
     spec: MoranSpec,

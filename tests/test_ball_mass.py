@@ -24,11 +24,9 @@ from hsmf import (
     PeriodicSchedule,
     TooDeep,
     ball_mass,
-    interval_of,
-    sample_paths,
     validate_spec,
 )
-from hsmf.specs import cells, path_lefts
+from hsmf.specs import cells
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +214,3 @@ def test_ball_mass_makes_no_family_lookups_after_first_call(monkeypatch, periodi
         for x in xs:
             assert ball_mass(spec, x, 0.05, 70)[0] > 0.0
     assert hashes == [] and lookups == []
-
-
-@pytest.mark.parametrize(
-    "name, depth", [("binomial_spec", 20), ("cantor_spec", 20), ("periodic_spec", 21), ("block_spec", 70)]
-)
-def test_path_lefts_equal_interval_of(request, name, depth):
-    spec = request.getfixturevalue(name)
-    paths = sample_paths(spec, 1.0, 0.0, depth, 257, seed=4)
-    expected = np.array([interval_of(spec, tuple(int(v) for v in row))[0] for row in paths])
-    assert np.array_equal(path_lefts(spec, paths), expected)

@@ -321,8 +321,9 @@ def test_sample_default_format_keeps_config_hash(tmp_path):
 
 @pytest.mark.parametrize("bad, message", [(("--depth", "0"), "--depth must be at least 1"),
                                           (("--depth", "-3"), "--depth must be at least 1"),
-                                          (("--format", "csv"), "invalid choice: 'csv'")],
-                         ids=["depth-0", "depth-negative", "format-csv"])
+                                          (("--format", "csv"), "invalid choice: 'csv'"),
+                                          (("--count", "-2"), "--count must be at least 0")],
+                         ids=["depth-0", "depth-negative", "format-csv", "count-negative"])
 def test_sample_usage_errors_write_nothing(spec_file, tmp_path, bad, message):
     out = tmp_path / "s"
     proc = run_cli("sample", "--spec", str(spec_file), "--count", "3", "--out", str(out), *bad)

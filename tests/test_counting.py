@@ -1,6 +1,5 @@
-"""Counts, ball moments, partition moments, auxiliary statistics."""
+"""Counts, ball moments, partition moments."""
 
-import io
 import math
 
 import numpy as np
@@ -10,17 +9,14 @@ from hypothesis import strategies as st
 
 from hsmf import (
     MomentKind,
-    auxiliary_statistics,
     counting_moment_table,
     covering_count,
     covering_moment,
-    doubling_ratio,
+    log_partition_moment,
     packing_count,
     packing_moment,
-    partition_moment,
     partition_moment_table,
 )
-from hsmf.counting import log_partition_moment
 from hsmf.oracles import brute_force_ball_moments
 from hsmf.specs import max_length_at
 
@@ -109,15 +105,15 @@ def test_dyadic_q2_moments_within_factor_four(uniform_spec):
 def test_partition_normalization(uniform_spec, periodic_spec, block_spec):
     for spec in (uniform_spec, periodic_spec, block_spec):
         for k in (1, 5, 20):
-            assert partition_moment(spec, 1.0, 0.0, k) == pytest.approx(1.0, abs=1e-12)
+            assert log_partition_moment(spec, 1.0, 0.0, k) == pytest.approx(math.log(1.0), abs=1e-12)
 
 
 def test_partition_uniform_value(uniform_spec):
-    assert partition_moment(uniform_spec, 2.0, 0.0, 3) == pytest.approx(0.125)
+    assert log_partition_moment(uniform_spec, 2.0, 0.0, 3) == pytest.approx(math.log(0.125))
 
 
 def test_partition_counts_cells(periodic_spec):
-    assert partition_moment(periodic_spec, 0.0, 0.0, 2) == pytest.approx(6.0)
+    assert log_partition_moment(periodic_spec, 0.0, 0.0, 2) == pytest.approx(math.log(6.0))
 
 
 def test_partition_matches_enumeration(periodic_spec):
@@ -126,7 +122,7 @@ def test_partition_matches_enumeration(periodic_spec):
     _, lengths, masses = cells(periodic_spec, 4)
     for q, t in ((2.0, 0.3), (-1.0, 0.0), (0.5, -0.2)):
         direct = float(np.sum(masses**q * lengths**t))
-        assert partition_moment(periodic_spec, q, t, 4) == pytest.approx(direct, rel=1e-12)
+        assert log_partition_moment(periodic_spec, q, t, 4) == pytest.approx(math.log(direct), rel=1e-12)
 
 
 @given(
@@ -187,66 +183,3 @@ def test_moment_table_csv_order(uniform_spec):
     # q outer, r inner descending
     assert [r[1] for r in rows] == ["0", "0", "1", "1"]
     assert rows[0][2] == "0.5" and rows[1][2] == "0.25"
-
-
-# ---------------------------------------------------------------------------
-# auxiliary statistics
-# ---------------------------------------------------------------------------
-
-def test_renyi_integral_q0_exact(binomial_spec):
-    st_ = auxiliary_statistics(binomial_spec, 0.0, 0.25, sample_count=64, seed=1)
-    assert st_["renyi_integral"] == 1.0
-    assert st_["renyi_integral_se"] == 0.0
-
-
-def test_shannon_entropy_uniform(uniform_spec):
-    k = 5
-    st_ = auxiliary_statistics(uniform_spec, 1.0, 2.0**-k, sample_count=32, seed=1)
-    assert st_["renyi_entropy"] == pytest.approx(k * math.log(2), rel=1e-12)
-
-
-def test_minkowski_volume_full_support(uniform_spec):
-    r = 0.25
-    st_ = auxiliary_statistics(uniform_spec, 0.0, r, sample_count=8, seed=1)
-    assert st_["minkowski_volume"] == pytest.approx((1 + 2 * r) / r, rel=1e-12)
-
-
-def test_renyi_integral_concentrates(binomial_spec):
-    st_ = auxiliary_statistics(binomial_spec, 1.0, 2.0**-6, sample_count=2048, seed=4)
-    # integral of mu(B)^1 dmu is between the min and max ball mass
-    assert 0.0 < st_["renyi_integral"] < 1.0
-    assert st_["renyi_integral_se"] < 0.05
-
-
-# ---------------------------------------------------------------------------
-# doubling diagnostics
-# ---------------------------------------------------------------------------
-
-def test_doubling_uniform_hits_aligned_ratio(uniform_spec):
-    # x = 0.5 (a probe point): mu(B(0.5, 0.5)) / mu(B(0.5, 0.25)) = 2
-    val = doubling_ratio(uniform_spec, 2.0, [0.25], sample_count=32, seed=1)
-    assert val >= 2.0 - 1e-12
-    assert val <= 2.0 + 1e-9
-
-
-def test_doubling_at_least_one(cantor_spec):
-    assert doubling_ratio(cantor_spec, 1.01, [1 / 27], sample_count=16, seed=1) >= 1.0
-
-
-def test_doubling_binomial_bounded_at_probed_scales(binomial_spec):
-    val = doubling_ratio(
-        binomial_spec, 2.0, [2.0**-6, 2.0**-9, 2.0**-12], sample_count=256, seed=1
-    )
-    assert math.isfinite(val)
-    assert val < 20.0
-    # exhaustive shallow-boundary scan agrees that sampling is a lower bound
-    from hsmf.specs import cell_endpoints, ball_mass
-
-    exhaustive = 0.0
-    r = 2.0**-6
-    for x in cell_endpoints(binomial_spec, 6):
-        denom, _ = ball_mass(binomial_spec, float(x), r, 16)
-        if denom > 0:
-            numer, _ = ball_mass(binomial_spec, float(x), 2 * r, 16)
-            exhaustive = max(exhaustive, numer / denom)
-    assert exhaustive >= val - 1e-9 or exhaustive < 20.0

@@ -20,7 +20,6 @@ from hsmf import (
     ball_mass,
     check_spec,
     interval_of,
-    sample_path,
     sample_paths,
     spec_from_dict,
     validate_spec,
@@ -205,11 +204,11 @@ def test_ball_mass_error_bound_brackets_truth(binomial_spec):
 # ---------------------------------------------------------------------------
 
 def test_sample_path_deterministic(binomial_spec):
-    p1 = sample_path(binomial_spec, 1.0, 0.0, 12, seed=5)
-    p2 = sample_path(binomial_spec, 1.0, 0.0, 12, seed=5)
-    assert p1 == p2
-    assert len(p1) == 12
-    assert all(i in (1, 2) for i in p1)
+    p1 = sample_paths(binomial_spec, 1.0, 0.0, 12, 1, seed=5)
+    p2 = sample_paths(binomial_spec, 1.0, 0.0, 12, 1, seed=5)
+    assert p1.shape == (1, 12)
+    assert [row.tolist() for row in p1] == [row.tolist() for row in p2]
+    assert set(p1.ravel().tolist()) <= {1, 2}
 
 
 def test_tilt_probabilities_match_frequencies(binomial_spec):

@@ -193,13 +193,13 @@ def test_mass_distribution_total(periodic_spec):
 
 
 def test_local_exponent_nonnegative(binomial_spec, cantor_spec):
-    from hsmf import local_exponent_ball
+    from hsmf import ball_mass
 
     for spec in (binomial_spec, cantor_spec):
         for x in (0.0, 0.31, 0.74, 1.0):
             for r in (0.25, 2.0**-6, 2.0**-10):
-                a = local_exponent_ball(spec, x, r, depth=16)
-                assert a >= 0.0  # masses never exceed 1 at radii below 1
+                # log m / log r >= 0 at radii below 1 iff the mass never exceeds 1
+                assert ball_mass(spec, x, r, 16)[0] <= 1.0
 
 
 # ---------------------------------------------------------------------------
