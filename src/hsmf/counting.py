@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ScaleTooSmall, TooDeep
 from .specs import (
     MoranSpec,
-    ball_mass,
+    ball_masses,
     cells,
     family_generation_counts,
     matched_generation,
@@ -118,9 +118,14 @@ def _candidates(spec: MoranSpec, k: int, centers: str):
 
 @lru_cache(maxsize=64)
 def _candidate_ball_masses(spec: MoranSpec, k: int, r: float, bd: int, centers: str):
-    """Candidate centers with cell weights and ball masses, cached per scale."""
-    pts, cell_w = _candidates(spec, k, centers)
-    ball = np.array([ball_mass(spec, x, r, bd)[0] for x in pts.tolist()])
+    """Candidate centers with cell weights and ball masses, cached per scale.
+    A generation that cannot be enumerated is a scale too small, as in the
+    counts."""
+    try:
+        pts, cell_w = _candidates(spec, k, centers)
+    except TooDeep as e:
+        raise ScaleTooSmall(str(e)) from e
+    ball = ball_masses(spec, pts, r, bd)
     for a in (pts, cell_w, ball):
         a.setflags(write=False)
     return pts, cell_w, ball

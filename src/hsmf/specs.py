@@ -23,11 +23,20 @@ space where underflow matters.
 
 Each spec carries one child table (``MoranSpec.child_table``): per family, the
 children's left offsets, ratios and log probabilities, which ``ball_mass``,
-``interval_of`` and ``cells`` all read. It is built on first
+``ball_masses``, ``interval_of`` and ``cells`` all read. It is built on first
 use from the spec's own fields; building it is deterministic and idempotent
 (a concurrent second build yields the same floats), so specs still behave as
 immutable values. Every function here is pure given its inputs (plus an
 explicit seed for sampling) and safe to call concurrently.
+
+``ball_mass`` is a depth-first search over the cells meeting a window. Its
+optional ``start`` argument begins the search at the window's anchor: the
+first node, from the root down, that is inside the window, has zero or
+several children meeting it, or is at the truncation depth. The nodes above
+it add nothing, so the result is the same to the bit. ``ball_masses`` finds
+the anchors of a column of centers by walking them down together in numpy,
+at most ``BALL_CHUNK`` centers at a time so that its working set stays
+bounded, and then calls ``ball_mass`` once per center from its anchor.
 """
 
 from __future__ import annotations
@@ -54,6 +63,8 @@ from .output import json_bytes
 PROB_TOL = 1e-12
 # Hard cap for exhaustive cell enumeration (counts, coarse histograms, oracles).
 MAX_ENUM_CELLS = 1 << 21
+# Centers per numpy descent in ball_masses; bounds the working set of a column.
+BALL_CHUNK = 4096
 
 
 class GapPolicy(str, Enum):
@@ -382,7 +393,7 @@ def interval_of(spec: MoranSpec, address: tuple[int, ...]) -> tuple[float, float
     return left, length, mass
 
 
-def ball_mass(spec: MoranSpec, x: float, r: float, depth: int) -> tuple[float, float]:
+def ball_mass(spec: MoranSpec, x: float, r: float, depth: int, start=None) -> tuple[float, float]:
     """
     Evaluate mu(B(x, r)) by tree descent truncated at ``depth``.
 
@@ -397,6 +408,15 @@ def ball_mass(spec: MoranSpec, x: float, r: float, depth: int) -> tuple[float, f
     rightmost child first. Its visiting order fixes the summation order of
     ``mass`` and ``error``, so that order must not change if results are to
     stay bit-identical.
+
+    ``start`` is the node the search starts from: ``None`` for the root, or a
+    ``(generation, left, length, log_mass)`` tuple. A node other than the root
+    must be the window's anchor or a node above it: it is reached from the
+    root through nodes that are not inside the window and have exactly one
+    child meeting it, and its floats come from the same operations the search
+    uses (``left + offset * length``, ``ratio * length``, ``logm + logp``).
+    Those skipped nodes add nothing to ``mass`` or ``error``, so the result is
+    the root-started one to the bit. ``ball_masses`` computes anchors.
     """
     if depth > spec.depth_cap:
         raise TooDeep(f"depth {depth} exceeds depth_cap {spec.depth_cap}")
@@ -410,7 +430,7 @@ def ball_mass(spec: MoranSpec, x: float, r: float, depth: int) -> tuple[float, f
     error = 0.0
     # stack entries: (generation of the node, left, length, log_mass); only
     # children that overlap the window are pushed (the root always does)
-    stack = [(0, 0.0, 1.0, 0.0)]
+    stack = [(0, 0.0, 1.0, 0.0) if start is None else start]
     push = stack.append
     while stack:
         g, left, length, logm = stack.pop()
@@ -432,6 +452,64 @@ def ball_mass(spec: MoranSpec, x: float, r: float, depth: int) -> tuple[float, f
             if child_left < hi and child_left + child_length > lo:
                 push((g, child_left, child_length, logm + logp))
     return mass, error
+
+
+def ball_masses(spec: MoranSpec, xs, r: float, depth: int) -> np.ndarray:
+    """
+    ``ball_mass(spec, x, r, depth)[0]`` for every center in ``xs``, each
+    search started at its window's anchor.
+
+    The anchor is the first node on the way down from the root that is inside
+    the window, has zero or several children meeting it, or is at ``depth``.
+    All centers of a chunk of at most ``BALL_CHUNK`` descend one generation
+    per step in numpy, with the search's own float operations, so each anchor
+    is the node the root-started search would reach. Then ``ball_mass`` runs
+    once per center from its anchor, and the masses equal the root-started
+    ones to the bit.
+    """
+    if depth > spec.depth_cap:
+        raise TooDeep(f"depth {depth} exceeds depth_cap {spec.depth_cap}")
+    xs = np.asarray(xs, dtype=float)
+    table = spec.child_table
+    family_index = spec.schedule.family_index
+    out = np.empty(xs.size)
+    for s in range(0, xs.size, BALL_CHUNK):
+        x = xs[s:s + BALL_CHUNK]
+        lo = np.maximum(x - r, 0.0)
+        hi = np.minimum(x + r, 1.0)
+        gen = np.zeros(x.size, dtype=np.int64)
+        left, length, logm = np.zeros(x.size), np.ones(x.size), np.zeros(x.size)
+        # an empty window (hi <= lo) never reads its start node
+        live = np.flatnonzero(lo < hi)
+        g = 0
+        while live.size and g < depth:
+            a, b, l, n = lo[live], hi[live], left[live], length[live]
+            g += 1
+            hits = np.zeros(live.size, dtype=np.int64)
+            next_left, next_length, next_logp = l, n, np.zeros(live.size)
+            for offset, ratio, logp in table[family_index(g)]:
+                child_left = l + offset * n
+                child_length = ratio * n
+                hit = (child_left < b) & (child_left + child_length > a)
+                hits += hit
+                next_left = np.where(hit, child_left, next_left)
+                next_length = np.where(hit, child_length, next_length)
+                next_logp = np.where(hit, logp, next_logp)
+            # a node inside the window, or with zero or several children
+            # meeting it, is its center's anchor
+            step = ~((a <= l) & (l + n <= b)) & (hits == 1)
+            live = live[step]
+            gen[live] = g
+            left[live] = next_left[step]
+            length[live] = next_length[step]
+            logm[live] += next_logp[step]
+        # memoryviews hand out Python floats and ints one at a time, so no
+        # per-chunk lists are built
+        starts = zip(memoryview(gen), memoryview(left), memoryview(length), memoryview(logm))
+        out[s:s + x.size] = np.fromiter(
+            (ball_mass(spec, xi, r, depth, st)[0] for xi, st in zip(memoryview(x), starts)),
+            float, x.size)
+    return out
 
 
 # ---------------------------------------------------------------------------

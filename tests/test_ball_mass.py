@@ -1,14 +1,18 @@
 """
-``specs.ball_mass`` against the depth-first search it replaced.
+``specs.ball_mass`` against the depth-first search it replaced, and
+``specs.ball_masses`` against root-started ``ball_mass`` calls.
 
 The old search looked up each expanded node's family through ``family_at``
 and an ``lru_cache``d ``child_layout`` and took ``math.log`` of every child
 probability; it is kept here as a test-only oracle. The table-driven search
 must agree with it bit for bit (``==``), because its traversal order, and so
-its summation order, is the same.
+its summation order, is the same. A search started at its window's anchor
+skips only nodes that add nothing, so it must agree with the root-started
+search bit for bit as well.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +30,9 @@ from hsmf import (
     ball_mass,
     validate_spec,
 )
-from hsmf.specs import cells
+from hsmf import counting
+from hsmf import specs as specs_module
+from hsmf.specs import BALL_CHUNK, ball_masses, cells, interval_of, load_spec, matched_generation
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +122,27 @@ def _families(draw, gap_policy):
 
 
 @st.composite
-def random_specs(draw):
+def _thin_families(draw, gap_policy):
+    """A family with child ratios near 0.05: past generation 20 its small
+    cells are shorter than the ulp of their left endpoints, so siblings can
+    share a left endpoint."""
+    arity = draw(st.integers(2, 4))
+    pw = draw(st.lists(st.integers(1, 9), min_size=arity, max_size=arity))
+    probs = tuple(w / sum(pw) for w in pw)
+    thin = draw(st.sampled_from((0.04, 0.05, 0.06)))
+    if gap_policy is GapPolicy.NO_GAPS:
+        ratios = (thin,) * (arity - 1) + (1.0 - thin * (arity - 1),)
+    else:
+        ratios = (thin,) * arity
+    return GenerationFamily(probs, tuple(draw(st.permutations(ratios))))
+
+
+@st.composite
+def random_specs(draw, families=_families, depth_caps=(4, 14)):
     gap_policy = draw(st.sampled_from(tuple(GapPolicy)))
     n_fam = draw(st.integers(1, 3))
-    families = tuple(draw(_families(gap_policy)) for _ in range(n_fam))
-    depth_cap = draw(st.integers(4, 14))
+    families = tuple(draw(families(gap_policy)) for _ in range(n_fam))
+    depth_cap = draw(st.integers(*depth_caps))
     kind = draw(st.sampled_from(("constant", "periodic", "blocks")))
     fam_index = st.integers(0, n_fam - 1)
     if kind == "constant":
@@ -214,3 +236,164 @@ def test_ball_mass_makes_no_family_lookups_after_first_call(monkeypatch, periodi
         for x in xs:
             assert ball_mass(spec, x, 0.05, 70)[0] > 0.0
     assert hashes == [] and lookups == []
+
+
+# ---------------------------------------------------------------------------
+# anchored searches: ball_masses and ball_mass(..., start)
+# ---------------------------------------------------------------------------
+
+def _check_column(spec, xs, r, depth):
+    """
+    Assert that ``ball_masses`` equals root-started ``ball_mass`` on every
+    center, that it calls ``ball_mass`` once per center in order, and that each
+    anchored call equals the root-started ``(mass, error)``. Returns the
+    starts it passed.
+    """
+    starts = []
+
+    def recording(spec_, x, r_, depth_, start=None):
+        starts.append((x, start))
+        return ball_mass(spec_, x, r_, depth_, start)
+
+    specs_module.ball_mass = recording
+    try:
+        got = ball_masses(spec, xs, r, depth)
+    finally:
+        specs_module.ball_mass = ball_mass
+    want = [ball_mass(spec, x, r, depth) for x in xs]
+    assert got.tolist() == [mass for mass, _ in want]
+    assert [x for x, _ in starts] == list(xs)
+    for (x, start), root_started in zip(starts, want):
+        assert ball_mass(spec, x, r, depth, start) == root_started
+    return [start for _, start in starts]
+
+
+@st.composite
+def columns(draw, spec, octaves=(0, 12)):
+    """
+    A radius, a depth (0 and depth_cap included) and a column of centers:
+    endpoints and midpoints of shallow cells and of cells at random addresses
+    down to depth_cap, centers whose window edge is a cell edge, windows
+    clamped at 0 or 1, and windows that clamp to nothing (hi <= lo).
+    """
+    r = draw(st.sampled_from((1.0, 0.75, 0.5, 1 / 3, 0.3))) * 2.0 ** -draw(st.integers(*octaves))
+    depth = draw(st.one_of(st.just(0), st.just(spec.depth_cap), st.integers(0, spec.depth_cap)))
+    k = draw(st.integers(0, min(spec.depth_cap, 6)))
+    lefts, lengths, _ = cells(spec, k)
+    pieces = [(float(lefts[i]), float(lengths[i]))
+              for i in draw(st.lists(st.integers(0, lefts.size - 1), min_size=1, max_size=6))]
+    for _ in range(draw(st.integers(0, 3))):
+        g = draw(st.integers(1, spec.depth_cap))
+        address = tuple(draw(st.integers(1, spec.family_at(j).arity)) for j in range(1, g + 1))
+        pieces.append(interval_of(spec, address)[:2])
+    xs = [0.0, 1.0, r, 1.0 - r, -r, 1.0 + r, 1.5]
+    for left, length in pieces:
+        right = left + length
+        xs += [left, right, left + 0.5 * length, left + r, left - r, right + r, right - r]
+    return xs, r, depth
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_ball_masses_equal_root_started_search(data):
+    """All three schedule kinds, both gap policies, arity 2-4, block
+    boundaries on both sides of the anchors."""
+    spec = data.draw(random_specs())
+    _check_column(spec, *data.draw(columns(spec)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ball_masses_equal_root_started_search_below_the_ulp(data):
+    """Ratios near 0.05 at depth 20 and more, where small cells are shorter
+    than the ulp of their left endpoints and sibling lefts tie. Radii of
+    2^-36..2^-70 put window edges at that scale."""
+    spec = data.draw(random_specs(_thin_families, (20, 40)))
+    xs, r, depth = data.draw(columns(spec, octaves=(36, 70)))
+    _check_column(spec, xs, r, max(depth, 20))
+
+
+def test_ball_masses_anchor_below_the_ulp():
+    """Anchors shorter than the ulp of their left endpoint occur, and agree."""
+    spec = validate_spec(MoranSpec((GenerationFamily((0.2, 0.3, 0.5), (0.05, 0.05, 0.05)),),
+                                   ConstantSchedule(0), GapPolicy.EQUAL_GAPS, 40))
+    rng = np.random.default_rng(3)
+    r = 0.3 * 2.0**-51
+    xs = []
+    for g in (20, 30, 40):
+        for address in rng.integers(1, 4, size=(20, g)):
+            left, length, _ = interval_of(spec, tuple(address.tolist()))
+            right = left + length
+            xs += [left, right, left + 0.5 * length, left + r, left - r, right + r, right - r]
+    starts = _check_column(spec, xs, r, 40)
+    assert any(length < math.ulp(left) for _, left, length, _ in starts)
+
+
+def test_ball_masses_anchor_kinds(cantor_spec, binomial_spec, block_spec):
+    # a window inside a gap meets no child of the root: the root is the anchor
+    assert _check_column(cantor_spec, [0.5], 0.1, 12) == [(0, 0.0, 1.0, 0.0)]
+    # a window inside the gap (1/9, 2/9) of the generation-1 cell [0, 1/3]
+    (start,) = _check_column(cantor_spec, [1 / 6], 0.02, 12)
+    assert start[:3] == (1, 0.0, 1 / 3)
+    # a window holding [0, 1] after clamping: the root is inside it
+    assert _check_column(binomial_spec, [0.0, 1.0], 1.0, 12) == [(0, 0.0, 1.0, 0.0)] * 2
+    # depth 0: every anchor is the root
+    assert set(_check_column(binomial_spec, [0.1, 0.5, 0.9], 0.01, 0)) == {(0, 0.0, 1.0, 0.0)}
+    # block boundaries at generations 4 and 64: anchors above generation 4
+    # (r = 2^-5) and below it (r = 1e-6), and searches crossing 64
+    lefts, lengths, _ = cells(block_spec, 6)
+    xs = np.concatenate([lefts, lefts + lengths, lefts + 0.5 * lengths]).tolist()
+    assert {start[0] for start in _check_column(block_spec, xs, 2.0**-5, 70)} == {3}
+    assert min(start[0] for start in _check_column(block_spec, xs, 1e-6, 70)) > 4
+
+
+def test_ball_masses_column_longer_than_one_chunk(binomial_spec):
+    lefts, lengths, _ = cells(binomial_spec, 12)
+    xs = np.concatenate([lefts, lefts + 0.5 * lengths, [1.0]]).tolist()
+    assert len(xs) > 2 * BALL_CHUNK
+    _check_column(binomial_spec, xs, 2.0**-12, 20)
+
+
+def test_candidate_ball_masses_calls_ball_mass_once_per_center(monkeypatch, cantor_spec, periodic_spec):
+    """Structural guard, not a timing gate: each candidate center costs
+    exactly one ``specs.ball_mass`` call, so a per-call count and a per-call
+    error statistic still cover every center."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return ball_mass(*args)
+
+    monkeypatch.setattr(specs_module, "ball_mass", counted)
+    for spec in (cantor_spec, periodic_spec):
+        for centers in ("endpoints", "midpoints"):
+            counting._candidate_ball_masses.cache_clear()
+            calls.clear()
+            pts, _, _ = counting._candidate_ball_masses(spec, 6, 0.01, 14, centers)
+            assert calls == pts.tolist()
+    counting._candidate_ball_masses.cache_clear()
+
+
+def test_ball_masses_skip_the_shared_descent(monkeypatch):
+    """Structural guard, not a timing gate: on binomial_quarter at r = 2^-12
+    the anchored column looks up at most half the families that root-started
+    searches do. Starting from the root would add the descent's lookups to
+    the root-started ones."""
+    spec = load_spec(Path(__file__).resolve().parents[1] / "specs" / "binomial_quarter.json")
+    r = 2.0**-12
+    k = matched_generation(spec, r)
+    pts, _ = counting._candidates(spec, k, "endpoints")
+    lookups = []
+    family_index = ConstantSchedule.family_index
+
+    def counted(self, generation):
+        lookups.append(generation)
+        return family_index(self, generation)
+
+    monkeypatch.setattr(ConstantSchedule, "family_index", counted)
+    ball_masses(spec, pts, r, k + 8)
+    anchored = len(lookups)
+    lookups.clear()
+    for x in pts.tolist():
+        ball_mass(spec, x, r, k + 8)
+    assert anchored <= len(lookups) / 2

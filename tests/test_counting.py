@@ -65,6 +65,17 @@ def test_scale_too_small(uniform_spec):
     # enumeration blow-up surfaces as the same error
     with pytest.raises(ScaleTooSmall):
         covering_count(uniform_spec, 2.0**-40)
+    # and so does a generation past depth_cap or too large to enumerate in
+    # the moments, which reach the candidates through their ball masses
+    too_deep = uniform_spec.depth_cap + 904
+    for moment in (covering_moment, packing_moment):
+        with pytest.raises(ScaleTooSmall):
+            moment(uniform_spec, 1.0, 0.5, depth=too_deep)
+        with pytest.raises(ScaleTooSmall):
+            moment(uniform_spec, 2.0, 2.0**-40)
+    for kind in (MomentKind.COVERING_MOMENT, MomentKind.PACKING_MOMENT):
+        with pytest.raises(ScaleTooSmall):
+            counting_moment_table(uniform_spec, kind, [1.0], [2.0**-40])
 
 
 # ---------------------------------------------------------------------------
