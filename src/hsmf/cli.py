@@ -104,6 +104,14 @@ def _q_grid(args) -> np.ndarray:
     return args.q_min + args.q_step * np.arange(n + 1)
 
 
+def _require_at_least(args, low: int, *options: str) -> None:
+    """Usage error naming the first of ``options`` whose value is below ``low``."""
+    for option in options:
+        value = getattr(args, option.replace("-", "_"))
+        if value < low:
+            raise ValueError(f"--{option} must be at least {low}, got {value}")
+
+
 def _outdir(args) -> Path:
     out = Path(args.out) if args.out else Path.cwd()
     out.mkdir(parents=True, exist_ok=True)
@@ -173,6 +181,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    _require_at_least(args, 1, "k-max")
     spec = validate_spec(load_spec(args.spec))
     qs = _q_grid(args)
     grid = separator_grid(spec, qs, min(args.k_max, spec.depth_cap))
@@ -197,6 +206,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    _require_at_least(args, 1, "k-max", "r-octaves")
     spec = validate_spec(load_spec(args.spec))
     qs = _q_grid(args)
     grid = separator_grid(spec, qs, min(args.k_max, spec.depth_cap))
@@ -232,6 +242,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    _require_at_least(args, 1, "r-octaves")
     spec = validate_spec(load_spec(args.spec))
     qs = _q_grid(args)
     r_list = [2.0 ** -j for j in range(1, args.r_octaves + 1)]
@@ -266,14 +277,10 @@ def _matchable(spec, r) -> bool:
 
 
 def cmd_sample(args) -> int:
-    if args.depth < 1:
-        raise ValueError(f"--depth must be at least 1, got {args.depth}")
-    if args.count < 0:
-        raise ValueError(f"--count must be at least 0, got {args.count}")
+    _require_at_least(args, 1, "depth")
+    _require_at_least(args, 0, "count")
     spec = validate_spec(load_spec(args.spec))
-    paths, log_mass, log_len = sample_paths(
-        spec, args.q, args.t, args.depth, args.count, args.seed, with_logs=True
-    )
+    paths, log_mass, log_len = sample_paths(spec, args.q, args.t, args.depth, args.count, args.seed)
     out = _outdir(args)
     payload = {
         "meta": {**_json_meta(args, spec), "q": args.q, "t": args.t},

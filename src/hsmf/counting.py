@@ -117,15 +117,16 @@ def _candidates(spec: MoranSpec, k: int, centers: str):
 
 
 @lru_cache(maxsize=64)
-def _candidate_ball_masses(spec: MoranSpec, k: int, r: float, bd: int, centers: str):
+def _candidate_ball_masses(spec: MoranSpec, k: int, r: float, centers: str):
     """Candidate centers with cell weights and ball masses, cached per scale.
-    A generation that cannot be enumerated is a scale too small, as in the
+    Ball masses are resolved 8 generations below k (at most depth_cap). A
+    generation that cannot be enumerated is a scale too small, as in the
     counts."""
     try:
         pts, cell_w = _candidates(spec, k, centers)
     except TooDeep as e:
         raise ScaleTooSmall(str(e)) from e
-    ball = ball_masses(spec, pts, r, bd)
+    ball = ball_masses(spec, pts, r, min(spec.depth_cap, k + 8))
     for a in (pts, cell_w, ball):
         a.setflags(write=False)
     return pts, cell_w, ball
@@ -160,12 +161,7 @@ def packing_count(spec: MoranSpec, r: float, depth: int | None = None, centers: 
 
 
 def covering_moment(
-    spec: MoranSpec,
-    q: float,
-    r: float,
-    depth: int | None = None,
-    centers: str = "endpoints",
-    ball_depth: int | None = None,
+    spec: MoranSpec, q: float, r: float, depth: int | None = None, centers: str = "endpoints"
 ) -> float:
     """
     Sum of mu(B(x_i, r))^q over the greedy cover. Heuristic for the covering
@@ -173,20 +169,14 @@ def covering_moment(
     balls and the value is heuristic by contract.
     """
     k = depth if depth is not None else matched_generation(spec, r)
-    bd = ball_depth if ball_depth is not None else min(spec.depth_cap, k + 8)
-    pts, _, ball = _candidate_ball_masses(spec, k, float(r), bd, centers)
+    pts, _, ball = _candidate_ball_masses(spec, k, float(r), centers)
     lefts, lengths = support_intervals(spec, k)
     cs = _covering_centers(pts, lefts, lefts + lengths, r)
     return float(np.sum(ball[cs] ** q))
 
 
 def packing_moment(
-    spec: MoranSpec,
-    q: float,
-    r: float,
-    depth: int | None = None,
-    centers: str = "endpoints",
-    ball_depth: int | None = None,
+    spec: MoranSpec, q: float, r: float, depth: int | None = None, centers: str = "endpoints"
 ) -> float:
     """
     Sum of mu(B(x_i, r))^q over a greedy r-separated center set. For q > 0 the
@@ -196,8 +186,7 @@ def packing_moment(
     if q == 0.0:
         return float(packing_count(spec, r, depth=depth, centers=centers))
     k = depth if depth is not None else matched_generation(spec, min(r, 1.0))
-    bd = ball_depth if ball_depth is not None else min(spec.depth_cap, k + 8)
-    pts, cell_w, ball = _candidate_ball_masses(spec, k, float(r), bd, centers)
+    pts, cell_w, ball = _candidate_ball_masses(spec, k, float(r), centers)
     order = np.argsort(cell_w, kind="stable")
     if q > 0:
         order = order[::-1]
@@ -307,15 +296,15 @@ class MomentTable:
                 yield (self.kind.value, fmt(q), fmt(r), fmt(self.values[i, j]), flag)
 
 
-def partition_moment_table(spec: MoranSpec, q_grid, ks, t: float = 0.0) -> MomentTable:
+def partition_moment_table(spec: MoranSpec, q_grid, ks) -> MomentTable:
     """
-    Partition moments S_k(q, t) indexed by the max cell length at each k. A
+    Partition moments S_k(q, 0) indexed by the max cell length at each k. A
     moment past the double range is written as inf, never as a clamped
     finite number.
     """
     ks = sorted(int(k) for k in ks)
     q_grid = np.asarray(q_grid, dtype=float)
-    log_s, _ = log_partition(spec, q_grid[:, None], t, family_generation_counts(spec, ks))
+    log_s, _ = log_partition(spec, q_grid[:, None], 0.0, family_generation_counts(spec, ks))
     with np.errstate(over="ignore"):
         vals = np.exp(log_s)
     scales = [max_length_at(spec, k) for k in ks]
@@ -323,16 +312,12 @@ def partition_moment_table(spec: MoranSpec, q_grid, ks, t: float = 0.0) -> Momen
 
 
 def counting_moment_table(
-    spec: MoranSpec,
-    kind: MomentKind,
-    q_grid,
-    r_list: Sequence[float],
-    centers: str = "endpoints",
+    spec: MoranSpec, kind: MomentKind, q_grid, r_list: Sequence[float]
 ) -> MomentTable:
     """
     Ball-moment table over a fixed q-independent center set per scale (the
-    q = 0 greedy), so each column is evaluated on one packing/cover and the
-    rows are exactly monotone in q.
+    q = 0 greedy over cell endpoints), so each column is evaluated on one
+    packing/cover and the rows are exactly monotone in q.
     """
     q_grid = np.asarray(q_grid, dtype=float)
     r_list = sorted(set(float(r) for r in r_list), reverse=True)
@@ -340,8 +325,7 @@ def counting_moment_table(
     flags = np.zeros((q_grid.size, len(r_list)), dtype=bool)
     for j, r in enumerate(r_list):
         k = matched_generation(spec, min(r, 1.0))
-        bd = min(spec.depth_cap, k + 8)
-        pts, _, ball = _candidate_ball_masses(spec, k, float(r), bd, centers)
+        pts, _, ball = _candidate_ball_masses(spec, k, float(r), "endpoints")
         if kind in (MomentKind.COVERING_MOMENT, MomentKind.COVERING_COUNT):
             lefts, lengths = support_intervals(spec, k)
             cs = _covering_centers(pts, lefts, lefts + lengths, r)

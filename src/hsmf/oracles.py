@@ -124,7 +124,8 @@ class OracleCurve:
     provenance: str   # which closed form and parameters produced it
     convex: bool = True  # min-of-branches envelopes are not convex at crossings
 
-    def check_invariants(self, tol: float = 1e-8) -> list[str]:
+    def check_invariants(self) -> list[str]:
+        tol = 1e-8
         out = []
         if not np.all(np.isfinite(self.values)):
             out.append(f"{self.name}: non-finite values")
@@ -153,13 +154,12 @@ class BruteForceMoments:
     covering: float  # min of sum mu(B)^q over midpoint covers of the support
 
 
-def midpoint_ball_masses(spec: MoranSpec, r: float, depth: int, ball_depth: int | None = None):
+def midpoint_ball_masses(spec: MoranSpec, r: float, depth: int):
     """Cell midpoints at ``depth`` with their ball masses mu(B(mid, r)): the
     table the greedy ``centers="midpoints"`` estimators use at this scale."""
     if _num_cells(spec, depth) > _BRUTE_FORCE_MAX_CELLS:
         raise TooDeep(f"brute force capped at {_BRUTE_FORCE_MAX_CELLS} cells")
-    bd = ball_depth if ball_depth is not None else min(spec.depth_cap, depth + 8)
-    mids, _, masses = _candidate_ball_masses(spec, int(depth), float(r), int(bd), "midpoints")
+    mids, _, masses = _candidate_ball_masses(spec, int(depth), float(r), "midpoints")
     return mids, masses
 
 

@@ -16,19 +16,19 @@ routes go through the elementwise kernel ``counting.log_partition``, so
 beta_k at one generation is the same to the bit whatever is solved with it.
 
 The lower/upper separator functions are the liminf/limsup of beta_k over k.
-From a finite run these are estimated by the min/max of beta_k over a window
-[lo, hi] of generations, by default [1, k_max]. Periodic schedules are sampled
-at period-aligned generations, where beta_k has no O(1/k) truncation wobble.
-Block schedules are evaluated only at lo, hi and the boundary pairs T_j - 1,
+From a finite run these are estimated by the min/max of beta_k over the whole
+range [1, k_max] of generations. Periodic schedules are sampled at
+period-aligned generations, where beta_k has no O(1/k) truncation wobble.
+Block schedules are evaluated only at 1, k_max and the boundary pairs T_j - 1,
 T_j, which is exact: inside one block only the active family's count m grows,
 so log S_k(q, t) = C(t) + m phi_f(t). Under constant ratios
 beta = (N + m A_f) / (D + m L_f) is a Moebius map in m; otherwise the root
 moves monotonically toward phi_f's root (d beta/dm has the sign of
 phi_f(beta); a zero at one m pins beta at that root for every m). Either
 way the min and max over a run of generations inside one block sit at the
-run's ends. A half-range tail window [k_max/2, k_max] provably spans less than
-a factor-2 range of block mixing fractions and cannot see both envelope
-branches, so it is not the default; callers may still request any window.
+run's ends. The whole range is used because a half-range tail [k_max/2, k_max]
+provably spans less than a factor-2 range of block mixing fractions and cannot
+see both envelope branches.
 
 Independently of the beta route, Theta(q) and Delta(q) are liminf/limsup
 estimates of log S_k(q, 0)/(-log r_k), with r_k the largest generation-k cell
@@ -57,8 +57,6 @@ from .specs import (
 )
 from .counting import log_partition
 
-FULL_WINDOW = (0.0, 1.0)
-TAIL_WINDOW = (0.5, 1.0)
 _CONVERGED_TOL = 1e-6
 _NEWTON_MAX_ITER = 100
 
@@ -149,14 +147,13 @@ def solve_beta_k(spec: MoranSpec, q, k):
 
 @dataclass
 class BetaSequence:
-    """Sampled beta_k values for one q with envelope estimates over a window."""
+    """Sampled beta_k values for one q with envelope estimates over [1, k_max]."""
 
     q: float
     k_samples: np.ndarray
     beta_values: np.ndarray
     liminf_est: float
     limsup_est: float
-    window: tuple[float, float]
 
     @property
     def oscillation(self) -> float:
@@ -173,82 +170,42 @@ class BetaSequence:
         return out
 
 
-def default_stride(spec: MoranSpec, k_max: int, target: int = 2048) -> int:
+def sample_generations(spec: MoranSpec, k_max: int) -> np.ndarray:
     """
-    Period-aligned sampling stride giving about ``target`` samples over
-    [1, k_max]; 1 for block schedules, which have no period.
+    Generation indices at which beta_k is evaluated over [1, k_max]. A block
+    schedule gets 1, k_max and each T_j - 1, T_j inside that range, where the
+    min and max of beta_k are attained exactly (module docstring). Other
+    schedules get every stride-th generation plus k_max, with a
+    period-aligned stride giving about 2048 samples.
     """
-    period = spec.schedule.period
-    if period is None:
-        return 1
-    per = max(1, (k_max // period) // target)
-    return period * per
-
-
-def window_bounds(k_max: int, window: tuple[float, float]) -> tuple[int, int]:
-    """Generations [lo, hi] of a window of fractions of k_max ([1, k_max] if empty)."""
-    lo = max(1, math.ceil(window[0] * k_max))
-    hi = min(k_max, math.floor(window[1] * k_max))
-    return (lo, hi) if lo <= hi else (1, k_max)
-
-
-def sample_generations(spec: MoranSpec, k_max: int, stride: int | None = None,
-                       lo: int = 1, hi: int | None = None) -> np.ndarray:
-    """
-    Generation indices at which beta_k is evaluated for the window [lo, hi]
-    (default [1, k_max]). An explicit ``stride`` gives stride, 2 stride, ...,
-    plus k_max (every generation for stride 1). Otherwise a block schedule
-    gets lo, hi and each T_j - 1, T_j inside [lo, hi], where the window's min
-    and max of beta_k are attained exactly (module docstring); other
-    schedules use ``default_stride``.
-    """
-    if stride is not None and stride >= 1:
-        ks = np.arange(stride, k_max + 1, stride, dtype=np.int64)
-        if ks.size == 0 or ks[-1] != k_max:
-            ks = np.append(ks, k_max)
-        return ks
     sched = spec.schedule
     if isinstance(sched, BlockSchedule):
-        hi = k_max if hi is None else hi
-        pts = {lo, hi}
+        pts = {1, k_max}
         for t in sched.boundaries:
-            pts.update(k for k in (t - 1, t) if lo <= k <= hi)
+            pts.update(k for k in (t - 1, t) if 1 <= k <= k_max)
         return np.array(sorted(pts), dtype=np.int64)
-    return sample_generations(spec, k_max, default_stride(spec, k_max))
+    stride = sched.period * max(1, (k_max // sched.period) // 2048)
+    ks = np.arange(stride, k_max + 1, stride, dtype=np.int64)
+    if ks.size == 0 or ks[-1] != k_max:
+        ks = np.append(ks, k_max)
+    return ks
 
 
-def _windowed_samples(spec: MoranSpec, k_max: int, stride: int | None, window):
-    """Sampled generations and the in-window mask."""
-    lo, hi = window_bounds(k_max, window)
-    ks = sample_generations(spec, k_max, stride, lo, hi)
-    mask = (ks >= lo) & (ks <= hi)
-    if not mask.any():  # a stride can step over a narrow window
-        mask[:] = True
-    return ks, mask
-
-
-def beta_sequence(
-    spec: MoranSpec,
-    q: float,
-    k_max: int,
-    stride: int | None = None,
-    window: tuple[float, float] = FULL_WINDOW,
-) -> BetaSequence:
+def beta_sequence(spec: MoranSpec, q: float, k_max: int) -> BetaSequence:
     """
     Evaluate beta_k(q) on the sampled generations and estimate the
-    liminf/limsup as the min/max over the window (fractions of k_max).
+    liminf/limsup as their min/max.
     """
     if k_max > spec.depth_cap:
         raise TooDeep(f"k_max {k_max} exceeds depth_cap {spec.depth_cap}")
-    ks, mask = _windowed_samples(spec, k_max, stride, window)
+    ks = sample_generations(spec, k_max)
     vals = solve_beta_k(spec, q, ks)
     return BetaSequence(
         q=q,
         k_samples=ks,
         beta_values=vals,
-        liminf_est=float(vals[mask].min()),
-        limsup_est=float(vals[mask].max()),
-        window=window,
+        liminf_est=float(vals.min()),
+        limsup_est=float(vals.max()),
     )
 
 
@@ -273,22 +230,12 @@ def numeric_derivative(q_grid, values, q: float) -> float:
 # Theta/Delta from moment tables
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ThetaDelta:
-    """Per-q estimates, one array entry per row of the log-moment table."""
-
-    theta: np.ndarray
-    delta: np.ndarray
-    lsq_slope: np.ndarray
-
-
-def theta_delta_from_moments(log_moments, neg_log_r) -> ThetaDelta:
+def theta_delta_from_moments(log_moments, neg_log_r) -> tuple[np.ndarray, np.ndarray]:
     """
-    liminf/limsup of log(moment)/(-log r) over the finest half of the scales
-    (min/max there) for each row of a (q x scales) array of log moments, with
-    the least-squares slope of log moment against -log r as a diagnostic.
-    Scales are given as increasing -log r. Requires >= 8 scales spanning
-    >= 4 octaves.
+    (theta, delta): the liminf/limsup of log(moment)/(-log r) over the finest
+    half of the scales (min/max there) for each row of a (q x scales) array of
+    log moments. Scales are given as increasing -log r. Requires >= 8 scales
+    spanning >= 4 octaves.
     """
     log_moments = np.atleast_2d(log_moments)
     neg_log_r = np.asarray(neg_log_r, dtype=float)
@@ -297,8 +244,7 @@ def theta_delta_from_moments(log_moments, neg_log_r) -> ThetaDelta:
     if neg_log_r[-1] - neg_log_r[0] < math.log(16.0):
         raise InsufficientScales("scales must span at least 4 octaves")
     fine = (log_moments / neg_log_r)[:, neg_log_r.size // 2:]
-    slope = np.polyfit(neg_log_r, log_moments.T, 1)[0]
-    return ThetaDelta(theta=fine.min(axis=1), delta=fine.max(axis=1), lsq_slope=slope)
+    return fine.min(axis=1), fine.max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +255,28 @@ def theta_delta_from_moments(log_moments, neg_log_r) -> ThetaDelta:
 class SeparatorGrid:
     """
     Estimated separator functions over a q grid, with per-q diagnostics
-    (window, oscillation, converged, the generations k_b and k_B attaining
-    b and B, first in sample order, and the number of generations evaluated).
-    ``Lambda`` is an alias of B (always ``B.copy()``, as B(q) = Lambda(q)), so
-    the ``B <= Lambda`` half of the chain check holds trivially.
+    (window, the first and last evaluated generation; oscillation; converged;
+    the generations k_b and k_B attaining b and B, first in sample order; and
+    the number of generations evaluated). ``Lambda`` is an alias of B, as
+    B(q) = Lambda(q), so the ``B <= Lambda`` half of the chain check holds
+    trivially.
     """
 
     q_grid: np.ndarray
     b: np.ndarray
     B: np.ndarray
-    Lambda: np.ndarray
     Theta: np.ndarray
     Delta: np.ndarray
     diagnostics: list[dict] = field(default_factory=list)
 
-    def check_invariants(self, tol: float = 1e-8, zero_tol: float = 1e-9) -> list[str]:
-        """Empty list when all grid invariants hold; else one message each."""
+    @property
+    def Lambda(self) -> np.ndarray:
+        return self.B
+
+    def check_invariants(self) -> list[str]:
+        """Empty list when all grid invariants hold, to 1e-8 (1e-9 for the
+        zeros at q = 1); else one message each."""
+        tol = 1e-8
         out = []
         if np.any(self.b > self.B + tol) or np.any(self.B > self.Lambda + tol):
             out.append("chain b <= B <= Lambda violated")
@@ -339,9 +291,9 @@ class SeparatorGrid:
                     out.append(f"{name} not discretely convex")
         ones = np.isclose(self.q_grid, 1.0, atol=1e-12)
         if ones.any():
-            if abs(float(self.b[ones][0])) > zero_tol:
+            if abs(float(self.b[ones][0])) > 1e-9:
                 out.append("b(1) != 0")
-            if abs(float(self.Lambda[ones][0])) > zero_tol:
+            if abs(float(self.Lambda[ones][0])) > 1e-9:
                 out.append("Lambda(1) != 0")
         return out
 
@@ -376,36 +328,28 @@ def _table_generations(spec: MoranSpec, k_max: int) -> list[int]:
     return [k for k in ks if k >= 1]
 
 
-def separator_grid(
-    spec: MoranSpec,
-    q_grid,
-    k_max: int,
-    stride: int | None = None,
-    window: tuple[float, float] = FULL_WINDOW,
-) -> SeparatorGrid:
+def separator_grid(spec: MoranSpec, q_grid, k_max: int) -> SeparatorGrid:
     """
-    Estimate b, B, Lambda over a q grid from the beta_k envelope (b the
-    windowed min, B = Lambda the windowed max), plus Theta/Delta from exact
-    log partition sums as an independent cross-check route. When those span
-    too few scales, Theta and Delta are nan and each diagnostics entry says
-    why under ``theta_delta``.
+    Estimate b and B = Lambda over a q grid from the beta_k envelope (the min
+    and max over [1, k_max]), plus Theta/Delta from exact log partition sums
+    as an independent cross-check route. When those span too few scales,
+    Theta and Delta are nan and each diagnostics entry says why under
+    ``theta_delta``.
     """
     q_grid = np.asarray(q_grid, dtype=float)
-    ks, mask = _windowed_samples(spec, k_max, stride, window)
-    in_window = ks[mask]
-
-    betas = solve_beta_k(spec, q_grid[:, None], ks)[:, mask]
+    ks = sample_generations(spec, k_max)
+    betas = solve_beta_k(spec, q_grid[:, None], ks)
     rows = np.arange(q_grid.size)
     i_b, i_B = betas.argmin(axis=1), betas.argmax(axis=1)
     b, B = betas[rows, i_b], betas[rows, i_B]
     diagnostics = [
         {
             "q": float(q),
-            "window": [int(in_window[0]), int(in_window[-1])],
+            "window": [int(ks[0]), int(ks[-1])],
             "oscillation": float(B[i] - b[i]),
             "converged": bool(B[i] - b[i] <= _CONVERGED_TOL),
-            "k_b": int(in_window[i_b[i]]),
-            "k_B": int(in_window[i_B[i]]),
+            "k_b": int(ks[i_b[i]]),
+            "k_B": int(ks[i_B[i]]),
             "generations": int(ks.size),
         }
         for i, q in enumerate(q_grid)
@@ -415,8 +359,7 @@ def separator_grid(
     log_s, _ = log_partition(spec, q_grid[:, None], 0.0, counts)
     neg_log_r = sum(n * -math.log(fam.max_ratio) for fam, n in zip(spec.families, counts))
     try:
-        td = theta_delta_from_moments(log_s, neg_log_r)
-        Theta, Delta = td.theta, td.delta
+        Theta, Delta = theta_delta_from_moments(log_s, neg_log_r)
     except InsufficientScales as e:  # no cross-check at these scales; b and B stand
         Theta, Delta = np.full(q_grid.size, np.nan), np.full(q_grid.size, np.nan)
         for d in diagnostics:
@@ -426,7 +369,6 @@ def separator_grid(
         q_grid=q_grid,
         b=b,
         B=B,
-        Lambda=B.copy(),
         Theta=Theta,
         Delta=Delta,
         diagnostics=diagnostics,

@@ -523,23 +523,15 @@ def _tilt_weights(fam: GenerationFamily, q: float, t: float) -> np.ndarray:
     return w / w.sum()
 
 
-def sample_paths(
-    spec: MoranSpec,
-    q: float,
-    t: float,
-    depth: int,
-    n: int,
-    seed: int,
-    with_logs: bool = False,
-):
+def sample_paths(spec: MoranSpec, q: float, t: float, depth: int, n: int, seed: int):
     """
     Draw ``n`` tilted addresses of length ``depth``: at generation j, child i
     is chosen with probability p_ji^q c_ji^t / sum_m p_jm^q c_jm^t. The draw
     is deterministic given ``seed``. (q, t) = (1, 0) samples from the measure
     itself; (0, 0) picks children uniformly.
 
-    Returns a 1-based (n, depth) int array, plus per-path (log_mass,
-    log_length) arrays when ``with_logs`` is set.
+    Returns a 1-based (n, depth) int array and per-path log_mass and
+    log_length arrays.
     """
     if depth > spec.depth_cap:
         raise TooDeep(f"depth {depth} exceeds depth_cap {spec.depth_cap}")
@@ -555,12 +547,9 @@ def sample_paths(
         idx = np.searchsorted(cum, rng.random(n), side="right")
         idx = np.minimum(idx, fam.arity - 1)
         paths[:, g - 1] = idx + 1
-        if with_logs:
-            log_mass += fam.log_probs[idx]
-            log_len += fam.log_ratios[idx]
-    if with_logs:
-        return paths, log_mass, log_len
-    return paths
+        log_mass += fam.log_probs[idx]
+        log_len += fam.log_ratios[idx]
+    return paths, log_mass, log_len
 
 
 # ---------------------------------------------------------------------------

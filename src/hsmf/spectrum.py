@@ -34,6 +34,8 @@ from .specs import (
     sample_paths,
 )
 
+DERIVATIVE_STEP = 0.05  # the tilted checks' central-difference step in q
+
 
 # ---------------------------------------------------------------------------
 # Legendre transform
@@ -71,14 +73,14 @@ class AlphaBounds:
     beta_max: float
 
 
-def alpha_bounds(grid: SeparatorGrid, q_min_abs: float = 0.5) -> AlphaBounds:
+def alpha_bounds(grid: SeparatorGrid) -> AlphaBounds:
     """
     Discrete sup/inf of -b(q)/q and -B(q)/q over the positive/negative parts
-    of the grid, excluding |q| < q_min_abs. Needs q of both signs.
+    of the grid, excluding |q| < 0.5. Needs q of both signs.
     """
     q = grid.q_grid
-    pos = q >= q_min_abs
-    neg = q <= -q_min_abs
+    pos = q >= 0.5
+    neg = q <= -0.5
     if not pos.any() or not neg.any():
         raise DegenerateGrid("alpha bounds need q of both signs away from 0")
     return AlphaBounds(
@@ -172,7 +174,7 @@ def mass_distribution(
             log_counts = (log_counts[:, None] + lc[None, :]).ravel()
         return MassDistribution(k, log_masses, log_counts, True, total_log_cells)
 
-    _, log_mass, _ = sample_paths(spec, 0.0, 0.0, k, sample_count, seed, with_logs=True)
+    _, log_mass, _ = sample_paths(spec, 0.0, 0.0, k, sample_count, seed)
     vals, freq = np.unique(np.round(log_mass, 12), return_counts=True)
     log_counts = total_log_cells + np.log(freq / sample_count)
     return MassDistribution(k, vals, log_counts, False, total_log_cells, sample_count)
@@ -305,22 +307,20 @@ def tilted_dimension_check(
     depth: int,
     sample_count: int,
     seed: int,
-    derivative_step: float = 0.05,
 ) -> TiltedCheck:
     """
     Draw tilted paths at (q, t) and compare their empirical local exponent
     log(mass)/log(length) at ``depth`` against -d beta_depth / dq, the
-    exponent the tilt concentrates on. ``legendre_value`` is q * alpha + t,
-    the dimension the formalism assigns there.
+    exponent the tilt concentrates on, by a central difference of step
+    DERIVATIVE_STEP. ``legendre_value`` is q * alpha + t, the dimension the
+    formalism assigns there.
     """
-    _, log_mass, log_len = sample_paths(spec, q, t, depth, sample_count, seed, with_logs=True)
+    _, log_mass, log_len = sample_paths(spec, q, t, depth, sample_count, seed)
     alphas = log_mass / log_len
     emp_mean = float(np.mean(alphas))
     emp_sd = float(np.std(alphas, ddof=1)) if sample_count > 1 else 0.0
-    h = derivative_step
-    stencil = np.array([q - h, q, q + h])
-    betas = np.array([solve_beta_k(spec, float(x), depth) for x in stencil])
-    pred = -numeric_derivative(stencil, betas, q)
+    stencil = np.array([q - DERIVATIVE_STEP, q, q + DERIVATIVE_STEP])
+    pred = -numeric_derivative(stencil, solve_beta_k(spec, stencil, depth), q)
     return TiltedCheck(
         q=q,
         t=t,
@@ -347,7 +347,8 @@ class SpectrumResult:
     coarse: CoarseSpectrum
     tilted: list[TiltedCheck] = field(default_factory=list)
 
-    def check_invariants(self, tol: float = 1e-8) -> list[str]:
+    def check_invariants(self) -> list[str]:
+        tol = 1e-8
         out = []
         if self.bounds.alpha_min > self.bounds.alpha_max:
             out.append("alpha_min > alpha_max")

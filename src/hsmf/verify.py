@@ -68,35 +68,35 @@ K_DEEP = 4**10
 # Fixture specs
 # ---------------------------------------------------------------------------
 
-def spec_uniform(depth_cap: int = 4096) -> MoranSpec:
+def spec_uniform() -> MoranSpec:
     return validate_spec(
         MoranSpec(
             families=(GenerationFamily((0.5, 0.5), (0.5, 0.5)),),
             schedule=ConstantSchedule(0),
             gap_policy=GapPolicy.NO_GAPS,
-            depth_cap=depth_cap,
+            depth_cap=4096,
         )
     )
 
 
-def spec_binomial(p: float = 0.25, depth_cap: int = 4096) -> MoranSpec:
+def spec_binomial() -> MoranSpec:
     return validate_spec(
         MoranSpec(
-            families=(GenerationFamily((p, 1.0 - p), (0.5, 0.5)),),
+            families=(GenerationFamily((0.25, 0.75), (0.5, 0.5)),),
             schedule=ConstantSchedule(0),
             gap_policy=GapPolicy.NO_GAPS,
-            depth_cap=depth_cap,
+            depth_cap=4096,
         )
     )
 
 
-def spec_middle_thirds(depth_cap: int = 4096) -> MoranSpec:
+def spec_middle_thirds() -> MoranSpec:
     return validate_spec(
         MoranSpec(
             families=(GenerationFamily((0.5, 0.5), (1 / 3, 1 / 3)),),
             schedule=ConstantSchedule(0),
             gap_policy=GapPolicy.EQUAL_GAPS,
-            depth_cap=depth_cap,
+            depth_cap=4096,
         )
     )
 
@@ -107,7 +107,7 @@ PERIODIC_P2 = (1 / 3, 1 / 3, 1 / 3)
 PERIODIC_R2 = 0.125
 
 
-def spec_periodic(depth_cap: int = 8192) -> MoranSpec:
+def spec_periodic() -> MoranSpec:
     fam_a = GenerationFamily(PERIODIC_P1, (PERIODIC_R1,) * 2)
     fam_b = GenerationFamily(PERIODIC_P2, (PERIODIC_R2,) * 3)
     return validate_spec(
@@ -115,7 +115,7 @@ def spec_periodic(depth_cap: int = 8192) -> MoranSpec:
             families=(fam_a, fam_b),
             schedule=PeriodicSchedule((0, 1)),
             gap_policy=GapPolicy.EQUAL_GAPS,
-            depth_cap=depth_cap,
+            depth_cap=8192,
         )
     )
 
@@ -128,7 +128,7 @@ BLOCK_BOUNDS_GROWING = (1, 4, 64, 4096, 1048576)       # ratios 4, 16, 64, 256
 BLOCK_BOUNDS_CONSTANT = tuple(4**j for j in range(11))  # constant ratio 4
 
 
-def spec_block(boundaries=BLOCK_BOUNDS_GROWING, depth_cap: int = 1 << 21) -> MoranSpec:
+def spec_block(boundaries=BLOCK_BOUNDS_GROWING) -> MoranSpec:
     fam_c = GenerationFamily(BLOCK_P1, (BLOCK_R1,) * 2)
     fam_d = GenerationFamily(BLOCK_P2, (BLOCK_R2,) * 3)
     fams = tuple(j % 2 for j in range(len(boundaries)))
@@ -137,7 +137,7 @@ def spec_block(boundaries=BLOCK_BOUNDS_GROWING, depth_cap: int = 1 << 21) -> Mor
             families=(fam_c, fam_d),
             schedule=BlockSchedule(boundaries=boundaries, families=fams),
             gap_policy=GapPolicy.EQUAL_GAPS,
-            depth_cap=depth_cap,
+            depth_cap=1 << 21,
         )
     )
 
@@ -147,7 +147,7 @@ SWITCHING_P_HAT = 0.4
 SWITCHING_BOUNDS = (1, 64, 8192, 1048576)
 
 
-def spec_switching(depth_cap: int = 1 << 21) -> MoranSpec:
+def spec_switching() -> MoranSpec:
     fam_p = GenerationFamily((SWITCHING_P, 1 - SWITCHING_P), (0.5, 0.5))
     fam_q = GenerationFamily((SWITCHING_P_HAT, 1 - SWITCHING_P_HAT), (0.5, 0.5))
     return validate_spec(
@@ -155,7 +155,7 @@ def spec_switching(depth_cap: int = 1 << 21) -> MoranSpec:
             families=(fam_p, fam_q),
             schedule=BlockSchedule(boundaries=SWITCHING_BOUNDS, families=(0, 1, 0, 1)),
             gap_policy=GapPolicy.NO_GAPS,
-            depth_cap=depth_cap,
+            depth_cap=1 << 21,
         )
     )
 
@@ -370,7 +370,7 @@ def criterion_6(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
         "switching": separator_grid(spec_switching(), qs, 4**8),
     }
     for name, grid in grids.items():
-        problems = grid.check_invariants(tol=1e-8, zero_tol=1e-9)
+        problems = grid.check_invariants()
         res.record(f"grid invariants: {name}", not problems, problems=problems)
     qs = np.arange(-6.0, 6.0 + 0.25, 0.25)
     curves = [
@@ -408,7 +408,7 @@ def criterion_6(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
         ),
     ]
     for curve in curves:
-        problems = curve.check_invariants(tol=1e-8)
+        problems = curve.check_invariants()
         res.record(f"oracle curve: {curve.name}", not problems, problems=problems)
         one = np.isclose(curve.q_grid, 1.0)
         if one.any():

@@ -369,7 +369,7 @@ def test_candidate_ball_masses_calls_ball_mass_once_per_center(monkeypatch, cant
         for centers in ("endpoints", "midpoints"):
             counting._candidate_ball_masses.cache_clear()
             calls.clear()
-            pts, _, _ = counting._candidate_ball_masses(spec, 6, 0.01, 14, centers)
+            pts, _, _ = counting._candidate_ball_masses(spec, 6, 0.01, centers)
             assert calls == pts.tolist()
     counting._candidate_ball_masses.cache_clear()
 

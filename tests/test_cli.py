@@ -293,8 +293,7 @@ def test_sample_json_equals_stdlib_encoding_of_per_element_records(tmp_path, spe
                      str(depth), "--count", str(count), "--seed", str(seed),
                      "--out", str(tmp_path)]) == 0
     written = (tmp_path / "samples.json").read_bytes()
-    paths, log_mass, log_len = sample_paths(load_spec(spec), q, 0.0, depth, count, seed,
-                                            with_logs=True)
+    paths, log_mass, log_len = sample_paths(load_spec(spec), q, 0.0, depth, count, seed)
     records = [
         {
             "path": [int(i) for i in paths[j]],
@@ -330,6 +329,22 @@ def test_sample_usage_errors_write_nothing(spec_file, tmp_path, bad, message):
     assert proc.returncode == 2
     assert message in proc.stderr
     assert "Warning" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, bad, message", [
+    ("dims", ("--k-max", "0"), "--k-max must be at least 1, got 0"),
+    ("dims", ("--k-max", "-3"), "--k-max must be at least 1, got -3"),
+    ("spectrum", ("--k-max", "0"), "--k-max must be at least 1, got 0"),
+    ("spectrum", ("--r-octaves", "0"), "--r-octaves must be at least 1, got 0"),
+    ("moments", ("--r-octaves", "0"), "--r-octaves must be at least 1, got 0"),
+], ids=["dims-k-max-0", "dims-k-max-negative", "spectrum-k-max-0", "spectrum-r-octaves-0",
+        "moments-r-octaves-0"])
+def test_scale_usage_errors_write_nothing(tmp_path, command, bad, message):
+    out = tmp_path / "s"
+    proc = run_cli(command, "--spec", str(SPECS / "block_switched.json"), "--out", str(out), *bad)
+    assert proc.returncode == 2
+    assert message in proc.stderr
     assert not out.exists()
 
 

@@ -52,7 +52,7 @@ def small_specs(draw):
 def test_grid_invariants_hold_on_random_specs(spec):
     qs = np.arange(-3.0, 3.5, 0.5)
     grid = separator_grid(spec, qs, k_max=96)
-    assert grid.check_invariants(tol=1e-8, zero_tol=1e-9) == []
+    assert grid.check_invariants() == []
 
 
 def test_full_pipeline_on_random_specs():

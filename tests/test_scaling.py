@@ -26,7 +26,7 @@ from hsmf import (
 )
 from hsmf.counting import MomentTable, log_partition, log_partition_moment
 from hsmf.errors import InsufficientScales, NoBracket, NoConvergence
-from hsmf.scaling import FULL_WINDOW, TAIL_WINDOW, ThetaDelta, sample_generations, window_bounds
+from hsmf.scaling import sample_generations
 from hsmf.specs import family_generation_counts, load_spec
 from hsmf.oracles import periodic_moran_beta, switching_binomial_tau
 
@@ -144,28 +144,12 @@ def test_beta_sequence_switching_branches(switching_spec):
     assert bs.limsup_est == pytest.approx(tau_hat, abs=0.02)
 
 
-def test_beta_sequence_window_restriction(switching_spec):
-    # a tail half-window only sees one mixing regime of a block schedule,
-    # so its envelope is strictly narrower than the full-range one
-    full = beta_sequence(switching_spec, 0.5, 4**10)
-    tail = beta_sequence(switching_spec, 0.5, 4**10, window=TAIL_WINDOW)
-    assert tail.k_samples is not None
-    assert tail.liminf_est >= full.liminf_est - 1e-15
-    assert tail.limsup_est <= full.limsup_est + 1e-15
-    assert tail.oscillation < full.oscillation
-
-
-def test_beta_sequence_explicit_stride(periodic_spec):
-    bs = beta_sequence(periodic_spec, 0.5, 100, stride=10)
-    assert bs.k_samples.tolist() == [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
-
-
-def test_sample_generations_explicit_stride_increasing(periodic_spec):
-    k_max = 100
-    for stride in (1, 3, k_max, k_max + 5):
-        ks = sample_generations(periodic_spec, k_max, stride)
-        assert np.all(np.diff(ks) > 0)
-        assert ks[-1] == k_max
+def test_sample_generations_increasing_to_k_max(uniform_spec, periodic_spec, block_spec):
+    for spec in (uniform_spec, periodic_spec, block_spec):
+        for k_max in (1, 3, 100, 1 << 20):
+            ks = sample_generations(spec, k_max)
+            assert np.all(np.diff(ks) > 0)
+            assert ks[0] >= 1 and ks[-1] == k_max
 
 
 def test_beta_sequence_depth_cap_guard(uniform_spec):
@@ -242,19 +226,17 @@ def test_block_endpoint_envelope_matches_dense(closed, k_cap, seed):
     k_max = int(rng.integers(4, k_cap + 1))
     spec = _random_block_spec(rng, closed, k_max)
     qs = np.round(np.sort(rng.uniform(-4.0, 4.0, size=3)), 6)
-    for window in (FULL_WINDOW, TAIL_WINDOW):
-        lo, hi = window_bounds(k_max, window)
-        endpoints = set(sample_generations(spec, k_max, None, lo, hi).tolist())
-        assert all(lo <= k <= hi for k in endpoints)
-        grid = separator_grid(spec, qs, k_max, window=window)
-        for i, q in enumerate(qs):
-            dense = beta_sequence(spec, float(q), k_max, stride=1, window=window)
-            assert grid.b[i] == pytest.approx(dense.liminf_est, abs=1e-12)
-            assert grid.B[i] == pytest.approx(dense.limsup_est, abs=1e-12)
-            d = grid.diagnostics[i]
-            assert d["k_b"] in endpoints and d["k_B"] in endpoints
-            assert d["generations"] == len(endpoints)
-            assert d["window"] == [lo, hi]
+    endpoints = set(sample_generations(spec, k_max).tolist())
+    assert all(1 <= k <= k_max for k in endpoints)
+    grid = separator_grid(spec, qs, k_max)
+    for i, q in enumerate(qs):
+        dense = solve_beta_k(spec, float(q), np.arange(1, k_max + 1))
+        assert grid.b[i] == pytest.approx(dense.min(), abs=1e-12)
+        assert grid.B[i] == pytest.approx(dense.max(), abs=1e-12)
+        d = grid.diagnostics[i]
+        assert d["k_b"] in endpoints and d["k_B"] in endpoints
+        assert d["generations"] == len(endpoints)
+        assert d["window"] == [1, k_max]
 
 
 def test_block_endpoints_on_shipped_spec():
@@ -272,9 +254,9 @@ def test_block_endpoint_envelope_shipped_specs_dense():
         spec = load_spec(SPECS / f"{name}.json")
         grid = separator_grid(spec, qs, 4**8)
         for i, q in enumerate(qs):
-            dense = beta_sequence(spec, float(q), 4**8, stride=1)
-            assert grid.b[i] == pytest.approx(dense.liminf_est, abs=1e-14)
-            assert grid.B[i] == pytest.approx(dense.limsup_est, abs=1e-14)
+            dense = solve_beta_k(spec, float(q), np.arange(1, 4**8 + 1))
+            assert grid.b[i] == pytest.approx(dense.min(), abs=1e-14)
+            assert grid.B[i] == pytest.approx(dense.max(), abs=1e-14)
 
 
 def test_grid_attainment_diagnostics(uniform_spec, periodic_spec, block_spec):
@@ -408,8 +390,8 @@ def test_solve_is_batch_independent(kind):
 
 
 def test_grid_unchanged_by_extra_generations():
-    # stride=1 adds every generation between the block endpoints; where the
-    # attaining generation is unchanged, so is the envelope value, to the bit
+    # a dense solve adds every generation between the block endpoints; where
+    # the attaining generation is unchanged, so is the envelope value, to the bit
     fam_a = GenerationFamily((0.3, 0.7), (0.2, 0.35))
     fam_b = GenerationFamily((0.5, 0.5), (0.3, 0.25))
     newton = validate_spec(MoranSpec(
@@ -418,15 +400,15 @@ def test_grid_unchanged_by_extra_generations():
     qs = np.arange(-4.0, 4.25, 0.5)
     for spec, k_max in ((load_spec(SPECS / "block_switched.json"), 4**6), (newton, 2000)):
         ends = separator_grid(spec, qs, k_max)
-        dense = separator_grid(spec, qs, k_max, stride=1)
+        dense = solve_beta_k(spec, qs[:, None], np.arange(1, k_max + 1))
         same = 0
-        for i, (d_end, d_dense) in enumerate(zip(ends.diagnostics, dense.diagnostics)):
-            assert d_dense["generations"] == k_max > d_end["generations"]
-            if d_end["k_b"] == d_dense["k_b"]:
-                assert ends.b[i] == dense.b[i]
+        for i, d_end in enumerate(ends.diagnostics):
+            assert d_end["generations"] < k_max
+            if d_end["k_b"] == dense[i].argmin() + 1:
+                assert ends.b[i] == dense[i].min()
                 same += 1
-            if d_end["k_B"] == d_dense["k_B"]:
-                assert ends.B[i] == dense.B[i]
+            if d_end["k_B"] == dense[i].argmax() + 1:
+                assert ends.B[i] == dense[i].max()
                 same += 1
         assert same >= qs.size
 
@@ -465,7 +447,7 @@ def test_batched_solve_errors_name_the_first_failing_pair(monkeypatch):
 # theta/delta from tables
 # ---------------------------------------------------------------------------
 
-def _theta_delta_linear(table: MomentTable, q: float) -> ThetaDelta:
+def _theta_delta_linear(table: MomentTable, q: float) -> tuple[float, float]:
     """Reference route: Theta/Delta of one row read off a linear-valued
     table, valid only while every moment and scale is representable."""
     if table.scales.size < 8:
@@ -476,8 +458,7 @@ def _theta_delta_linear(table: MomentTable, q: float) -> ThetaDelta:
     neg_log_r = -np.log(table.scales)
     x = np.log(vals) / neg_log_r
     fine = x[table.scales.size // 2:]
-    slope = float(np.polyfit(neg_log_r, np.log(vals), 1)[0])
-    return ThetaDelta(theta=float(fine.min()), delta=float(fine.max()), lsq_slope=slope)
+    return float(fine.min()), float(fine.max())
 
 
 def _synthetic_logs(d_even: float, d_odd: float | None = None):
@@ -491,17 +472,15 @@ def _synthetic_logs(d_even: float, d_odd: float | None = None):
 
 def test_theta_delta_exact_power_law():
     for d in (0.0, 0.5, 1.0):
-        td = theta_delta_from_moments(*_synthetic_logs(d))
-        assert td.theta[0] == pytest.approx(d, abs=1e-12)
-        assert td.delta[0] == pytest.approx(d, abs=1e-12)
-        # lsq_slope is the fitted exponent of value ~ r^-d, comparable to theta
-        assert td.lsq_slope[0] == pytest.approx(d, abs=1e-10)
+        theta, delta = theta_delta_from_moments(*_synthetic_logs(d))
+        assert theta[0] == pytest.approx(d, abs=1e-12)
+        assert delta[0] == pytest.approx(d, abs=1e-12)
 
 
 def test_theta_delta_alternating_oscillation():
-    td = theta_delta_from_moments(*_synthetic_logs(0.3, 0.8))
-    assert td.theta[0] == pytest.approx(0.3, abs=1e-12)
-    assert td.delta[0] == pytest.approx(0.8, abs=1e-12)
+    theta, delta = theta_delta_from_moments(*_synthetic_logs(0.3, 0.8))
+    assert theta[0] == pytest.approx(0.3, abs=1e-12)
+    assert delta[0] == pytest.approx(0.8, abs=1e-12)
 
 
 def test_theta_delta_requires_scales():
@@ -516,9 +495,9 @@ def test_theta_matches_beta_route(uniform_spec):
     # partition moments at dyadic scales reproduce beta(2) = -1
     ks = np.arange(2, 24)
     log_s, _ = log_partition(uniform_spec, [[2.0]], 0.0, family_generation_counts(uniform_spec, ks))
-    td = theta_delta_from_moments(log_s, ks * math.log(2.0))
-    assert td.theta[0] == pytest.approx(-1.0, abs=0.01)
-    assert td.delta[0] == pytest.approx(-1.0, abs=0.01)
+    theta, delta = theta_delta_from_moments(log_s, ks * math.log(2.0))
+    assert theta[0] == pytest.approx(-1.0, abs=0.01)
+    assert delta[0] == pytest.approx(-1.0, abs=0.01)
 
 
 def test_log_route_matches_linear_table(binomial_spec, periodic_spec):
@@ -532,12 +511,11 @@ def test_log_route_matches_linear_table(binomial_spec, periodic_spec):
         counts = family_generation_counts(spec, ks)
         log_s, _ = log_partition(spec, qs[:, None], 0.0, counts)
         neg_log_r = sum(n * -math.log(f.max_ratio) for f, n in zip(spec.families, counts))
-        td = theta_delta_from_moments(log_s, neg_log_r)
+        theta, delta = theta_delta_from_moments(log_s, neg_log_r)
         for i, q in enumerate(qs):
-            ref = _theta_delta_linear(table, q)
-            assert td.theta[i] == pytest.approx(ref.theta, rel=0, abs=1e-13)
-            assert td.delta[i] == pytest.approx(ref.delta, rel=0, abs=1e-13)
-            assert td.lsq_slope[i] == pytest.approx(ref.lsq_slope, rel=0, abs=1e-13)
+            ref_theta, ref_delta = _theta_delta_linear(table, q)
+            assert theta[i] == pytest.approx(ref_theta, rel=0, abs=1e-13)
+            assert delta[i] == pytest.approx(ref_delta, rel=0, abs=1e-13)
 
 
 def test_theta_delta_independent_of_q_range():
@@ -593,7 +571,6 @@ def test_grid_invariant_reporting():
         q_grid=qs,
         b=np.array([1.0, 0.0, 0.5]),   # not monotone
         B=np.array([1.0, 0.0, -1.0]),
-        Lambda=np.array([1.0, 0.0, -1.0]),
         Theta=np.zeros(3),
         Delta=np.zeros(3),
         diagnostics=[{}] * 3,

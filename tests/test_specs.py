@@ -204,8 +204,8 @@ def test_ball_mass_error_bound_brackets_truth(binomial_spec):
 # ---------------------------------------------------------------------------
 
 def test_sample_path_deterministic(binomial_spec):
-    p1 = sample_paths(binomial_spec, 1.0, 0.0, 12, 1, seed=5)
-    p2 = sample_paths(binomial_spec, 1.0, 0.0, 12, 1, seed=5)
+    p1 = sample_paths(binomial_spec, 1.0, 0.0, 12, 1, seed=5)[0]
+    p2 = sample_paths(binomial_spec, 1.0, 0.0, 12, 1, seed=5)[0]
     assert p1.shape == (1, 12)
     assert [row.tolist() for row in p1] == [row.tolist() for row in p2]
     assert set(p1.ravel().tolist()) <= {1, 2}
@@ -214,7 +214,7 @@ def test_sample_path_deterministic(binomial_spec):
 def test_tilt_probabilities_match_frequencies(binomial_spec):
     # q=2, t=0 on masses (1/4, 3/4): tilt weights (0.1, 0.9)
     n = 10**5
-    paths = sample_paths(binomial_spec, 2.0, 0.0, 1, n, seed=11)
+    paths = sample_paths(binomial_spec, 2.0, 0.0, 1, n, seed=11)[0]
     counts = np.bincount(paths[:, 0], minlength=3)[1:]
     p = np.array([0.1, 0.9])
     stat, pval = chisquare(counts, n * p)
@@ -231,7 +231,7 @@ def test_uniform_tilt_is_uniform():
         )
     )
     n = 3 * 10**4
-    paths = sample_paths(spec, 0.0, 0.0, 1, n, seed=3)
+    paths = sample_paths(spec, 0.0, 0.0, 1, n, seed=3)[0]
     counts = np.bincount(paths[:, 0], minlength=4)[1:]
     _, pval = chisquare(counts)
     assert pval > 1e-4

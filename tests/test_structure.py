@@ -1,4 +1,5 @@
-"""Structural guards on the source tree: the benchmark's wrapped names and dead imports."""
+"""Structural guards on the source tree: the benchmark's wrapped names, dead imports and
+unused options."""
 
 import ast
 import importlib
@@ -53,3 +54,59 @@ def test_no_unused_module_imports():
         if path.name != "__init__.py" and (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+# Options that only tests set, each named with a test that sets it.
+TEST_ONLY_OPTIONS = {
+    "cli.main.argv",  # test_cli.py: test_sample_json_equals_stdlib_encoding_of_per_element_records
+    "counting.covering_count.depth",  # test_counting.py: test_cantor_counts_cross_checked
+    "counting.covering_count.centers",  # test_counting.py: test_cantor_counts_cross_checked
+    "spectrum.coarse_spectrum.max_terms",  # test_spectrum.py: test_coarse_sampled_mode_close_to_exact
+    "spectrum.coarse_spectrum.sample_count",  # test_spectrum.py: test_coarse_sampled_mode_close_to_exact
+    "spectrum.spectrum_result.tilted_qs",  # test_invariants.py: test_full_pipeline_on_random_specs
+    "spectrum.spectrum_result.depth",  # test_invariants.py: test_full_pipeline_on_random_specs
+    "spectrum.spectrum_result.sample_count",  # test_invariants.py: test_full_pipeline_on_random_specs
+}
+
+
+def _unset_options(sources: dict[str, str]) -> list[str]:
+    """``module.function.parameter`` for each parameter with a default on a public module-level
+    function that no call in ``sources`` passes, by keyword or by position. Calls are matched
+    by the called name, whatever module or object it is reached through."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    options = {}  # (module, function, parameter) -> its position, or None if keyword-only
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], start=first):
+                    options[(module, node.name, arg.arg)] = i
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        options[(module, node.name, arg.arg)] = None
+    passed = set()
+    for tree in trees.values():
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            func = call.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            keywords = {k.arg for k in call.keywords}
+            for key, position in options.items():
+                if key[1] == name and (key[2] in keywords
+                                       or position is not None and len(call.args) > position):
+                    passed.add(key)
+    return sorted(".".join(key) for key in options.keys() - passed)
+
+
+def test_every_option_is_set_by_the_package():
+    # the check itself: an option passed by keyword, one passed by position, and one set
+    # only through a method call are seen as set; an unset one and a private function's are not
+    sample = {
+        "a": "def f(x, depth=1, *, seed=0, fast=False):\n    return x\n"
+             "def _g(y=2):\n    return y\n",
+        "b": "from .a import f\ndef h(obj):\n    return f(1, 2) + obj.f(1, seed=3)\n",
+    }
+    assert _unset_options(sample) == ["a.f.fast"]
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert _unset_options(sources) == sorted(TEST_ONLY_OPTIONS)
