@@ -42,13 +42,13 @@ from .specs import (
     validate_spec,
 )
 from .counting import (
+    BallTable,
     MomentKind,
     MomentTable,
+    ball_table,
     counting_moment_table,
-    covering_count,
     covering_moment,
     log_partition_moment,
-    packing_count,
     packing_moment,
     partition_moment_table,
 )

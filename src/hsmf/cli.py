@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .counting import MomentKind, counting_moment_table, partition_moment_table
+from .counting import counting_moment_table, partition_moment_table
 from .errors import HsmfError, SpecValidationError
 from .output import JsonStream, config_hash, csv_bytes, json_bytes, meta_line, write_json
 from .scaling import separator_grid
@@ -37,6 +37,8 @@ FAILURE = 1
 # samples.json records built and encoded at a time, which bounds the
 # command's memory by its (count, depth) paths array
 SAMPLE_BATCH = 512
+# moments use a radius only when its matched generation has at most this many cells
+MOMENT_MAX_CELLS = 1 << 16
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -245,19 +247,23 @@ def cmd_moments(args) -> int:
     _require_at_least(args, 1, "r-octaves")
     spec = validate_spec(load_spec(args.spec))
     qs = _q_grid(args)
-    r_list = [2.0 ** -j for j in range(1, args.r_octaves + 1)]
-    r_list = [r for r in r_list if _matchable(spec, r)]
+    r_list, skipped = [], {}  # reason -> octaves the moments cannot use
+    for j in range(1, args.r_octaves + 1):
+        reason = _unmatchable(spec, 2.0**-j)
+        if reason:
+            skipped.setdefault(reason, []).append(j)
+        else:
+            r_list.append(2.0**-j)
+    if skipped:
+        print("note: moments skip " + "; ".join(
+            f"r = 2^-{js[0]}" + (f"..2^-{js[-1]}" if len(js) > 1 else "") + f": {reason}"
+            for reason, js in skipped.items()), file=sys.stderr)
     out = _outdir(args)
     meta = _meta(args, spec)
     rows = []
     ks = sorted({matched_generation(spec, r) for r in r_list} | {2, 4, 8})
-    tables = [
-        partition_moment_table(spec, qs, [k for k in ks if k >= 1]),
-        counting_moment_table(spec, MomentKind.COVERING_COUNT, qs, r_list),
-        counting_moment_table(spec, MomentKind.PACKING_COUNT, qs, r_list),
-        counting_moment_table(spec, MomentKind.COVERING_MOMENT, qs, r_list),
-        counting_moment_table(spec, MomentKind.PACKING_MOMENT, qs, r_list),
-    ]
+    tables = [partition_moment_table(spec, qs, [k for k in ks if k >= 1]),
+              *counting_moment_table(spec, qs, r_list)]
     for table in tables:
         problems = table.check_invariants()
         if problems:
@@ -268,12 +274,15 @@ def cmd_moments(args) -> int:
     return 0
 
 
-def _matchable(spec, r) -> bool:
+def _unmatchable(spec, r) -> str | None:
+    """Why the moments cannot use radius r, or None when they can."""
     try:
         k = matched_generation(spec, r)
     except HsmfError:
-        return False
-    return _num_cells(spec, k) <= 1 << 16
+        return f"no generation within depth_cap {spec.depth_cap} resolves them"
+    if _num_cells(spec, k) > MOMENT_MAX_CELLS:
+        return f"their matched generation has more than {MOMENT_MAX_CELLS} cells"
+    return None
 
 
 def cmd_sample(args) -> int:
@@ -309,7 +318,7 @@ def cmd_verify(args) -> int:
             raise FileNotFoundError(f"fixture directory {fdir} not found")
         for f in sorted(fdir.glob("*.json")):
             validate_spec(load_spec(f))
-    results, artifacts, runtimes = run_verify(seed=args.seed, tol_scale=args.tol_scale)
+    results, artifacts = run_verify(seed=args.seed, tol_scale=args.tol_scale)
     out = _outdir(args)
     for name, data in sorted(artifacts.items()):
         _write(out / name, data, args.force)

@@ -5,19 +5,26 @@ partition moments and the moment tables built from them.
 Greedy estimators
 -----------------
 Counts and moment sums need an extremum over center sets, which is not
-tractable exactly over real centers. Two deterministic candidate classes are
-used:
+tractable exactly over real centers. ``ball_table`` builds one scale's
+candidate table from one cell enumeration: the centers, their cell masses,
+their ball masses and the support pieces. Every estimator at that scale
+reads the table; a count is the q = 0 moment. Two deterministic candidate
+classes are used:
 
 * ``"endpoints"`` (default): centers are generation-k cell endpoints, all of
   which belong to the support. The left-to-right sweep is exactly optimal
-  within this class on the line, so ``covering_count`` is an upper bound for
-  the true covering number of the support (it covers the generation-k
-  superset) and ``packing_count`` is a valid packing of the support, hence a
-  lower bound for the true packing number. Both are within a factor 2 of the
-  continuum optimum.
+  within this class on the line, so the q = 0 covering moment is an upper
+  bound for the true covering number of the support (it covers the
+  generation-k superset) and the q = 0 packing moment counts a valid packing
+  of the support, hence a lower bound for the true packing number. Both are
+  within a factor 2 of the continuum optimum.
 * ``"midpoints"``: centers are cell midpoints. This is the class searched
   exhaustively by the brute-force oracle, so greedy-versus-oracle comparisons
   are apples to apples.
+
+``counting_moment_table`` sums every q over the q = 0 cover and packing of
+each scale; ``packing_moment`` at q != 0 instead packs greedily in order of
+cell mass, so its set depends on the sign of q.
 
 For q < 0 the covering infimum rewards small-mass balls and no tractable
 scheme tracks it; those values are flagged heuristic. Partition moments are
@@ -33,20 +40,19 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ScaleTooSmall, TooDeep
 from .specs import (
+    GapPolicy,
     MoranSpec,
     ball_masses,
     cells,
     family_generation_counts,
     matched_generation,
     max_length_at,
-    support_intervals,
 )
 
 
@@ -105,102 +111,81 @@ def _packing_centers(points: np.ndarray, r: float) -> list[int]:
     return centers
 
 
-def _candidates(spec: MoranSpec, k: int, centers: str):
-    """Sorted distinct candidate centers at generation k with their cell weights."""
-    lefts, lengths, masses = cells(spec, k)
+@dataclass(frozen=True)
+class BallTable:
+    """One scale's candidate centers (sorted) with their cell masses and ball
+    masses mu(B(x, r)), and the support pieces [lefts, rights] they cover."""
+
+    r: float
+    points: np.ndarray
+    cell_mass: np.ndarray
+    ball_mass: np.ndarray
+    lefts: np.ndarray
+    rights: np.ndarray
+
+
+def ball_table(spec: MoranSpec, r: float, depth: int | None = None, centers: str = "endpoints") -> BallTable:
+    """
+    The candidate table at radius r over the cells of generation ``depth``
+    (default: the matched generation), from one cell enumeration. Ball masses
+    are resolved 8 generations below it (at most depth_cap). A generation that
+    cannot be enumerated is a scale too small.
+    """
+    r = float(r)
+    k = depth if depth is not None else matched_generation(spec, r)
+    try:
+        lefts, lengths, masses = cells(spec, k)
+    except TooDeep as e:
+        raise ScaleTooSmall(str(e)) from e
     if centers == "endpoints":
         pts, first = np.unique(np.concatenate([lefts, lefts + lengths]), return_index=True)
-        return pts, np.concatenate([masses, masses])[first]
-    if centers == "midpoints":
-        return lefts + 0.5 * lengths, masses
-    raise ValueError(f"unknown center class {centers!r}")
-
-
-@lru_cache(maxsize=64)
-def _candidate_ball_masses(spec: MoranSpec, k: int, r: float, centers: str):
-    """Candidate centers with cell weights and ball masses, cached per scale.
-    Ball masses are resolved 8 generations below k (at most depth_cap). A
-    generation that cannot be enumerated is a scale too small, as in the
-    counts."""
-    try:
-        pts, cell_w = _candidates(spec, k, centers)
-    except TooDeep as e:
-        raise ScaleTooSmall(str(e)) from e
+        cell_mass = np.concatenate([masses, masses])[first]
+    elif centers == "midpoints":
+        pts, cell_mass = lefts + 0.5 * lengths, masses
+    else:
+        raise ValueError(f"unknown center class {centers!r}")
+    if spec.gap_policy is GapPolicy.NO_GAPS:
+        lefts, lengths = np.array([0.0]), np.array([1.0])
+    rights = lefts + lengths
+    del lengths, masses  # free the enumeration before the ball masses, which set the peak
     ball = ball_masses(spec, pts, r, min(spec.depth_cap, k + 8))
-    for a in (pts, cell_w, ball):
-        a.setflags(write=False)
-    return pts, cell_w, ball
+    return BallTable(r, pts, cell_mass, ball, lefts, rights)
 
 
-def covering_count(spec: MoranSpec, r: float, depth: int | None = None, centers: str = "endpoints") -> int:
+def covering_moment(table: BallTable, q: float) -> float:
     """
-    Size of a greedy cover of the generation-matched support by closed balls
-    of radius r centered in the support. Upper bound on the true covering
-    number, within a factor 2.
+    Sum of mu(B(x_i, r))^q over the greedy cover: at q = 0 the size of the
+    cover, an upper bound on the true covering number within a factor 2.
+    Heuristic for the covering infimum; for q < 0 there is no tractable scheme
+    that rewards small-mass balls and the value is heuristic by contract.
     """
-    k = depth if depth is not None else matched_generation(spec, r)
-    try:
-        pts, _ = _candidates(spec, k, centers)
-        lefts, lengths = support_intervals(spec, k)
-    except TooDeep as e:
-        raise ScaleTooSmall(str(e)) from e
-    return len(_covering_centers(pts, lefts, lefts + lengths, r))
+    cs = _covering_centers(table.points, table.lefts, table.rights, table.r)
+    return float(np.sum(table.ball_mass[cs] ** q))
 
 
-def packing_count(spec: MoranSpec, r: float, depth: int | None = None, centers: str = "endpoints") -> int:
+def packing_moment(table: BallTable, q: float) -> float:
     """
-    Size of a greedy maximal r-separated set of support points (d >= r).
-    Lower bound on the true packing number, within a factor 2.
-    """
-    k = depth if depth is not None else matched_generation(spec, min(r, 1.0))
-    try:
-        pts, _ = _candidates(spec, k, centers)
-    except TooDeep as e:
-        raise ScaleTooSmall(str(e)) from e
-    return len(_packing_centers(pts, r))
-
-
-def covering_moment(
-    spec: MoranSpec, q: float, r: float, depth: int | None = None, centers: str = "endpoints"
-) -> float:
-    """
-    Sum of mu(B(x_i, r))^q over the greedy cover. Heuristic for the covering
-    infimum; for q < 0 there is no tractable scheme that rewards small-mass
-    balls and the value is heuristic by contract.
-    """
-    k = depth if depth is not None else matched_generation(spec, r)
-    pts, _, ball = _candidate_ball_masses(spec, k, float(r), centers)
-    lefts, lengths = support_intervals(spec, k)
-    cs = _covering_centers(pts, lefts, lefts + lengths, r)
-    return float(np.sum(ball[cs] ** q))
-
-
-def packing_moment(
-    spec: MoranSpec, q: float, r: float, depth: int | None = None, centers: str = "endpoints"
-) -> float:
-    """
-    Sum of mu(B(x_i, r))^q over a greedy r-separated center set. For q > 0 the
-    greedy prefers high-mass cells, for q < 0 low-mass cells; q = 0 reduces
-    exactly to packing_count. Heuristic lower bound on the packing supremum.
+    Sum of mu(B(x_i, r))^q over a greedy r-separated center set. At q = 0 the
+    size of the left-to-right packing, a lower bound on the true packing
+    number within a factor 2. For q > 0 the greedy prefers high-mass cells,
+    for q < 0 low-mass cells. Heuristic lower bound on the packing supremum.
     """
     if q == 0.0:
-        return float(packing_count(spec, r, depth=depth, centers=centers))
-    k = depth if depth is not None else matched_generation(spec, min(r, 1.0))
-    pts, cell_w, ball = _candidate_ball_masses(spec, k, float(r), centers)
-    order = np.argsort(cell_w, kind="stable")
+        return float(len(_packing_centers(table.points, table.r)))
+    order = np.argsort(table.cell_mass, kind="stable")
     if q > 0:
         order = order[::-1]
     chosen: list[float] = []  # kept sorted
     total = 0.0
     for i in order:
-        x = float(pts[i])
+        x = float(table.points[i])
         j = bisect_left(chosen, x)
-        if j > 0 and x - chosen[j - 1] < r:
+        if j > 0 and x - chosen[j - 1] < table.r:
             continue
-        if j < len(chosen) and chosen[j] - x < r:
+        if j < len(chosen) and chosen[j] - x < table.r:
             continue
         insort(chosen, x)
-        total += float(ball[i]) ** q
+        total += float(table.ball_mass[i]) ** q
     return total
 
 
@@ -311,33 +296,35 @@ def partition_moment_table(spec: MoranSpec, q_grid, ks) -> MomentTable:
     return MomentTable(MomentKind.PARTITION_MOMENT, q_grid, np.asarray(scales), vals)
 
 
-def counting_moment_table(
-    spec: MoranSpec, kind: MomentKind, q_grid, r_list: Sequence[float]
-) -> MomentTable:
+def _center_sums(masses: np.ndarray, q_grid: np.ndarray) -> tuple[int, list[float]]:
+    """The number of centers and the sum of their ball masses to each power q."""
+    with np.errstate(over="ignore"):
+        # per q on purpose: numpy's scalar q = -1, 0.5, 2 powers round unlike a (q x centers) one
+        return masses.size, [float(np.sum(masses**q)) for q in q_grid]
+
+
+def counting_moment_table(spec: MoranSpec, q_grid, r_list: Sequence[float]) -> tuple[MomentTable, ...]:
     """
-    Ball-moment table over a fixed q-independent center set per scale (the
-    q = 0 greedy over cell endpoints), so each column is evaluated on one
-    packing/cover and the rows are exactly monotone in q.
+    Covering count, packing count, covering moment and packing moment tables,
+    in that order. Each scale's moments are sums over one fixed q-independent
+    center set (the q = 0 greedy over cell endpoints), so each column is
+    evaluated on one packing/cover and the rows are exactly monotone in q.
     """
     q_grid = np.asarray(q_grid, dtype=float)
     r_list = sorted(set(float(r) for r in r_list), reverse=True)
-    vals = np.empty((q_grid.size, len(r_list)))
-    flags = np.zeros((q_grid.size, len(r_list)), dtype=bool)
+    shape = (q_grid.size, len(r_list))
+    cover_n, pack_n, cover_m, pack_m = (np.empty(shape) for _ in range(4))
     for j, r in enumerate(r_list):
-        k = matched_generation(spec, min(r, 1.0))
-        pts, _, ball = _candidate_ball_masses(spec, k, float(r), "endpoints")
-        if kind in (MomentKind.COVERING_MOMENT, MomentKind.COVERING_COUNT):
-            lefts, lengths = support_intervals(spec, k)
-            cs = _covering_centers(pts, lefts, lefts + lengths, r)
-        else:
-            cs = _packing_centers(pts, r)
-        masses = ball[cs]
-        # per q on purpose: numpy's scalar q = -1, 0.5, 2 powers round unlike a (q x centers) one
-        for i, q in enumerate(q_grid):
-            if kind in (MomentKind.COVERING_COUNT, MomentKind.PACKING_COUNT):
-                vals[i, j] = len(cs)
-            else:
-                with np.errstate(over="ignore"):
-                    vals[i, j] = float(np.sum(masses**q))
-                flags[i, j] = q < 0
-    return MomentTable(kind, q_grid, np.asarray(r_list), vals, flags)
+        table = ball_table(spec, r)
+        cover = table.ball_mass[_covering_centers(table.points, table.lefts, table.rights, r)]
+        cover_n[:, j], cover_m[:, j] = _center_sums(cover, q_grid)
+        pack = table.ball_mass[_packing_centers(table.points, r)]
+        pack_n[:, j], pack_m[:, j] = _center_sums(pack, q_grid)
+    scales = np.asarray(r_list)
+    flags = np.broadcast_to((q_grid < 0)[:, None], shape)  # q < 0 ball moments are heuristic
+    return (
+        MomentTable(MomentKind.COVERING_COUNT, q_grid, scales, cover_n),
+        MomentTable(MomentKind.PACKING_COUNT, q_grid, scales, pack_n),
+        MomentTable(MomentKind.COVERING_MOMENT, q_grid, scales, cover_m, flags),
+        MomentTable(MomentKind.PACKING_MOMENT, q_grid, scales, pack_m, flags),
+    )

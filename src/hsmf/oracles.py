@@ -8,7 +8,7 @@ distinct liminf/limsup branches given by the two single-family exponents; the
 switching binomial's branches are the two dyadic moment exponents. The brute
 force solves the exact packing/covering optimum over the midpoint-center
 class by dynamic programming on the line, certifying the greedy estimators
-within that class, on the ball-mass table those estimators use. Both programs
+within that class, on the ball table those estimators read. Both programs
 are O(n) past one sorted lookup per point. In the covering program the first
 support point ns_i left uncovered by ball i is non-decreasing in i, so the
 balls that may precede ball j form a suffix [lo_j, j) whose start never moves
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import _candidate_ball_masses
+from .counting import BallTable, ball_table
 from .errors import ParameterOutOfRange, TooDeep
-from .specs import MoranSpec, _num_cells, support_intervals
+from .specs import MoranSpec, _num_cells
 
 _BRUTE_FORCE_MAX_CELLS = 1 << 13
 
@@ -154,13 +154,14 @@ class BruteForceMoments:
     covering: float  # min of sum mu(B)^q over midpoint covers of the support
 
 
-def midpoint_ball_masses(spec: MoranSpec, r: float, depth: int):
-    """Cell midpoints at ``depth`` with their ball masses mu(B(mid, r)): the
-    table the greedy ``centers="midpoints"`` estimators use at this scale."""
+def midpoint_ball_masses(spec: MoranSpec, r: float, depth: int) -> BallTable:
+    """The midpoint ball table at ``depth`` (<= 12, hard cell cap): the
+    brute force's candidate class, which the greedy estimators then read too."""
+    if depth > 12:
+        raise TooDeep("brute force is limited to depth <= 12")
     if _num_cells(spec, depth) > _BRUTE_FORCE_MAX_CELLS:
         raise TooDeep(f"brute force capped at {_BRUTE_FORCE_MAX_CELLS} cells")
-    mids, _, masses = _candidate_ball_masses(spec, int(depth), float(r), "midpoints")
-    return mids, masses
+    return ball_table(spec, r, int(depth), "midpoints")
 
 
 def _max_packing_value(points: np.ndarray, weights: np.ndarray, r: float) -> float:
@@ -219,17 +220,13 @@ def _min_cover_value(
     return min(cost[int(np.searchsorted(ns, math.inf)):], default=math.inf)
 
 
-def brute_force_ball_moments(spec: MoranSpec, q: float, r: float, depth: int) -> BruteForceMoments:
+def brute_force_ball_moments(table: BallTable, q: float) -> BruteForceMoments:
     """
-    Certified packing/covering moment optima over midpoint centers at
-    ``depth`` (<= 12 in practice; hard cell cap applies). The packing side is
-    an exact interval-graph DP; the covering side an exact shortest-cover DP.
+    Certified packing/covering moment optima over the table's centers (the
+    midpoint class from ``midpoint_ball_masses``). The packing side is an
+    exact interval-graph DP; the covering side an exact shortest-cover DP.
     """
-    if depth > 12:
-        raise TooDeep("brute force is limited to depth <= 12")
-    mids, masses = midpoint_ball_masses(spec, r, depth)
-    weights = masses**q
-    lefts, lengths = support_intervals(spec, depth)
-    pack = _max_packing_value(mids, weights, r)
-    cover = _min_cover_value(mids, weights, r, lefts, lefts + lengths)
+    weights = table.ball_mass**q
+    pack = _max_packing_value(table.points, weights, table.r)
+    cover = _min_cover_value(table.points, weights, table.r, table.lefts, table.rights)
     return BruteForceMoments(packing=pack, covering=cover)

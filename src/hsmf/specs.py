@@ -126,8 +126,6 @@ class ConstantSchedule:
 
     family: int
 
-    kind = "constant"
-
     @property
     def period(self) -> int:
         return 1
@@ -148,8 +146,6 @@ class PeriodicSchedule:
     """Generations cycle through ``pattern`` (generation 1 uses pattern[0])."""
 
     pattern: tuple[int, ...]
-
-    kind = "periodic"
 
     def __post_init__(self):
         object.__setattr__(self, "pattern", tuple(int(i) for i in self.pattern))
@@ -181,8 +177,6 @@ class BlockSchedule:
 
     boundaries: tuple[int, ...]
     families: tuple[int, ...]
-
-    kind = "blocks"
 
     def __post_init__(self):
         object.__setattr__(self, "boundaries", tuple(int(t) for t in self.boundaries))
@@ -236,10 +230,6 @@ class MoranSpec:
 
     def family_at(self, generation: int) -> GenerationFamily:
         return self.families[self.schedule.family_index(generation)]
-
-    @property
-    def referenced_families(self) -> tuple[int, ...]:
-        return self.schedule.referenced
 
     def family_gap(self, family: GenerationFamily) -> float:
         """Sibling gap in parent-length units (0 under NoGaps)."""
@@ -585,17 +575,6 @@ def cells(spec: MoranSpec, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         masses = (masses[:, None] * probs[None, :]).ravel()
         lengths = (lengths[:, None] * ratios[None, :]).ravel()
     return lefts, lengths, masses
-
-
-def support_intervals(spec: MoranSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """
-    The generation-k support as merged ``(lefts, lengths)``. Under NoGaps this
-    is just [0, 1]; under EqualGaps the cells are pairwise separated already.
-    """
-    if spec.gap_policy is GapPolicy.NO_GAPS:
-        return np.array([0.0]), np.array([1.0])
-    lefts, lengths, _ = cells(spec, k)
-    return lefts, lengths
 
 
 def max_length_at(spec: MoranSpec, k: int) -> float:

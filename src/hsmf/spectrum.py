@@ -213,9 +213,10 @@ class CoarseSpectrum:
             for ai, a in enumerate(self.alpha_grid):
                 f = self.f_hat[si, ai]
                 lc = self.log_counts[si, ai]
-                count = math.exp(lc) if np.isfinite(lc) and lc < 700 else (
-                    0.0 if not np.isfinite(lc) else float("inf")
-                )
+                try:
+                    count = math.exp(lc)
+                except OverflowError:
+                    count = math.inf
                 yield (fmt(r), fmt(a), "" if math.isnan(f) else fmt(f), fmt(count))
 
 
@@ -265,7 +266,7 @@ def coarse_spectrum(
                 se_logp = math.sqrt((1.0 - p_hat) / (p_hat * dist.sample_count))
                 stderr[si, ai] = se_logp / (-log_r)
     uniform_cells = all(
-        spec.families[i].constant_ratio for i in spec.referenced_families
+        spec.families[i].constant_ratio for i in spec.schedule.referenced
     )
     return CoarseSpectrum(
         scales, alpha_grid, epsilon, f_hat, log_counts, exact, stderr, uniform_cells

@@ -3,7 +3,7 @@ Acceptance-suite runners: one function per criterion, shared by the CLI
 ``verify`` command and the pytest acceptance module.
 
 Each runner returns a CriterionResult with a deterministic ``details`` dict
-(no wall-clock values; runtimes are returned separately so artifact bytes
+(no wall-clock values; runtimes stay on the result's ``elapsed_s`` so artifact bytes
 stay identical across runs with the same seed).
 
 Fixture notes
@@ -34,6 +34,7 @@ from . import __version__
 from .oracles import (
     block_moran_bounds,
     brute_force_ball_moments,
+    midpoint_ball_masses,
     oracle_curve,
     periodic_moran_beta,
     switching_alpha_interval,
@@ -46,6 +47,7 @@ from .spectrum import (
     alpha_bounds,
     coarse_spectrum,
     legendre_transform,
+    mass_distribution,
     tilted_dimension_check,
 )
 from .specs import (
@@ -435,8 +437,6 @@ def _alpha_grid_for(spec: MoranSpec, k_fin: int) -> np.ndarray:
     """Alpha bins: a regular grid plus the pure-child exponents and the
     dominant cell exponent at the finest generation (so degenerate spectra
     get at least one genuinely comparable, non-boundary bin)."""
-    from .spectrum import mass_distribution
-
     base = np.round(np.arange(0.2, 2.4001, 0.05), 10)
     anchors = []
     for fam in spec.families:
@@ -589,10 +589,11 @@ def criterion_10(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
         spec = factory()
         base = max_length_at(spec, depth)
         for r in (base, 2.7 * base):
+            table = midpoint_ball_masses(spec, r, depth)
             for q in (-1.0, 0.0, 1.0, 2.0):
-                bf = brute_force_ball_moments(spec, q, r, depth)
-                g_cov = covering_moment(spec, q, r, depth=depth, centers="midpoints")
-                g_pak = packing_moment(spec, q, r, depth=depth, centers="midpoints")
+                bf = brute_force_ball_moments(table, q)
+                g_cov = covering_moment(table, q)
+                g_pak = packing_moment(table, q)
                 tol = 1e-9 * max(1.0, abs(bf.covering), abs(bf.packing))
                 res.record(
                     f"cover >= optimum: {name} q={q} r={r:.3e}", g_cov >= bf.covering - tol,
@@ -689,8 +690,6 @@ def _sanitize(obj):
 
 
 def run_verify(seed: int = 0, tol_scale: float = 1.0):
-    """Full verify pipeline: criteria, artifacts, pass flag, runtimes."""
+    """Full verify pipeline: criterion results (each with its elapsed_s) and artifacts."""
     results = run_criteria(seed, tol_scale)
-    artifacts = build_artifacts(results, seed, tol_scale)
-    runtimes = {r.cid: r.elapsed_s for r in results}
-    return results, artifacts, runtimes
+    return results, build_artifacts(results, seed, tol_scale)

@@ -367,11 +367,9 @@ def test_candidate_ball_masses_calls_ball_mass_once_per_center(monkeypatch, cant
     monkeypatch.setattr(specs_module, "ball_mass", counted)
     for spec in (cantor_spec, periodic_spec):
         for centers in ("endpoints", "midpoints"):
-            counting._candidate_ball_masses.cache_clear()
             calls.clear()
-            pts, _, _ = counting._candidate_ball_masses(spec, 6, 0.01, centers)
-            assert calls == pts.tolist()
-    counting._candidate_ball_masses.cache_clear()
+            table = counting.ball_table(spec, 0.01, 6, centers)
+            assert calls == table.points.tolist()
 
 
 def test_ball_masses_skip_the_shared_descent(monkeypatch):
@@ -382,7 +380,7 @@ def test_ball_masses_skip_the_shared_descent(monkeypatch):
     spec = load_spec(Path(__file__).resolve().parents[1] / "specs" / "binomial_quarter.json")
     r = 2.0**-12
     k = matched_generation(spec, r)
-    pts, _ = counting._candidates(spec, k, "endpoints")
+    pts = counting.ball_table(spec, r).points
     lookups = []
     family_index = ConstantSchedule.family_index
 

@@ -273,6 +273,31 @@ def test_moments_overflowing_greedy_moments_write_inf_without_warning(tmp_path):
         assert any(r[0] == kind and r[3] == "inf" for r in rows)
 
 
+def test_moments_name_the_scales_they_skip(tmp_path):
+    # binomial_quarter has 2^17 cells at the generation matched to 2^-17
+    out = tmp_path / "m"
+    proc = run_cli("moments", "--spec", str(SPECS / "binomial_quarter.json"),
+                   "--r-octaves", "20", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("note: moments skip r = 2^-17..2^-20: their matched generation "
+                           "has more than 65536 cells\n")
+    scales = {line.split(",")[2] for line in (out / "moments.csv").read_text().splitlines()[2:]
+              if line.startswith("covering_count,")}
+    assert min(map(float, scales)) == 2.0**-16
+    # the fixed-radius benchmark setting skips nothing
+    proc = run_cli("moments", "--spec", str(SPECS / "binomial_quarter.json"),
+                   "--r-octaves", "15", "--out", str(tmp_path / "m15"))
+    assert proc.returncode == 0 and proc.stderr == ""
+    # below the depth_cap resolution
+    shallow = tmp_path / "shallow.json"
+    shallow.write_text(json.dumps(dict(VALID_SPEC, depth_cap=12)))
+    proc = run_cli("moments", "--spec", str(shallow), "--r-octaves", "14",
+                   "--out", str(tmp_path / "m14"))
+    assert proc.returncode == 0
+    assert proc.stderr == ("note: moments skip r = 2^-13..2^-14: no generation within "
+                           "depth_cap 12 resolves them\n")
+
+
 @pytest.mark.parametrize("spec_name, q, depth, count", [
     pytest.param("binomial_quarter", 2.0, 64, 512, id="binomial_quarter-2.0-64"),
     pytest.param("block_switched", 0.5, 40, 512, id="block_switched-0.5-40"),

@@ -1,6 +1,7 @@
 """Counts, ball moments, partition moments."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,16 +10,26 @@ from hypothesis import strategies as st
 
 from hsmf import (
     MomentKind,
+    ball_table,
     counting_moment_table,
-    covering_count,
     covering_moment,
+    load_spec,
     log_partition_moment,
-    packing_count,
     packing_moment,
     partition_moment_table,
 )
-from hsmf.oracles import brute_force_ball_moments
+from hsmf.oracles import brute_force_ball_moments, midpoint_ball_masses
 from hsmf.specs import max_length_at
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
+
+
+def covering_count(spec, r):
+    return covering_moment(ball_table(spec, r), 0.0)
+
+
+def packing_count(spec, r):
+    return packing_moment(ball_table(spec, r), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -40,13 +51,14 @@ def test_packing_count_full_interval(uniform_spec):
 def test_cantor_counts_cross_checked(cantor_spec):
     # frozen values, cross-checked against the exact midpoint-class optimum
     assert covering_count(cantor_spec, 1 / 18) == 8
-    bf = brute_force_ball_moments(cantor_spec, 0.0, 1 / 18, 3)
+    mids = midpoint_ball_masses(cantor_spec, 1 / 18, 3)
+    bf = brute_force_ball_moments(mids, 0.0)
     assert bf.covering == 8
-    assert covering_count(cantor_spec, 1 / 18, depth=3, centers="midpoints") == 8
+    assert covering_moment(mids, 0.0) == 8
 
     # all 16 depth-3 endpoints are pairwise >= 1/27 apart
     assert packing_count(cantor_spec, 1 / 27) == 16
-    bfp = brute_force_ball_moments(cantor_spec, 0.0, 1 / 27, 3)
+    bfp = brute_force_ball_moments(midpoint_ball_masses(cantor_spec, 1 / 27, 3), 0.0)
     assert bfp.packing == 8  # midpoint class has one point per cell
 
 
@@ -65,17 +77,15 @@ def test_scale_too_small(uniform_spec):
     # enumeration blow-up surfaces as the same error
     with pytest.raises(ScaleTooSmall):
         covering_count(uniform_spec, 2.0**-40)
-    # and so does a generation past depth_cap or too large to enumerate in
-    # the moments, which reach the candidates through their ball masses
+    # and so does a generation past depth_cap or too large to enumerate,
+    # in a ball table and in the moment tables built from them
     too_deep = uniform_spec.depth_cap + 904
-    for moment in (covering_moment, packing_moment):
-        with pytest.raises(ScaleTooSmall):
-            moment(uniform_spec, 1.0, 0.5, depth=too_deep)
-        with pytest.raises(ScaleTooSmall):
-            moment(uniform_spec, 2.0, 2.0**-40)
-    for kind in (MomentKind.COVERING_MOMENT, MomentKind.PACKING_MOMENT):
-        with pytest.raises(ScaleTooSmall):
-            counting_moment_table(uniform_spec, kind, [1.0], [2.0**-40])
+    with pytest.raises(ScaleTooSmall):
+        ball_table(uniform_spec, 0.5, depth=too_deep)
+    with pytest.raises(ScaleTooSmall):
+        ball_table(uniform_spec, 2.0**-40)
+    with pytest.raises(ScaleTooSmall):
+        counting_moment_table(uniform_spec, [1.0], [2.0**-40])
 
 
 # ---------------------------------------------------------------------------
@@ -85,27 +95,30 @@ def test_scale_too_small(uniform_spec):
 def test_moment_q0_reduces_to_counts(uniform_spec, cantor_spec):
     for spec in (uniform_spec, cantor_spec):
         for r in (1 / 8, 1 / 32):
-            assert covering_moment(spec, 0.0, r) == covering_count(spec, r)
-            assert packing_moment(spec, 0.0, r) == packing_count(spec, r)
+            cover_n, pack_n, _, _ = counting_moment_table(spec, [0.0], [r])
+            table = ball_table(spec, r)
+            assert covering_moment(table, 0.0) == cover_n.values[0, 0]
+            assert packing_moment(table, 0.0) == pack_n.values[0, 0]
 
 
 def test_covering_moment_q1_bounds(uniform_spec):
     # a cover exhausts the measure, so the q=1 sum is at least 1
-    v = covering_moment(uniform_spec, 1.0, 0.5)
+    v = covering_moment(ball_table(uniform_spec, 0.5), 1.0)
     assert 1.0 <= v <= covering_count(uniform_spec, 0.5)
 
 
 def test_packing_moment_q1_bounded_overlap(uniform_spec):
     for r in (1 / 4, 1 / 16, 1 / 64):
-        assert packing_moment(uniform_spec, 1.0, r) <= 3.0
+        assert packing_moment(ball_table(uniform_spec, r), 1.0) <= 3.0
 
 
 def test_dyadic_q2_moments_within_factor_four(uniform_spec):
     # aligned radius: the moment tracks 2^k (2^-k)^2 = 2^-k up to ball/cell slack
     for k in (6, 8, 10):
         r = 2.0**-k
+        table = ball_table(uniform_spec, r)
         for fn in (covering_moment, packing_moment):
-            ratio = fn(uniform_spec, 2.0, r) / r
+            ratio = fn(table, 2.0) / r
             assert 0.25 <= ratio <= 4.0
 
 
@@ -169,17 +182,13 @@ def test_partition_log_convexity(p, t, q, s, lam):
 def test_moment_table_q_monotone_and_q0_reduction(binomial_spec):
     qs = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
     rs = [2.0**-k for k in range(3, 9)]
-    for kind in (MomentKind.COVERING_MOMENT, MomentKind.PACKING_MOMENT):
-        table = counting_moment_table(binomial_spec, kind, qs, rs)
-        assert not table.check_invariants()
+    tables = counting_moment_table(binomial_spec, qs, rs)
+    assert [t.kind for t in tables] == [MomentKind.COVERING_COUNT, MomentKind.PACKING_COUNT,
+                                        MomentKind.COVERING_MOMENT, MomentKind.PACKING_MOMENT]
+    for counts, table in zip(tables[:2], tables[2:]):
+        assert not table.check_invariants() and not counts.check_invariants()
         # same centers per scale: rows non-increasing in q since masses <= 1
         assert np.all(np.diff(table.values, axis=0) <= 1e-12)
-        count_kind = (
-            MomentKind.COVERING_COUNT
-            if kind is MomentKind.COVERING_MOMENT
-            else MomentKind.PACKING_COUNT
-        )
-        counts = counting_moment_table(binomial_spec, count_kind, qs, rs)
         i0 = int(np.argmin(np.abs(qs)))
         assert np.array_equal(table.values[i0], counts.values[i0])
         # q < 0 ball moments are flagged heuristic
@@ -194,3 +203,22 @@ def test_moment_table_csv_order(uniform_spec):
     # q outer, r inner descending
     assert [r[1] for r in rows] == ["0", "0", "1", "1"]
     assert rows[0][2] == "0.5" and rows[1][2] == "0.25"
+
+
+@pytest.mark.parametrize("name", ["uniform", "binomial_quarter", "middle_thirds",
+                                  "periodic_two_family", "block_switched", "switching_binomial"])
+def test_moment_table_columns_equal_the_table_estimators(name):
+    """Each column of the one-pass moment tables is the q = 0 packing size and
+    the covering moment of that scale's ball table, to the bit."""
+    spec = load_spec(SPECS / f"{name}.json")
+    qs = np.array([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])
+    rs = [2.0**-j for j in range(1, 11)]
+    cover_n, pack_n, cover_m, pack_m = counting_moment_table(spec, qs, rs)
+    for j, r in enumerate(rs):
+        table = ball_table(spec, r)
+        n_pack = packing_moment(table, 0.0)
+        assert set(pack_n.values[:, j]) == {n_pack}
+        assert set(cover_n.values[:, j]) == {covering_moment(table, 0.0)}
+        assert pack_m.values[qs.tolist().index(0.0), j] == n_pack
+        for i, q in enumerate(qs):
+            assert cover_m.values[i, j] == covering_moment(table, q)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hsmf.counting import _covering_centers, _packing_centers
 from hsmf.errors import ScaleTooSmall
 from hsmf.oracles import _max_packing_value, _min_cover_value, midpoint_ball_masses
-from hsmf.specs import max_length_at, support_intervals
+from hsmf.specs import max_length_at
 from hsmf.verify import spec_binomial, spec_middle_thirds, spec_uniform
 
 
@@ -163,10 +163,9 @@ def test_packing_sweep_without_progress_raises():
 def test_equal_on_verify_measures(factory):
     spec = factory()
     depth = 8
-    lefts, lengths = support_intervals(spec, depth)
-    rights = lefts + lengths
     for r in (max_length_at(spec, depth), 2.7 * max_length_at(spec, depth)):
-        mids, masses = midpoint_ball_masses(spec, r, depth)
+        table = midpoint_ball_masses(spec, r, depth)
+        mids, masses, lefts, rights = table.points, table.ball_mass, table.lefts, table.rights
         assert mids[_packing_centers(mids, r)].tolist() == _ref_packing_centers(mids, r)
         _assert_same_cover(mids, lefts, rights, r)
         for q in (-1.0, 0.0, 1.0, 2.0):

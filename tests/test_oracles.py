@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 
 from hsmf import (
+    ConstantSchedule,
+    GapPolicy,
+    GenerationFamily,
+    MoranSpec,
     ParameterOutOfRange,
     block_moran_bounds,
     brute_force_ball_moments,
@@ -18,7 +22,9 @@ from hsmf import (
     switching_alpha_interval,
     switching_binomial_tau,
     uniform_beta,
+    validate_spec,
 )
+from hsmf.oracles import midpoint_ball_masses
 from hsmf.specs import max_length_at
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -166,7 +172,7 @@ def test_oracle_fixture_tables_match_closed_forms():
 
 def test_brute_force_q0_reduces_to_counts(uniform_spec):
     r = 1 / 8
-    bf = brute_force_ball_moments(uniform_spec, 0.0, r, 3)
+    bf = brute_force_ball_moments(midpoint_ball_masses(uniform_spec, r, 3), 0.0)
     # midpoint class at generation 3: 8 cells, all midpoints 1/8-separated
     assert bf.packing == 8
     assert bf.covering == 5
@@ -177,9 +183,21 @@ def test_brute_force_uniform_symmetry(uniform_spec):
     # 2^k - 2 interior balls hold mass 2r, the two edge balls only 1.5r
     k = 6
     r = 2.0**-k
-    bf = brute_force_ball_moments(uniform_spec, 2.0, r, k)
+    bf = brute_force_ball_moments(midpoint_ball_masses(uniform_spec, r, k), 2.0)
     want = (2.0**k - 2) * (2.0 * r) ** 2 + 2 * (1.5 * r) ** 2
     assert bf.packing == pytest.approx(want, rel=1e-9)
+
+
+def test_midpoint_table_caps(uniform_spec):
+    from hsmf import TooDeep
+
+    assert midpoint_ball_masses(uniform_spec, 2.0**-12, 12).points.size == 4096
+    with pytest.raises(TooDeep, match="depth <= 12"):
+        midpoint_ball_masses(uniform_spec, 2.0**-13, 13)
+    ternary = validate_spec(MoranSpec((GenerationFamily((1 / 3,) * 3, (1 / 3,) * 3),),
+                                      ConstantSchedule(0), GapPolicy.NO_GAPS, 64))
+    with pytest.raises(TooDeep, match="capped at 8192 cells"):
+        midpoint_ball_masses(ternary, 3.0**-9, 9)
 
 
 @pytest.mark.parametrize("q", [-1.0, 0.5, 2.0])
@@ -187,17 +205,13 @@ def test_dp_optima_match_exhaustive_subsets(cantor_spec, binomial_spec, q):
     """Certify both dynamic programs against all-subset enumeration."""
     from itertools import combinations
 
-    from hsmf.oracles import midpoint_ball_masses
-    from hsmf.specs import support_intervals
-
     for spec in (cantor_spec, binomial_spec):
         depth = 3
         r = 1.4 * max_length_at(spec, depth)
-        bf = brute_force_ball_moments(spec, q, r, depth)
-        mids, masses = midpoint_ball_masses(spec, r, depth)
-        w = masses**q
-        lefts, lengths = support_intervals(spec, depth)
-        rights = lefts + lengths
+        table = midpoint_ball_masses(spec, r, depth)
+        bf = brute_force_ball_moments(table, q)
+        mids, lefts, rights = table.points, table.lefts, table.rights
+        w = table.ball_mass**q
 
         def covers(subset):
             # closed balls cover every piece of the depth-3 support
@@ -235,22 +249,23 @@ def test_dp_optima_match_exhaustive_subsets(cantor_spec, binomial_spec, q):
 def test_greedy_within_certified_bracket(cantor_spec, q):
     depth = 9
     r = 1.9 * max_length_at(cantor_spec, depth)
-    bf = brute_force_ball_moments(cantor_spec, q, r, depth)
-    g_cov = covering_moment(cantor_spec, q, r, depth=depth, centers="midpoints")
-    g_pak = packing_moment(cantor_spec, q, r, depth=depth, centers="midpoints")
+    table = midpoint_ball_masses(cantor_spec, r, depth)
+    bf = brute_force_ball_moments(table, q)
+    g_cov = covering_moment(table, q)
+    g_pak = packing_moment(table, q)
     tol = 1e-9 * max(1.0, abs(bf.covering), abs(bf.packing))
     assert g_cov >= bf.covering - tol
     assert g_pak <= bf.packing + tol
 
 
 def test_brute_force_shares_the_greedy_ball_mass_table(monkeypatch, cantor_spec):
-    """The oracle and the greedy midpoint estimators at one (spec, r, depth)
-    evaluate each midpoint's ball mass once between them."""
+    """Criterion 10's flow at one (spec, r, depth): one midpoint ball table,
+    read by the oracle and both greedy estimators, evaluates each midpoint's
+    ball mass once between them."""
     import sys
 
-    from hsmf import counting, specs
+    from hsmf import specs
 
-    counting._candidate_ball_masses.cache_clear()
     original = specs.ball_mass
     calls = []
 
@@ -263,7 +278,9 @@ def test_brute_force_shares_the_greedy_ball_mass_table(monkeypatch, cantor_spec)
             monkeypatch.setattr(module, "ball_mass", counted)
     depth = 7
     r = 1.9 * max_length_at(cantor_spec, depth)
-    brute_force_ball_moments(cantor_spec, 2.0, r, depth)
-    covering_moment(cantor_spec, 2.0, r, depth=depth, centers="midpoints")
-    packing_moment(cantor_spec, 2.0, r, depth=depth, centers="midpoints")
+    table = midpoint_ball_masses(cantor_spec, r, depth)
+    for q in (-1.0, 0.0, 1.0, 2.0):
+        brute_force_ball_moments(table, q)
+        covering_moment(table, q)
+        packing_moment(table, q)
     assert len(calls) == 2**depth

@@ -24,7 +24,8 @@ from hsmf import (
     spec_from_dict,
     validate_spec,
 )
-from hsmf.specs import cells, matched_generation, support_intervals
+from hsmf.counting import ball_table
+from hsmf.specs import cells, matched_generation
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +249,8 @@ def test_matched_generation_dyadic(uniform_spec):
 
 
 def test_support_intervals_nogaps(uniform_spec):
-    lefts, lengths = support_intervals(uniform_spec, 6)
-    assert lefts.tolist() == [0.0] and lengths.tolist() == [1.0]
+    table = ball_table(uniform_spec, 2.0**-6)
+    assert table.lefts.tolist() == [0.0] and table.rights.tolist() == [1.0]
 
 
 def test_spec_json_round_trip(periodic_spec, tmp_path):

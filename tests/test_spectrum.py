@@ -120,6 +120,18 @@ def test_coarse_uniform_degenerate(uniform_spec):
     assert np.all(np.isnan(f[~near]) | (np.abs(alphas[~near] - 1.0) <= 0.04))
 
 
+def test_coarse_csv_writes_counts_a_double_holds(uniform_spec):
+    """A count is written as inf only past the double range (e^709.78), not
+    from a log count of 700 on: at r = 2^-1012 the uniform measure's 2^1012
+    cells have log count 701.46."""
+    from hsmf.output import fmt
+
+    cs = coarse_spectrum(uniform_spec, [2.0**-1012, 2.0**-1030], 0.02, [0.5, 1.0])
+    counts = [row[3] for row in cs.rows_csv()]
+    assert counts == ["0", fmt(math.exp(cs.log_counts[0, 1])), "0", "inf"]
+    assert 4.3e304 < float(counts[1]) < 4.5e304
+
+
 def test_coarse_counts_match_binomial_coefficients(binomial_spec):
     k = 16
     r = 2.0**-k

@@ -1,5 +1,5 @@
-"""Structural guards on the source tree: the benchmark's wrapped names, dead imports and
-unused options."""
+"""Structural guards on the source tree: the benchmark's wrapped names, dead imports,
+unused options and memoizing caches."""
 
 import ast
 import importlib
@@ -59,8 +59,6 @@ def test_no_unused_module_imports():
 # Options that only tests set, each named with a test that sets it.
 TEST_ONLY_OPTIONS = {
     "cli.main.argv",  # test_cli.py: test_sample_json_equals_stdlib_encoding_of_per_element_records
-    "counting.covering_count.depth",  # test_counting.py: test_cantor_counts_cross_checked
-    "counting.covering_count.centers",  # test_counting.py: test_cantor_counts_cross_checked
     "spectrum.coarse_spectrum.max_terms",  # test_spectrum.py: test_coarse_sampled_mode_close_to_exact
     "spectrum.coarse_spectrum.sample_count",  # test_spectrum.py: test_coarse_sampled_mode_close_to_exact
     "spectrum.spectrum_result.tilted_qs",  # test_invariants.py: test_full_pipeline_on_random_specs
@@ -110,3 +108,34 @@ def test_every_option_is_set_by_the_package():
     assert _unset_options(sample) == ["a.f.fast"]
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert _unset_options(sources) == sorted(TEST_ONLY_OPTIONS)
+
+
+def _memo_caches(source: str) -> list[str]:
+    """Uses of ``functools.lru_cache`` or ``functools.cache``, imported or reached as attributes."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [a.name for a in node.names if a.name in ("lru_cache", "cache")]
+        elif (isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            found.append(f"functools.{node.attr}")
+    return found
+
+
+def test_no_memoizing_caches():
+    """Work is shared by passing values (one ball table per scale), never through caches
+    keyed on whole specs; a per-instance ``cached_property`` is a field built on first use."""
+    # the check itself: both imported and attribute forms are seen, cached_property is not
+    sample = (
+        "import functools\nfrom functools import cached_property, lru_cache\n"
+        "@lru_cache(maxsize=8)\ndef f(x):\n    return x\n"
+        "@functools.cache\ndef g(x):\n    return x\n"
+    )
+    assert _memo_caches(sample) == ["lru_cache", "functools.cache"]
+    found = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := _memo_caches(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
