@@ -189,9 +189,7 @@ def cmd_dims(args) -> int:
     grid = separator_grid(spec, qs, min(args.k_max, spec.depth_cap))
     out = _outdir(args)
     meta = _meta(args, spec)
-    _emit_table(out, "separators",
-                ("q", "b", "B", "Lambda", "Theta", "Delta", "osc", "converged"),
-                grid.rows_csv(), meta, args)
+    _emit_table(out, "separators", grid.csv_columns, grid.rows_csv(), meta, args)
     diag = {
         "meta": _json_meta(args, spec),
         "per_q": grid.diagnostics,
@@ -262,7 +260,7 @@ def cmd_moments(args) -> int:
     meta = _meta(args, spec)
     rows = []
     ks = sorted({matched_generation(spec, r) for r in r_list} | {2, 4, 8})
-    tables = [partition_moment_table(spec, qs, [k for k in ks if k >= 1]),
+    tables = [partition_moment_table(spec, qs, ks),
               *counting_moment_table(spec, qs, r_list)]
     for table in tables:
         problems = table.check_invariants()
@@ -322,13 +320,9 @@ def cmd_verify(args) -> int:
     out = _outdir(args)
     for name, data in sorted(artifacts.items()):
         _write(out / name, data, args.force)
-    ok = True
     for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"{status} criterion {res.cid}: {res.title} "
-              f"({res.elapsed_s:.2f}s / budget {res.budget_s:.0f}s)", file=sys.stderr)
-        ok = ok and res.passed
-    return 0 if ok else FAILURE
+        print(res.status_line(), file=sys.stderr)
+    return 0 if all(res.passed for res in results) else FAILURE
 
 
 def main(argv=None) -> int:

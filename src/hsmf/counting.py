@@ -45,6 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ScaleTooSmall, TooDeep
+from .output import fmt
 from .specs import (
     GapPolicy,
     MoranSpec,
@@ -273,8 +274,6 @@ class MomentTable:
         return self.values[i]
 
     def rows_csv(self):
-        from .output import fmt
-
         for i, q in enumerate(self.q_grid):
             for j, r in enumerate(self.scales):
                 flag = "heuristic" if self.flags[i, j] else ""

@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientScales, NoBracket, NoConvergence, TooDeep
+from .output import fmt
 from .specs import (
     BlockSchedule,
     MoranSpec,
@@ -297,11 +298,11 @@ class SeparatorGrid:
                 out.append("Lambda(1) != 0")
         return out
 
-    def rows_csv(self):
-        from .output import fmt
+    csv_columns = ("q", "b", "B", "Lambda", "Theta", "Delta", "osc", "converged")
 
+    def rows_csv(self):
         for i, q in enumerate(self.q_grid):
-            d = self.diagnostics[i] if i < len(self.diagnostics) else {}
+            d = self.diagnostics[i]
             yield (
                 fmt(q),
                 fmt(self.b[i]),
@@ -309,8 +310,8 @@ class SeparatorGrid:
                 fmt(self.Lambda[i]),
                 fmt(self.Theta[i]),
                 fmt(self.Delta[i]),
-                fmt(d.get("oscillation", float("nan"))),
-                "true" if d.get("converged", False) else "false",
+                fmt(d["oscillation"]),
+                "true" if d["converged"] else "false",
             )
 
 
@@ -325,7 +326,7 @@ def _table_generations(spec: MoranSpec, k_max: int) -> list[int]:
     )
     if len(ks) < 8:
         ks = sorted(set(range(period, cap + 1, period)))[:16] or [period]
-    return [k for k in ks if k >= 1]
+    return ks
 
 
 def separator_grid(spec: MoranSpec, q_grid, k_max: int) -> SeparatorGrid:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .counting import logsumexp
 from .errors import DegenerateGrid, ScaleTooSmall
+from .output import fmt
 from .scaling import SeparatorGrid, numeric_derivative, solve_beta_k
 from .specs import (
     MoranSpec,
@@ -35,6 +36,15 @@ from .specs import (
 )
 
 DERIVATIVE_STEP = 0.05  # the tilted checks' central-difference step in q
+# mass_distribution enumerates up to MASS_MAX_TERMS composition terms exactly;
+# beyond that it samples MASS_SAMPLE_COUNT cells
+MASS_MAX_TERMS = 2_000_000
+MASS_SAMPLE_COUNT = 65536
+# spectrum_result's tilted checks: their q values, depth (at most the spec's
+# depth_cap) and paths per check
+TILTED_QS = (0.0, 1.0, 2.0)
+TILTED_DEPTH = 30
+TILTED_SAMPLE_COUNT = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -124,19 +134,13 @@ class MassDistribution:
     sample_count: int = 0
 
 
-def mass_distribution(
-    spec: MoranSpec,
-    k: int,
-    max_terms: int = 2_000_000,
-    sample_count: int = 65536,
-    seed: int = 0,
-) -> MassDistribution:
+def mass_distribution(spec: MoranSpec, k: int, seed: int = 0) -> MassDistribution:
     """
     The multiset of generation-k cell masses, as (log_mass, log_count) pairs.
 
-    Exact when the per-family composition count stays under ``max_terms``;
-    otherwise a uniform-over-cells sample (the (0, 0) tilt) with per-value
-    counts scaled up by the total cell count.
+    Exact when the per-family composition count stays within MASS_MAX_TERMS;
+    otherwise a uniform-over-cells sample of MASS_SAMPLE_COUNT paths (the
+    (0, 0) tilt) with per-value counts scaled up by the total cell count.
     """
     counts = family_generation_counts(spec, k)[:, 0]
     total_log_cells = float(
@@ -151,8 +155,8 @@ def mass_distribution(
         classes = _family_classes(fam)
         terms: list[tuple[float, float]] = []
         n_comp = math.comb(m + len(classes) - 1, len(classes) - 1)
-        if n_terms * n_comp > max_terms:
-            n_terms = max_terms + 1
+        if n_terms * n_comp > MASS_MAX_TERMS:
+            n_terms = MASS_MAX_TERMS + 1
             break
         for comp in _compositions(m, len(classes)):
             log_count = lgamma(m + 1)
@@ -164,7 +168,7 @@ def mass_distribution(
         per_family.append(terms)
         n_terms *= n_comp
 
-    if n_terms <= max_terms:
+    if n_terms <= MASS_MAX_TERMS:
         log_masses = np.zeros(1)
         log_counts = np.zeros(1)
         for terms in per_family:
@@ -174,10 +178,10 @@ def mass_distribution(
             log_counts = (log_counts[:, None] + lc[None, :]).ravel()
         return MassDistribution(k, log_masses, log_counts, True, total_log_cells)
 
-    _, log_mass, _ = sample_paths(spec, 0.0, 0.0, k, sample_count, seed)
+    _, log_mass, _ = sample_paths(spec, 0.0, 0.0, k, MASS_SAMPLE_COUNT, seed)
     vals, freq = np.unique(np.round(log_mass, 12), return_counts=True)
-    log_counts = total_log_cells + np.log(freq / sample_count)
-    return MassDistribution(k, vals, log_counts, False, total_log_cells, sample_count)
+    log_counts = total_log_cells + np.log(freq / MASS_SAMPLE_COUNT)
+    return MassDistribution(k, vals, log_counts, False, total_log_cells, MASS_SAMPLE_COUNT)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +211,6 @@ class CoarseSpectrum:
         return float(self.alpha_grid[i]), float(row[i])
 
     def rows_csv(self):
-        from .output import fmt
-
         for si, r in enumerate(self.scales):
             for ai, a in enumerate(self.alpha_grid):
                 f = self.f_hat[si, ai]
@@ -225,8 +227,6 @@ def coarse_spectrum(
     r_list: Sequence[float],
     epsilon: float,
     alpha_grid,
-    max_terms: int = 2_000_000,
-    sample_count: int = 65536,
     seed: int = 0,
 ) -> CoarseSpectrum:
     """
@@ -248,7 +248,7 @@ def coarse_spectrum(
         k = matched_generation(spec, r)
         if k == 0:
             raise ScaleTooSmall("coarse spectrum needs r < 1")
-        dist = mass_distribution(spec, k, max_terms=max_terms, sample_count=sample_count, seed=seed + si)
+        dist = mass_distribution(spec, k, seed=seed + si)
         exact[si] = dist.exact
         log_r = math.log(r)
         for ai, a in enumerate(alpha_grid):
@@ -378,8 +378,6 @@ class SpectrumResult:
         return out
 
     def legendre_rows_csv(self):
-        from .output import fmt
-
         for i, a in enumerate(self.alpha_grid):
             yield (
                 fmt(a),
@@ -395,9 +393,6 @@ def spectrum_result(
     alpha_grid,
     r_list: Sequence[float],
     epsilon: float = 0.05,
-    tilted_qs: Sequence[float] = (0.0, 1.0, 2.0),
-    depth: int = 30,
-    sample_count: int = 4096,
     seed: int = 0,
 ) -> SpectrumResult:
     """Assemble Legendre curves, bounds, coarse histograms, and tilted checks."""
@@ -407,11 +402,11 @@ def spectrum_result(
     boundary = flag_b | flag_B
     bounds = alpha_bounds(grid)
     coarse = coarse_spectrum(spec, r_list, epsilon, alpha_grid, seed=seed)
+    depth = min(TILTED_DEPTH, spec.depth_cap)
     tilted = []
-    for q in tilted_qs:
-        depth_q = min(depth, spec.depth_cap)
-        t = solve_beta_k(spec, float(q), depth_q)
+    for q in TILTED_QS:
+        t = solve_beta_k(spec, float(q), depth)
         tilted.append(
-            tilted_dimension_check(spec, float(q), t, depth_q, sample_count, seed)
+            tilted_dimension_check(spec, float(q), t, depth, TILTED_SAMPLE_COUNT, seed)
         )
     return SpectrumResult(alpha_grid, b_star, B_star, boundary, bounds, coarse, tilted)

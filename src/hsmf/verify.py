@@ -2,9 +2,11 @@
 Acceptance-suite runners: one function per criterion, shared by the CLI
 ``verify`` command and the pytest acceptance module.
 
-Each runner returns a CriterionResult with a deterministic ``details`` dict
-(no wall-clock values; runtimes stay on the result's ``elapsed_s`` so artifact bytes
-stay identical across runs with the same seed).
+Each criterion is declared with ``@_criterion(cid, title, budget_s)`` and its
+body only records checks. A result's ``details`` are deterministic JSON data (no
+wall-clock values; runtimes stay on ``elapsed_s`` so artifact bytes stay
+identical across runs with the same seed); its ``grid``, when set, becomes
+``separators_c<cid>.csv``. The fixture measures here are also the tests' fixtures.
 
 Fixture notes
 -------------
@@ -24,6 +26,7 @@ are approached within the stated 0.02.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -42,7 +45,7 @@ from .oracles import (
     uniform_beta,
 )
 from .output import config_hash, csv_bytes, fmt, json_bytes, meta_line
-from .scaling import beta_sequence, separator_grid, solve_beta_k
+from .scaling import SeparatorGrid, beta_sequence, separator_grid, solve_beta_k
 from .spectrum import (
     alpha_bounds,
     coarse_spectrum,
@@ -70,37 +73,30 @@ K_DEEP = 4**10
 # Fixture specs
 # ---------------------------------------------------------------------------
 
-def spec_uniform() -> MoranSpec:
+def _constant_spec(probs, ratios, gap_policy) -> MoranSpec:
     return validate_spec(
         MoranSpec(
-            families=(GenerationFamily((0.5, 0.5), (0.5, 0.5)),),
+            families=(GenerationFamily(probs, ratios),),
             schedule=ConstantSchedule(0),
-            gap_policy=GapPolicy.NO_GAPS,
+            gap_policy=gap_policy,
             depth_cap=4096,
         )
     )
+
+
+def spec_uniform() -> MoranSpec:
+    """Uniform dyadic measure on [0, 1]."""
+    return _constant_spec((0.5, 0.5), (0.5, 0.5), GapPolicy.NO_GAPS)
 
 
 def spec_binomial() -> MoranSpec:
-    return validate_spec(
-        MoranSpec(
-            families=(GenerationFamily((0.25, 0.75), (0.5, 0.5)),),
-            schedule=ConstantSchedule(0),
-            gap_policy=GapPolicy.NO_GAPS,
-            depth_cap=4096,
-        )
-    )
+    """Dyadic binomial measure with child masses (1/4, 3/4)."""
+    return _constant_spec((0.25, 0.75), (0.5, 0.5), GapPolicy.NO_GAPS)
 
 
 def spec_middle_thirds() -> MoranSpec:
-    return validate_spec(
-        MoranSpec(
-            families=(GenerationFamily((0.5, 0.5), (1 / 3, 1 / 3)),),
-            schedule=ConstantSchedule(0),
-            gap_policy=GapPolicy.EQUAL_GAPS,
-            depth_cap=4096,
-        )
-    )
+    """Middle-thirds construction with equal child masses."""
+    return _constant_spec((0.5, 0.5), (1 / 3, 1 / 3), GapPolicy.EQUAL_GAPS)
 
 
 PERIODIC_P1 = (0.5, 0.5)
@@ -168,22 +164,43 @@ def spec_switching() -> MoranSpec:
 
 @dataclass
 class CriterionResult:
+    """One criterion's outcome. ``details`` holds JSON data only; a separator
+    grid that becomes an artifact is kept on ``grid``."""
+
     cid: int
     title: str
-    passed: bool
     budget_s: float
-    elapsed_s: float
+    passed: bool = True
+    elapsed_s: float = 0.0
     details: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
+    grid: SeparatorGrid | None = None
 
     def record(self, name: str, ok: bool, **info):
         if not ok:
             self.failures.append({"check": name, **info})
             self.passed = False
 
+    def status_line(self) -> str:
+        return (f"{'PASS' if self.passed else 'FAIL'} criterion {self.cid}: {self.title} "
+                f"({self.elapsed_s:.2f}s / budget {self.budget_s:.0f}s)")
 
-def _result(cid, title, budget):
-    return CriterionResult(cid=cid, title=title, passed=True, budget_s=budget, elapsed_s=0.0)
+
+def _criterion(cid: int, title: str, budget_s: float):
+    """Declare criterion ``cid``: ``criterion_N(seed=0, tol_scale=1.0)`` times
+    ``body(res, seed, tol_scale)`` on a fresh passing result and returns it."""
+    def declare(body):
+        @functools.wraps(body)
+        def run(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
+            res = CriterionResult(cid, title, budget_s)
+            t0 = time.perf_counter()
+            body(res, seed, tol_scale)
+            res.elapsed_s = time.perf_counter() - t0
+            return res
+
+        return run
+
+    return declare
 
 
 def _random_spec(rng) -> MoranSpec:
@@ -224,10 +241,9 @@ def _random_spec(rng) -> MoranSpec:
 C1_QS = np.arange(-3.0, 4.0)
 
 
-def criterion_1(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
+@_criterion(1, "normalization root and residual bound", 5.0)
+def criterion_1(res: CriterionResult, seed: int, tol_scale: float) -> None:
     """Normalization root: beta_k(1) = 0 and the solver residual bound."""
-    res = _result(1, "normalization root and residual bound", 5.0)
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 1)
     worst_b1 = 0.0
     worst_resid = 0.0
@@ -241,14 +257,11 @@ def criterion_1(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
     res.record("beta_k(1) == 0", worst_b1 <= 1e-12 * tol_scale, worst=worst_b1)
     res.record("residual <= 1e-12 k", worst_resid <= 1e-12 * tol_scale, worst=worst_resid)
     res.details = {"worst_beta_at_1": worst_b1, "worst_residual_per_k": worst_resid, "specs": 200}
-    res.elapsed_s = time.perf_counter() - t0
-    return res
 
 
-def criterion_2(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
+@_criterion(2, "uniform measure matches 1 - q", 1.0)
+def criterion_2(res: CriterionResult, seed: int, tol_scale: float) -> None:
     """Uniform oracle: b = B = Lambda = 1 - q to 1e-9."""
-    res = _result(2, "uniform measure matches 1 - q", 1.0)
-    t0 = time.perf_counter()
     qs = np.arange(-5.0, 5.0 + 0.25, 0.25)
     grid = separator_grid(spec_uniform(), qs, k_max=64)
     target = 1.0 - qs
@@ -258,15 +271,13 @@ def criterion_2(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
         float(np.max(np.abs(grid.Lambda - target))),
     )
     res.record("max |estimate - (1-q)|", worst <= 1e-9 * tol_scale, worst=worst)
-    res.details = {"worst_abs_error": worst, "grid": grid}
-    res.elapsed_s = time.perf_counter() - t0
-    return res
+    res.details = {"worst_abs_error": worst}
+    res.grid = grid
 
 
-def criterion_3(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
+@_criterion(3, "periodic construction matches closed form", 1.0)
+def criterion_3(res: CriterionResult, seed: int, tol_scale: float) -> None:
     """Alternating two-family construction matches its closed form to 1e-6."""
-    res = _result(3, "periodic construction matches closed form", 1.0)
-    t0 = time.perf_counter()
     qs = np.arange(-5.0, 5.0 + 0.25, 0.25)
     grid = separator_grid(spec_periodic(), qs, k_max=1000)
     target = np.array(
@@ -279,18 +290,16 @@ def criterion_3(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
     gap = float(np.max(np.abs(grid.B - grid.b)))
     res.record("max |estimate - closed form|", worst <= 1e-6 * tol_scale, worst=worst)
     res.record("b == B (validating case)", gap <= 1e-9 * tol_scale, worst=gap)
-    res.details = {"worst_abs_error": worst, "max_b_B_gap": gap, "grid": grid}
-    res.elapsed_s = time.perf_counter() - t0
-    return res
+    res.details = {"worst_abs_error": worst, "max_b_B_gap": gap}
+    res.grid = grid
 
 
 BLOCK_QS = (-2.0, -1.0, 0.25, 0.5, 0.75, 2.0)
 
 
-def criterion_4(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
+@_criterion(4, "block construction liminf/limsup bounds", 10.0)
+def criterion_4(res: CriterionResult, seed: int, tol_scale: float) -> None:
     """Block construction: envelope within 0.02 of the branch bounds; b < B."""
-    res = _result(4, "block construction liminf/limsup bounds", 10.0)
-    t0 = time.perf_counter()
     spec = spec_block()
     per_q = []
     for q in BLOCK_QS:
@@ -319,14 +328,11 @@ def criterion_4(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
         bs = beta_sequence(spec_const, q, K_DEEP)
         const_ref.append({"q": q, "estimate": [bs.liminf_est, bs.limsup_est]})
     res.details = {"per_q": per_q, "constant_ratio_reference": const_ref}
-    res.elapsed_s = time.perf_counter() - t0
-    return res
 
 
-def criterion_5(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
+@_criterion(5, "switching binomial branches and exponent interval", 30.0)
+def criterion_5(res: CriterionResult, seed: int, tol_scale: float) -> None:
     """Switching binomial: branches within 0.02; admissible interval endpoints."""
-    res = _result(5, "switching binomial branches and exponent interval", 30.0)
-    t0 = time.perf_counter()
     spec = spec_switching()
     per_q = []
     for q in BLOCK_QS:
@@ -354,16 +360,13 @@ def criterion_5(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
         "per_q": per_q,
         "alpha_bounds": [ab.alpha_min, ab.alpha_max, ab.beta_min, ab.beta_max],
         "interval_oracle": [a_lo, a_hi],
-        "grid": grid,
     }
-    res.elapsed_s = time.perf_counter() - t0
-    return res
+    res.grid = grid
 
 
-def criterion_6(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
+@_criterion(6, "structural invariants of grids and oracle curves", 30.0)
+def criterion_6(res: CriterionResult, seed: int, tol_scale: float) -> None:
     """Structural suite on every emitted separator grid and oracle curve."""
-    res = _result(6, "structural invariants of grids and oracle curves", 30.0)
-    t0 = time.perf_counter()
     qs = np.arange(-5.0, 5.0 + 0.25, 0.25)
     grids = {
         "uniform": separator_grid(spec_uniform(), qs, 64),
@@ -417,8 +420,6 @@ def criterion_6(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
             v1 = float(curve.values[one][0])
             res.record(f"{curve.name}(1) == 0", abs(v1) <= 1e-9, value=v1)
     res.details = {"curves": [c.name for c in curves]}
-    res.elapsed_s = time.perf_counter() - t0
-    return res
 
 
 # specs and scales for the Legendre / coarse-spectrum gate
@@ -448,10 +449,9 @@ def _alpha_grid_for(spec: MoranSpec, k_fin: int) -> np.ndarray:
     return np.unique(np.concatenate([base, np.asarray(anchors)]))
 
 
-def criterion_7(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
+@_criterion(7, "legendre transform and coarse upper bounds", 60.0)
+def criterion_7(res: CriterionResult, seed: int, tol_scale: float) -> None:
     """Legendre exactness/concavity and the coarse upper bounds."""
-    res = _result(7, "legendre transform and coarse upper bounds", 60.0)
-    t0 = time.perf_counter()
     qs = np.round(np.arange(-8.0, 8.0 + 0.25, 0.25), 10)
     case_details = []
     for name, factory, k_fin, k_max, assert_b in _SPECTRUM_CASES:
@@ -496,11 +496,10 @@ def criterion_7(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
             {"name": name, "excess_b": exb, "excess_B": exB, "finest_generation": k_fin}
         )
     res.details = {"cases": case_details}
-    res.elapsed_s = time.perf_counter() - t0
-    return res
 
 
-def criterion_8(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
+@_criterion(8, "binomial coarse spectrum peak and tails", 30.0)
+def criterion_8(res: CriterionResult, seed: int, tol_scale: float) -> None:
     """
     Coarse spectrum of the quarter-weight binomial measure.
 
@@ -511,8 +510,6 @@ def criterion_8(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
     generation-16 histogram is still computed and cross-checked against the
     direct binomial-coefficient oracle.
     """
-    res = _result(8, "binomial coarse spectrum peak and tails", 30.0)
-    t0 = time.perf_counter()
     spec = spec_binomial()
     alpha_peak = (2.0 + math.log2(4.0 / 3.0)) / 2.0
     alpha = np.round(np.arange(0.2, 2.4001, 0.05), 10)
@@ -554,14 +551,11 @@ def criterion_8(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
                 want=alpha_peak,
             )
     res.details = details
-    res.elapsed_s = time.perf_counter() - t0
-    return res
 
 
-def criterion_9(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
+@_criterion(9, "tilted sampling exponents", 30.0)
+def criterion_9(res: CriterionResult, seed: int, tol_scale: float) -> None:
     """Tilted sampler recovers -beta'(q); uniform is exact with zero spread."""
-    res = _result(9, "tilted sampling exponents", 30.0)
-    t0 = time.perf_counter()
     spec = spec_binomial()
     depth, n = 30, 10**4
     per_q = []
@@ -575,14 +569,11 @@ def criterion_9(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
     tc = tilted_dimension_check(uni, 2.0, solve_beta_k(uni, 2.0, depth), depth, 2048, seed + 12)
     res.record("uniform tilt exact", tc.alpha_emp_mean == 1.0 and tc.alpha_emp_sd == 0.0)
     res.details = {"binomial": per_q, "uniform": tc.as_dict()}
-    res.elapsed_s = time.perf_counter() - t0
-    return res
 
 
-def criterion_10(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
+@_criterion(10, "greedy moments versus exact small-depth optima", 60.0)
+def criterion_10(res: CriterionResult, seed: int, tol_scale: float) -> None:
     """Greedy ball moments stay inside the exact midpoint-class optima."""
-    res = _result(10, "greedy moments versus exact small-depth optima", 60.0)
-    t0 = time.perf_counter()
     depth = 12
     rows = []
     for name, factory in (("uniform", spec_uniform), ("middle_thirds", spec_middle_thirds), ("binomial", spec_binomial)):
@@ -608,8 +599,6 @@ def criterion_10(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
                      "cover_opt": bf.covering, "greedy_pack": g_pak, "pack_opt": bf.packing}
                 )
     res.details = {"rows": rows}
-    res.elapsed_s = time.perf_counter() - t0
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +606,8 @@ def criterion_10(seed: int = 0, tol_scale: float = 1.0) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def run_criteria(seed: int = 0, tol_scale: float = 1.0) -> list[CriterionResult]:
+    # each criterion is looked up by its module-level name at call time, so a
+    # wrapper installed over that name (a tracer) is the one that runs
     return [
         criterion_1(seed, tol_scale),
         criterion_2(seed, tol_scale),
@@ -631,24 +622,15 @@ def run_criteria(seed: int = 0, tol_scale: float = 1.0) -> list[CriterionResult]
     ]
 
 
-def _grid_csv(grid, meta: str) -> bytes:
-    return csv_bytes(
-        ("q", "b", "B", "Lambda", "Theta", "Delta", "osc", "converged"),
-        grid.rows_csv(),
-        meta,
-    )
-
-
 def build_artifacts(results: list[CriterionResult], seed: int, tol_scale: float) -> dict[str, bytes]:
     """Deterministic artifact bytes for a verify run (hash-compared by tests)."""
     cfg = config_hash({"seed": seed, "tol_scale": tol_scale, "version": __version__})
     meta = meta_line(__version__, cfg, seed)
-    artifacts: dict[str, bytes] = {}
-    for res in results:
-        for key, val in list(res.details.items()):
-            if hasattr(val, "rows_csv") and hasattr(val, "q_grid"):
-                artifacts[f"separators_c{res.cid}.csv"] = _grid_csv(val, meta)
-                del res.details[key]
+    artifacts: dict[str, bytes] = {
+        f"separators_c{r.cid}.csv": csv_bytes(r.grid.csv_columns, r.grid.rows_csv(), meta)
+        for r in results
+        if r.grid is not None
+    }
     report = {
         "meta": {"version": __version__, "seed": seed, "tol_scale": tol_scale, "config": cfg},
         "criteria": [

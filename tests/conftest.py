@@ -1,102 +1,15 @@
 import numpy as np
 import pytest
 
-from hsmf import (
-    BlockSchedule,
-    ConstantSchedule,
-    GapPolicy,
-    GenerationFamily,
-    MoranSpec,
-    PeriodicSchedule,
-    validate_spec,
-)
+from hsmf import verify as V
 
-
-@pytest.fixture(scope="session")
-def uniform_spec():
-    """Uniform dyadic measure on [0, 1]."""
-    return validate_spec(
-        MoranSpec(
-            families=(GenerationFamily((0.5, 0.5), (0.5, 0.5)),),
-            schedule=ConstantSchedule(0),
-            gap_policy=GapPolicy.NO_GAPS,
-            depth_cap=4096,
-        )
-    )
-
-
-@pytest.fixture(scope="session")
-def binomial_spec():
-    """Dyadic binomial measure with child masses (1/4, 3/4)."""
-    return validate_spec(
-        MoranSpec(
-            families=(GenerationFamily((0.25, 0.75), (0.5, 0.5)),),
-            schedule=ConstantSchedule(0),
-            gap_policy=GapPolicy.NO_GAPS,
-            depth_cap=4096,
-        )
-    )
-
-
-@pytest.fixture(scope="session")
-def cantor_spec():
-    """Middle-thirds construction with equal child masses."""
-    return validate_spec(
-        MoranSpec(
-            families=(GenerationFamily((0.5, 0.5), (1 / 3, 1 / 3)),),
-            schedule=ConstantSchedule(0),
-            gap_policy=GapPolicy.EQUAL_GAPS,
-            depth_cap=4096,
-        )
-    )
-
-
-@pytest.fixture(scope="session")
-def periodic_spec():
-    """Alternating arity-2/arity-3 construction (equal masses per family)."""
-    return validate_spec(
-        MoranSpec(
-            families=(
-                GenerationFamily((0.5, 0.5), (0.25, 0.25)),
-                GenerationFamily((1 / 3, 1 / 3, 1 / 3), (0.125, 0.125, 0.125)),
-            ),
-            schedule=PeriodicSchedule((0, 1)),
-            gap_policy=GapPolicy.EQUAL_GAPS,
-            depth_cap=8192,
-        )
-    )
-
-
-@pytest.fixture(scope="session")
-def block_spec():
-    """Block-switched construction with growing block-length ratios."""
-    return validate_spec(
-        MoranSpec(
-            families=(
-                GenerationFamily((0.25, 0.75), (0.25, 0.25)),
-                GenerationFamily((1 / 3, 1 / 3, 1 / 3), (1 / 9, 1 / 9, 1 / 9)),
-            ),
-            schedule=BlockSchedule(boundaries=(1, 4, 64, 4096, 1048576), families=(0, 1, 0, 1, 0)),
-            gap_policy=GapPolicy.EQUAL_GAPS,
-            depth_cap=1 << 21,
-        )
-    )
-
-
-@pytest.fixture(scope="session")
-def switching_spec():
-    """Dyadic measure switching between binomial weights 0.2 and 0.4."""
-    return validate_spec(
-        MoranSpec(
-            families=(
-                GenerationFamily((0.2, 0.8), (0.5, 0.5)),
-                GenerationFamily((0.4, 0.6), (0.5, 0.5)),
-            ),
-            schedule=BlockSchedule(boundaries=(1, 64, 8192, 1048576), families=(0, 1, 0, 1)),
-            gap_policy=GapPolicy.NO_GAPS,
-            depth_cap=1 << 21,
-        )
-    )
+# The six fixture measures are the acceptance suite's own.
+uniform_spec = pytest.fixture(scope="session")(V.spec_uniform)
+binomial_spec = pytest.fixture(scope="session")(V.spec_binomial)
+cantor_spec = pytest.fixture(scope="session")(V.spec_middle_thirds)
+periodic_spec = pytest.fixture(scope="session")(V.spec_periodic)
+block_spec = pytest.fixture(scope="session")(V.spec_block)
+switching_spec = pytest.fixture(scope="session")(V.spec_switching)
 
 
 @pytest.fixture()

@@ -11,12 +11,11 @@ import sys
 import pytest
 
 from hsmf import verify as V
+from hsmf.output import json_bytes
 
 
 def _report(res):
-    status = "PASS" if res.passed else "FAIL"
-    print(f"{status} criterion {res.cid}: {res.title} "
-          f"({res.elapsed_s:.2f}s / budget {res.budget_s:.0f}s)")
+    print(res.status_line())
     if not res.passed:
         for f in res.failures:
             print("   ", f)
@@ -109,6 +108,34 @@ def test_criterion_9_tilted_sampler():
 def test_criterion_10_greedy_vs_oracle_brackets():
     """Greedy moments inside the exact midpoint-class optima at depth 12."""
     _run(V.criterion_10, 10)
+
+
+def test_run_verify_calls_criteria_by_name_and_keeps_grids_out_of_details(monkeypatch):
+    """run_verify looks each criterion up by its module-level name, so a wrapper
+    installed there (a tracer) runs; the three separator grids become their own
+    artifacts, and every result's details are JSON data before any artifact is built."""
+    calls = []
+    criterion_3 = V.criterion_3
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return criterion_3(*args, **kwargs)
+
+    build_artifacts = V.build_artifacts
+
+    def checked(results, seed, tol_scale):
+        for res in results:
+            json_bytes(res.details)
+        return build_artifacts(results, seed, tol_scale)
+
+    monkeypatch.setattr(V, "criterion_3", counting)
+    monkeypatch.setattr(V, "build_artifacts", checked)
+    results, artifacts = V.run_verify(seed=0)
+    assert len(calls) == 1
+    assert sorted(artifacts) == [
+        "report.json", "separators_c2.csv", "separators_c3.csv", "separators_c5.csv",
+    ]
+    assert [res.cid for res in results if res.grid is not None] == [2, 3, 5]
 
 
 def test_criterion_11_verify_determinism(tmp_path):

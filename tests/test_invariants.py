@@ -20,6 +20,7 @@ from hsmf import (
     spectrum_result,
     validate_spec,
 )
+from hsmf import spectrum as S
 from hsmf.specs import cells
 from hsmf.verify import criterion_5, criterion_8
 
@@ -55,12 +56,15 @@ def test_grid_invariants_hold_on_random_specs(spec):
     assert grid.check_invariants() == []
 
 
-def test_full_pipeline_on_random_specs():
+def test_full_pipeline_on_random_specs(monkeypatch):
     """End-to-end robustness sweep: no exceptions, invariants scoped to the
     regimes where they are guaranteed."""
     from hsmf.specs import max_length_at
     from hsmf.verify import _random_spec
 
+    monkeypatch.setattr(S, "TILTED_QS", (0.0, 1.0))
+    monkeypatch.setattr(S, "TILTED_DEPTH", 24)
+    monkeypatch.setattr(S, "TILTED_SAMPLE_COUNT", 512)
     rng = np.random.default_rng(5150)
     qs = np.arange(-6.0, 6.5, 0.5)
     alphas = np.round(np.arange(0.0, 3.5, 0.05), 10)
@@ -70,10 +74,7 @@ def test_full_pipeline_on_random_specs():
         assert grid.check_invariants() == []
         assert np.all(np.isfinite(grid.b)) and np.all(np.isfinite(grid.Theta))
         r = max_length_at(spec, 10)
-        result = spectrum_result(
-            spec, grid, alphas, [r], epsilon=0.05,
-            tilted_qs=(0.0, 1.0), depth=24, sample_count=512, seed=trial,
-        )
+        result = spectrum_result(spec, grid, alphas, [r], epsilon=0.05, seed=trial)
         assert result.check_invariants() == []
         if result.coarse.uniform_cells:
             f = result.coarse.f_hat[0]

@@ -15,6 +15,7 @@ from hsmf import (
     tilted_dimension_check,
 )
 from hsmf.oracles import switching_alpha_interval, switching_binomial_tau
+from hsmf import spectrum as S
 from hsmf.spectrum import mass_distribution
 
 
@@ -179,13 +180,13 @@ def test_coarse_epsilon_sensitivity_sweep(binomial_spec):
     assert peaks[2] - peaks[0] < 0.1
 
 
-def test_coarse_sampled_mode_close_to_exact(binomial_spec):
+def test_coarse_sampled_mode_close_to_exact(binomial_spec, monkeypatch):
     alphas = np.round(np.arange(0.5, 2.01, 0.1), 10)
     r = 2.0**-20
     exact = coarse_spectrum(binomial_spec, [r], 0.1, alphas)
-    sampled = coarse_spectrum(
-        binomial_spec, [r], 0.1, alphas, max_terms=1, sample_count=1 << 15, seed=9
-    )
+    monkeypatch.setattr(S, "MASS_MAX_TERMS", 1)
+    monkeypatch.setattr(S, "MASS_SAMPLE_COUNT", 1 << 15)
+    sampled = coarse_spectrum(binomial_spec, [r], 0.1, alphas, seed=9)
     assert not sampled.exact[0]
     both = ~np.isnan(exact.f_hat[0]) & ~np.isnan(sampled.f_hat[0])
     # agreement within a few standard errors plus histogram granularity

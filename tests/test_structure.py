@@ -59,11 +59,6 @@ def test_no_unused_module_imports():
 # Options that only tests set, each named with a test that sets it.
 TEST_ONLY_OPTIONS = {
     "cli.main.argv",  # test_cli.py: test_sample_json_equals_stdlib_encoding_of_per_element_records
-    "spectrum.coarse_spectrum.max_terms",  # test_spectrum.py: test_coarse_sampled_mode_close_to_exact
-    "spectrum.coarse_spectrum.sample_count",  # test_spectrum.py: test_coarse_sampled_mode_close_to_exact
-    "spectrum.spectrum_result.tilted_qs",  # test_invariants.py: test_full_pipeline_on_random_specs
-    "spectrum.spectrum_result.depth",  # test_invariants.py: test_full_pipeline_on_random_specs
-    "spectrum.spectrum_result.sample_count",  # test_invariants.py: test_full_pipeline_on_random_specs
 }
 
 
