@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .counting import counting_moment_table, partition_moment_table
-from .errors import HsmfError, SpecValidationError
+from .errors import HsmfError, ScaleTooSmall, SpecValidationError
 from .output import JsonStream, config_hash, csv_bytes, json_bytes, meta_line, write_json
 from .scaling import separator_grid
 from .specs import (
@@ -210,9 +211,9 @@ def cmd_spectrum(args) -> int:
     spec = validate_spec(load_spec(args.spec))
     qs = _q_grid(args)
     grid = separator_grid(spec, qs, min(args.k_max, spec.depth_cap))
-    r_fin = 2.0 ** -args.r_octaves
-    r_list = sorted({2.0 ** -j for j in range(max(4, args.r_octaves // 2), args.r_octaves + 1, 4)}
-                    | {r_fin}, reverse=True)
+    octaves = sorted({*range(max(4, args.r_octaves // 2), args.r_octaves + 1, 4), args.r_octaves})
+    # the histogram samples cells past its enumeration cap, so no cell cap here
+    r_list = _usable_radii("spectrum skips", spec, octaves, math.inf)
     alpha = np.round(np.arange(0.0, 2.5001, 0.025), 10)
     result = spectrum_result(
         spec, grid, alpha, r_list, epsilon=args.epsilon, seed=args.seed
@@ -245,17 +246,7 @@ def cmd_moments(args) -> int:
     _require_at_least(args, 1, "r-octaves")
     spec = validate_spec(load_spec(args.spec))
     qs = _q_grid(args)
-    r_list, skipped = [], {}  # reason -> octaves the moments cannot use
-    for j in range(1, args.r_octaves + 1):
-        reason = _unmatchable(spec, 2.0**-j)
-        if reason:
-            skipped.setdefault(reason, []).append(j)
-        else:
-            r_list.append(2.0**-j)
-    if skipped:
-        print("note: moments skip " + "; ".join(
-            f"r = 2^-{js[0]}" + (f"..2^-{js[-1]}" if len(js) > 1 else "") + f": {reason}"
-            for reason, js in skipped.items()), file=sys.stderr)
+    r_list = _usable_radii("moments skip", spec, range(1, args.r_octaves + 1), MOMENT_MAX_CELLS)
     out = _outdir(args)
     meta = _meta(args, spec)
     rows = []
@@ -272,14 +263,37 @@ def cmd_moments(args) -> int:
     return 0
 
 
-def _unmatchable(spec, r) -> str | None:
-    """Why the moments cannot use radius r, or None when they can."""
+def _usable_radii(skip_phrase, spec, octaves, max_cells) -> list[float]:
+    """The radii 2^-j, j in ``octaves`` ascending, that ``_unmatchable``
+    passes. The others are named in one stderr note, by reason."""
+    r_list, skipped = [], {}  # reason -> octaves that cannot be used
+    for j in octaves:
+        reason = _unmatchable(spec, 2.0**-j, max_cells)
+        if reason:
+            skipped.setdefault(reason, []).append(j)
+        else:
+            r_list.append(2.0**-j)
+    if skipped:
+        print(f"note: {skip_phrase} " + "; ".join(
+            f"r = {_octave_list(js)}: {reason}" for reason, js in skipped.items()), file=sys.stderr)
+    return r_list
+
+
+def _octave_list(js) -> str:
+    """2^-a..2^-b for a run of consecutive octaves, else each one listed."""
+    if len(js) > 1 and js[-1] - js[0] == len(js) - 1:
+        return f"2^-{js[0]}..2^-{js[-1]}"
+    return ", ".join(f"2^-{j}" for j in js)
+
+
+def _unmatchable(spec, r, max_cells) -> str | None:
+    """Why radius r cannot be used, or None when it can."""
     try:
         k = matched_generation(spec, r)
-    except HsmfError:
+    except ScaleTooSmall:
         return f"no generation within depth_cap {spec.depth_cap} resolves them"
-    if _num_cells(spec, k) > MOMENT_MAX_CELLS:
-        return f"their matched generation has more than {MOMENT_MAX_CELLS} cells"
+    if _num_cells(spec, k) > max_cells:
+        return f"their matched generation has more than {max_cells} cells"
     return None
 
 

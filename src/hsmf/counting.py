@@ -6,10 +6,9 @@ Greedy estimators
 -----------------
 Counts and moment sums need an extremum over center sets, which is not
 tractable exactly over real centers. ``ball_table`` builds one scale's
-candidate table from one cell enumeration: the centers, their cell masses,
-their ball masses and the support pieces. Every estimator at that scale
-reads the table; a count is the q = 0 moment. Two deterministic candidate
-classes are used:
+candidate table from one cell enumeration: the centers, their ball masses
+and the support pieces. Every estimator at that scale reads the table; a
+count is the q = 0 moment. Two deterministic candidate classes are used:
 
 * ``"endpoints"`` (default): centers are generation-k cell endpoints, all of
   which belong to the support. The left-to-right sweep is exactly optimal
@@ -22,9 +21,9 @@ classes are used:
   exhaustively by the brute-force oracle, so greedy-versus-oracle comparisons
   are apples to apples.
 
-``counting_moment_table`` sums every q over the q = 0 cover and packing of
-each scale; ``packing_moment`` at q != 0 instead packs greedily in order of
-cell mass, so its set depends on the sign of q.
+Each scale has one cover and one packing, both q-independent: every moment
+at that scale, in ``covering_moment``, ``packing_moment`` and the columns of
+``counting_moment_table`` alike, sums over the same center set.
 
 For q < 0 the covering infimum rewards small-mass balls and no tractable
 scheme tracks it; those values are flagged heuristic. Partition moments are
@@ -37,7 +36,6 @@ are independent of evaluation order.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -114,12 +112,11 @@ def _packing_centers(points: np.ndarray, r: float) -> list[int]:
 
 @dataclass(frozen=True)
 class BallTable:
-    """One scale's candidate centers (sorted) with their cell masses and ball
-    masses mu(B(x, r)), and the support pieces [lefts, rights] they cover."""
+    """One scale's candidate centers (sorted) with their ball masses
+    mu(B(x, r)), and the support pieces [lefts, rights] they cover."""
 
     r: float
     points: np.ndarray
-    cell_mass: np.ndarray
     ball_mass: np.ndarray
     lefts: np.ndarray
     rights: np.ndarray
@@ -135,22 +132,21 @@ def ball_table(spec: MoranSpec, r: float, depth: int | None = None, centers: str
     r = float(r)
     k = depth if depth is not None else matched_generation(spec, r)
     try:
-        lefts, lengths, masses = cells(spec, k)
+        lefts, lengths = cells(spec, k)[:2]
     except TooDeep as e:
         raise ScaleTooSmall(str(e)) from e
     if centers == "endpoints":
-        pts, first = np.unique(np.concatenate([lefts, lefts + lengths]), return_index=True)
-        cell_mass = np.concatenate([masses, masses])[first]
+        pts = np.unique(np.concatenate([lefts, lefts + lengths]))
     elif centers == "midpoints":
-        pts, cell_mass = lefts + 0.5 * lengths, masses
+        pts = lefts + 0.5 * lengths
     else:
         raise ValueError(f"unknown center class {centers!r}")
     if spec.gap_policy is GapPolicy.NO_GAPS:
         lefts, lengths = np.array([0.0]), np.array([1.0])
     rights = lefts + lengths
-    del lengths, masses  # free the enumeration before the ball masses, which set the peak
+    del lengths  # free the enumeration before the ball masses, which set the peak
     ball = ball_masses(spec, pts, r, min(spec.depth_cap, k + 8))
-    return BallTable(r, pts, cell_mass, ball, lefts, rights)
+    return BallTable(r, pts, ball, lefts, rights)
 
 
 def covering_moment(table: BallTable, q: float) -> float:
@@ -166,28 +162,12 @@ def covering_moment(table: BallTable, q: float) -> float:
 
 def packing_moment(table: BallTable, q: float) -> float:
     """
-    Sum of mu(B(x_i, r))^q over a greedy r-separated center set. At q = 0 the
-    size of the left-to-right packing, a lower bound on the true packing
-    number within a factor 2. For q > 0 the greedy prefers high-mass cells,
-    for q < 0 low-mass cells. Heuristic lower bound on the packing supremum.
+    Sum of mu(B(x_i, r))^q over the greedy left-to-right r-separated packing,
+    the same set for every q: at q = 0 its size, a lower bound on the true
+    packing number within a factor 2. Heuristic lower bound on the packing
+    supremum.
     """
-    if q == 0.0:
-        return float(len(_packing_centers(table.points, table.r)))
-    order = np.argsort(table.cell_mass, kind="stable")
-    if q > 0:
-        order = order[::-1]
-    chosen: list[float] = []  # kept sorted
-    total = 0.0
-    for i in order:
-        x = float(table.points[i])
-        j = bisect_left(chosen, x)
-        if j > 0 and x - chosen[j - 1] < table.r:
-            continue
-        if j < len(chosen) and chosen[j] - x < table.r:
-            continue
-        insort(chosen, x)
-        total += float(table.ball_mass[i]) ** q
-    return total
+    return float(np.sum(table.ball_mass[_packing_centers(table.points, table.r)] ** q))
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +248,6 @@ class MomentTable:
             if not np.all(self.values >= 1) or not np.allclose(self.values, np.round(self.values)):
                 problems.append("counts must be positive integers")
         return problems
-
-    def row(self, q: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.q_grid - q)))
-        return self.values[i]
 
     def rows_csv(self):
         for i, q in enumerate(self.q_grid):

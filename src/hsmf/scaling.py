@@ -258,9 +258,8 @@ class SeparatorGrid:
     Estimated separator functions over a q grid, with per-q diagnostics
     (window, the first and last evaluated generation; oscillation; converged;
     the generations k_b and k_B attaining b and B, first in sample order; and
-    the number of generations evaluated). ``Lambda`` is an alias of B, as
-    B(q) = Lambda(q), so the ``B <= Lambda`` half of the chain check holds
-    trivially.
+    the number of generations evaluated). The CSV's ``Lambda`` column
+    writes B, as B(q) = Lambda(q); no independent Lambda is estimated.
     """
 
     q_grid: np.ndarray
@@ -270,32 +269,27 @@ class SeparatorGrid:
     Delta: np.ndarray
     diagnostics: list[dict] = field(default_factory=list)
 
-    @property
-    def Lambda(self) -> np.ndarray:
-        return self.B
-
     def check_invariants(self) -> list[str]:
         """Empty list when all grid invariants hold, to 1e-8 (1e-9 for the
         zeros at q = 1); else one message each."""
         tol = 1e-8
         out = []
-        if np.any(self.b > self.B + tol) or np.any(self.B > self.Lambda + tol):
-            out.append("chain b <= B <= Lambda violated")
-        for name, curve in (("b", self.b), ("B", self.B), ("Lambda", self.Lambda)):
+        if np.any(self.b > self.B + tol):
+            out.append("chain b <= B violated")
+        for name, curve in (("b", self.b), ("B", self.B)):
             if np.any(np.diff(curve) > tol):
                 out.append(f"{name} not non-increasing in q")
-        for name, curve in (("B", self.B), ("Lambda", self.Lambda)):
-            if self.q_grid.size >= 3:
-                h1 = np.diff(self.q_grid[:-1])
-                second = np.diff(np.diff(curve) / np.diff(self.q_grid)) * np.sign(h1)
-                if np.any(second < -tol):
-                    out.append(f"{name} not discretely convex")
+        if self.q_grid.size >= 3:
+            h1 = np.diff(self.q_grid[:-1])
+            second = np.diff(np.diff(self.B) / np.diff(self.q_grid)) * np.sign(h1)
+            if np.any(second < -tol):
+                out.append("B not discretely convex")
         ones = np.isclose(self.q_grid, 1.0, atol=1e-12)
         if ones.any():
             if abs(float(self.b[ones][0])) > 1e-9:
                 out.append("b(1) != 0")
-            if abs(float(self.Lambda[ones][0])) > 1e-9:
-                out.append("Lambda(1) != 0")
+            if abs(float(self.B[ones][0])) > 1e-9:
+                out.append("B(1) != 0")
         return out
 
     csv_columns = ("q", "b", "B", "Lambda", "Theta", "Delta", "osc", "converged")
@@ -307,7 +301,7 @@ class SeparatorGrid:
                 fmt(q),
                 fmt(self.b[i]),
                 fmt(self.B[i]),
-                fmt(self.Lambda[i]),
+                fmt(self.B[i]),  # the Lambda column: B(q) = Lambda(q)
                 fmt(self.Theta[i]),
                 fmt(self.Delta[i]),
                 fmt(d["oscillation"]),
@@ -331,7 +325,7 @@ def _table_generations(spec: MoranSpec, k_max: int) -> list[int]:
 
 def separator_grid(spec: MoranSpec, q_grid, k_max: int) -> SeparatorGrid:
     """
-    Estimate b and B = Lambda over a q grid from the beta_k envelope (the min
+    Estimate b and B over a q grid from the beta_k envelope (the min
     and max over [1, k_max]), plus Theta/Delta from exact log partition sums
     as an independent cross-check route. When those span too few scales,
     Theta and Delta are nan and each diagnostics entry says why under

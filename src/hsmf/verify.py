@@ -44,7 +44,7 @@ from .oracles import (
     switching_binomial_tau,
     uniform_beta,
 )
-from .output import config_hash, csv_bytes, fmt, json_bytes, meta_line
+from .output import config_hash, csv_bytes, json_bytes, meta_line
 from .scaling import SeparatorGrid, beta_sequence, separator_grid, solve_beta_k
 from .spectrum import (
     alpha_bounds,
@@ -261,14 +261,13 @@ def criterion_1(res: CriterionResult, seed: int, tol_scale: float) -> None:
 
 @_criterion(2, "uniform measure matches 1 - q", 1.0)
 def criterion_2(res: CriterionResult, seed: int, tol_scale: float) -> None:
-    """Uniform oracle: b = B = Lambda = 1 - q to 1e-9."""
+    """Uniform oracle: b = B = 1 - q to 1e-9."""
     qs = np.arange(-5.0, 5.0 + 0.25, 0.25)
     grid = separator_grid(spec_uniform(), qs, k_max=64)
     target = 1.0 - qs
     worst = max(
         float(np.max(np.abs(grid.b - target))),
         float(np.max(np.abs(grid.B - target))),
-        float(np.max(np.abs(grid.Lambda - target))),
     )
     res.record("max |estimate - (1-q)|", worst <= 1e-9 * tol_scale, worst=worst)
     res.details = {"worst_abs_error": worst}
@@ -661,7 +660,7 @@ def _sanitize(obj):
             return "nan"
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
-        return float(fmt(x))
+        return x
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):

@@ -298,6 +298,29 @@ def test_moments_name_the_scales_they_skip(tmp_path):
                            "depth_cap 12 resolves them\n")
 
 
+def test_spectrum_skips_the_radii_it_cannot_reach(tmp_path):
+    spec = json.loads((SPECS / "uniform.json").read_text())
+    shallow = tmp_path / "shallow.json"
+    shallow.write_text(json.dumps(dict(spec, depth_cap=10)))
+    out = tmp_path / "s"
+    proc = run_cli("spectrum", "--spec", str(shallow), "--r-octaves", "16", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("note: spectrum skips r = 2^-12, 2^-16: no generation within "
+                           "depth_cap 10 resolves them\n")
+    scales = {line.split(",")[0] for line in (out / "coarse.csv").read_text().splitlines()[2:]}
+    assert scales == {"0.00390625"}
+    assert (out / "legendre.csv").is_file() and (out / "tilted.json").is_file()
+    # no radius reachable: a header-only coarse.csv, the rest as usual
+    shallow.write_text(json.dumps(dict(spec, depth_cap=2)))
+    out = tmp_path / "s2"
+    proc = run_cli("spectrum", "--spec", str(shallow), "--r-octaves", "16", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("note: spectrum skips r = 2^-8, 2^-12, 2^-16: no generation within "
+                           "depth_cap 2 resolves them\n")
+    assert (out / "coarse.csv").read_text().splitlines()[1:] == ["r,alpha,f_hat,count"]
+    assert (out / "legendre.csv").is_file() and (out / "tilted.json").is_file()
+
+
 @pytest.mark.parametrize("spec_name, q, depth, count", [
     pytest.param("binomial_quarter", 2.0, 64, 512, id="binomial_quarter-2.0-64"),
     pytest.param("block_switched", 0.5, 40, 512, id="block_switched-0.5-40"),
@@ -432,14 +455,23 @@ def test_sample_peak_allocation_is_bounded_by_its_arrays(tmp_path):
     assert peak < 2.5 * arrays, f"peak {peak / 1e6:.1f} MB for {arrays / 1e6:.1f} MB of arrays"
 
 
-def test_spectrum_radius_error_prints_plain_float(tmp_path):
+def test_spectrum_skips_skewed_radii_and_radius_error_prints_plain_float(tmp_path):
+    import numpy as np
+
+    from hsmf.errors import ScaleTooSmall
+    from hsmf.specs import load_spec, matched_generation
+
+    # ratio 0.95 leaves every default radius from 2^-8 down past depth_cap 64
     spec = dict(VALID_SPEC, families=[{"probs": [0.5, 0.5], "ratios": [0.95, 0.05]}])
     path = tmp_path / "skew.json"
     path.write_text(json.dumps(spec))
     proc = run_cli("spectrum", "--spec", str(path), "--out", str(tmp_path / "out"))
-    assert proc.returncode == 1
-    assert "below generation 64 resolution" in proc.stderr
-    assert "np.float64" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("note: spectrum skips r = 2^-8, 2^-12, 2^-16: no generation within "
+                           "depth_cap 64 resolves them\n")
+    with pytest.raises(ScaleTooSmall) as e:
+        matched_generation(load_spec(path), np.float64(2.0**-8))
+    assert str(e.value) == "radius 0.00390625 is below generation 64 resolution"
 
 
 def test_dims_reports_newton_non_convergence(tmp_path, monkeypatch, capsys):

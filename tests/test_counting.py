@@ -209,7 +209,8 @@ def test_moment_table_csv_order(uniform_spec):
                                   "periodic_two_family", "block_switched", "switching_binomial"])
 def test_moment_table_columns_equal_the_table_estimators(name):
     """Each column of the one-pass moment tables is the q = 0 packing size and
-    the covering moment of that scale's ball table, to the bit."""
+    the covering and packing moments of that scale's ball table, to the bit,
+    for every q: one cover and one packing per scale."""
     spec = load_spec(SPECS / f"{name}.json")
     qs = np.array([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])
     rs = [2.0**-j for j in range(1, 11)]
@@ -222,3 +223,4 @@ def test_moment_table_columns_equal_the_table_estimators(name):
         assert pack_m.values[qs.tolist().index(0.0), j] == n_pack
         for i, q in enumerate(qs):
             assert cover_m.values[i, j] == covering_moment(table, q)
+            assert pack_m.values[i, j] == packing_moment(table, q)
