@@ -56,7 +56,6 @@ from .scaling import (
     BetaSequence,
     SeparatorGrid,
     beta_sequence,
-    numeric_derivative,
     separator_grid,
     solve_beta_k,
     theta_delta_from_moments,

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -226,13 +227,8 @@ def cmd_spectrum(args) -> int:
                 result.coarse.rows_csv(), meta, args)
     tilted = {
         "meta": _json_meta(args, spec),
-        "bounds": {
-            "alpha_min": result.bounds.alpha_min,
-            "alpha_max": result.bounds.alpha_max,
-            "beta_min": result.bounds.beta_min,
-            "beta_max": result.bounds.beta_max,
-        },
-        "checks": [t.as_dict() for t in result.tilted],
+        "bounds": asdict(result.bounds),
+        "checks": [asdict(t) for t in result.tilted],
     }
     _write(out / "tilted.json", json_bytes(tilted), args.force)
     problems = result.check_invariants()

@@ -21,9 +21,10 @@ count is the q = 0 moment. Two deterministic candidate classes are used:
   exhaustively by the brute-force oracle, so greedy-versus-oracle comparisons
   are apples to apples.
 
-Each scale has one cover and one packing, both q-independent: every moment
-at that scale, in ``covering_moment``, ``packing_moment`` and the columns of
-``counting_moment_table`` alike, sums over the same center set.
+A table owns one cover and one packing, both q-independent and each found
+once. ``covering_moment`` and ``packing_moment`` are the one ball-moment sum:
+the columns of ``counting_moment_table`` are their values, and a power past
+the double range is inf there without a warning, as in the oracle's weights.
 
 For q < 0 the covering infimum rewards small-mass balls and no tractable
 scheme tracks it; those values are flagged heuristic. Partition moments are
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -113,13 +115,23 @@ def _packing_centers(points: np.ndarray, r: float) -> list[int]:
 @dataclass(frozen=True)
 class BallTable:
     """One scale's candidate centers (sorted) with their ball masses
-    mu(B(x, r)), and the support pieces [lefts, rights] they cover."""
+    mu(B(x, r)), and the support pieces [lefts, rights] they cover. The
+    greedy cover and packing are index arrays into ``points``, each found on
+    first use: a midpoint table that cannot cover still serves the oracle."""
 
     r: float
     points: np.ndarray
     ball_mass: np.ndarray
     lefts: np.ndarray
     rights: np.ndarray
+
+    @cached_property
+    def cover(self) -> np.ndarray:
+        return np.array(_covering_centers(self.points, self.lefts, self.rights, self.r))
+
+    @cached_property
+    def packing(self) -> np.ndarray:
+        return np.array(_packing_centers(self.points, self.r))
 
 
 def ball_table(spec: MoranSpec, r: float, depth: int | None = None, centers: str = "endpoints") -> BallTable:
@@ -156,8 +168,8 @@ def covering_moment(table: BallTable, q: float) -> float:
     Heuristic for the covering infimum; for q < 0 there is no tractable scheme
     that rewards small-mass balls and the value is heuristic by contract.
     """
-    cs = _covering_centers(table.points, table.lefts, table.rights, table.r)
-    return float(np.sum(table.ball_mass[cs] ** q))
+    with np.errstate(over="ignore"):
+        return float(np.sum(table.ball_mass[table.cover] ** q))
 
 
 def packing_moment(table: BallTable, q: float) -> float:
@@ -167,7 +179,8 @@ def packing_moment(table: BallTable, q: float) -> float:
     packing number within a factor 2. Heuristic lower bound on the packing
     supremum.
     """
-    return float(np.sum(table.ball_mass[_packing_centers(table.points, table.r)] ** q))
+    with np.errstate(over="ignore"):
+        return float(np.sum(table.ball_mass[table.packing] ** q))
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +284,6 @@ def partition_moment_table(spec: MoranSpec, q_grid, ks) -> MomentTable:
     return MomentTable(MomentKind.PARTITION_MOMENT, q_grid, np.asarray(scales), vals)
 
 
-def _center_sums(masses: np.ndarray, q_grid: np.ndarray) -> tuple[int, list[float]]:
-    """The number of centers and the sum of their ball masses to each power q."""
-    with np.errstate(over="ignore"):
-        # per q on purpose: numpy's scalar q = -1, 0.5, 2 powers round unlike a (q x centers) one
-        return masses.size, [float(np.sum(masses**q)) for q in q_grid]
-
-
 def counting_moment_table(spec: MoranSpec, q_grid, r_list: Sequence[float]) -> tuple[MomentTable, ...]:
     """
     Covering count, packing count, covering moment and packing moment tables,
@@ -291,10 +297,10 @@ def counting_moment_table(spec: MoranSpec, q_grid, r_list: Sequence[float]) -> t
     cover_n, pack_n, cover_m, pack_m = (np.empty(shape) for _ in range(4))
     for j, r in enumerate(r_list):
         table = ball_table(spec, r)
-        cover = table.ball_mass[_covering_centers(table.points, table.lefts, table.rights, r)]
-        cover_n[:, j], cover_m[:, j] = _center_sums(cover, q_grid)
-        pack = table.ball_mass[_packing_centers(table.points, r)]
-        pack_n[:, j], pack_m[:, j] = _center_sums(pack, q_grid)
+        cover_n[:, j], pack_n[:, j] = table.cover.size, table.packing.size
+        # one scalar q per call: numpy rounds q = -1, 0.5, 2 powers unlike a (q x centers) one
+        cover_m[:, j] = [covering_moment(table, q) for q in q_grid]
+        pack_m[:, j] = [packing_moment(table, q) for q in q_grid]
     scales = np.asarray(r_list)
     flags = np.broadcast_to((q_grid < 0)[:, None], shape)  # q < 0 ball moments are heuristic
     return (

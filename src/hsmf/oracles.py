@@ -226,7 +226,8 @@ def brute_force_ball_moments(table: BallTable, q: float) -> BruteForceMoments:
     midpoint class from ``midpoint_ball_masses``). The packing side is an
     exact interval-graph DP; the covering side an exact shortest-cover DP.
     """
-    weights = table.ball_mass**q
+    with np.errstate(over="ignore"):  # an overflowing weight is inf, as in the greedy sums
+        weights = table.ball_mass**q
     pack = _max_packing_value(table.points, weights, table.r)
     cover = _min_cover_value(table.points, weights, table.r, table.lefts, table.rights)
     return BruteForceMoments(packing=pack, covering=cover)

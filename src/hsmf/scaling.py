@@ -210,23 +210,6 @@ def beta_sequence(spec: MoranSpec, q: float, k_max: int) -> BetaSequence:
     )
 
 
-def numeric_derivative(q_grid, values, q: float) -> float:
-    """
-    Second-order central difference of a sampled curve at a grid point q
-    (one-sided at the boundary). The grid must contain q.
-    """
-    q_grid = np.asarray(q_grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    i = int(np.argmin(np.abs(q_grid - q)))
-    if abs(q_grid[i] - q) > 1e-9 * max(1.0, abs(q)):
-        raise ValueError(f"q={q} is not a grid point")
-    if 0 < i < q_grid.size - 1:
-        return float((values[i + 1] - values[i - 1]) / (q_grid[i + 1] - q_grid[i - 1]))
-    if i == 0:
-        return float((values[1] - values[0]) / (q_grid[1] - q_grid[0]))
-    return float((values[-1] - values[-2]) / (q_grid[-1] - q_grid[-2]))
-
-
 # ---------------------------------------------------------------------------
 # Theta/Delta from moment tables
 # ---------------------------------------------------------------------------

@@ -27,11 +27,12 @@ import numpy as np
 from .counting import logsumexp
 from .errors import DegenerateGrid, ScaleTooSmall
 from .output import fmt
-from .scaling import SeparatorGrid, numeric_derivative, solve_beta_k
+from .scaling import SeparatorGrid, solve_beta_k
 from .specs import (
     MoranSpec,
     family_generation_counts,
     matched_generation,
+    max_length_at,
     sample_paths,
 )
 
@@ -199,9 +200,12 @@ class CoarseSpectrum:
     log_counts: np.ndarray   # -inf where empty
     exact: np.ndarray        # per scale
     stderr: np.ndarray       # NaN for exact scales/bins
+    # per scale, log(1/length) / log(1/r) for the longest matched-generation
+    # cell; 1 when that length is r
+    ceiling: np.ndarray
     # True when all matched-generation cells share one length, which is when
     # the cell-count histogram is a faithful proxy for ball counts at that
-    # scale (and f_hat is guaranteed to stay in [0, 1])
+    # scale, and f_hat stays in [0, ceiling]: at most 1/length such cells fit in [0, 1]
     uniform_cells: bool = True
 
     def peak(self, scale_index: int = -1) -> tuple[float, float]:
@@ -244,6 +248,7 @@ def coarse_spectrum(
     log_counts = np.full((n_s, n_a), -np.inf)
     stderr = np.full((n_s, n_a), np.nan)
     exact = np.zeros(n_s, dtype=bool)
+    ceiling = np.empty(n_s)
     for si, r in enumerate(scales):
         k = matched_generation(spec, r)
         if k == 0:
@@ -251,6 +256,7 @@ def coarse_spectrum(
         dist = mass_distribution(spec, k, seed=seed + si)
         exact[si] = dist.exact
         log_r = math.log(r)
+        ceiling[si] = math.log(max_length_at(spec, k)) / log_r
         for ai, a in enumerate(alpha_grid):
             lo = (a + epsilon) * log_r
             hi = (a - epsilon) * log_r
@@ -269,7 +275,7 @@ def coarse_spectrum(
         spec.families[i].constant_ratio for i in spec.schedule.referenced
     )
     return CoarseSpectrum(
-        scales, alpha_grid, epsilon, f_hat, log_counts, exact, stderr, uniform_cells
+        scales, alpha_grid, epsilon, f_hat, log_counts, exact, stderr, ceiling, uniform_cells
     )
 
 
@@ -287,18 +293,6 @@ class TiltedCheck:
     alpha_emp_mean: float
     alpha_emp_sd: float
     legendre_value: float
-
-    def as_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "t": self.t,
-            "depth": self.depth,
-            "sample_count": self.sample_count,
-            "alpha_hat_pred": self.alpha_hat_pred,
-            "alpha_emp_mean": self.alpha_emp_mean,
-            "alpha_emp_sd": self.alpha_emp_sd,
-            "legendre_value": self.legendre_value,
-        }
 
 
 def tilted_dimension_check(
@@ -321,7 +315,8 @@ def tilted_dimension_check(
     emp_mean = float(np.mean(alphas))
     emp_sd = float(np.std(alphas, ddof=1)) if sample_count > 1 else 0.0
     stencil = np.array([q - DERIVATIVE_STEP, q, q + DERIVATIVE_STEP])
-    pred = -numeric_derivative(stencil, solve_beta_k(spec, stencil, depth), q)
+    beta = solve_beta_k(spec, stencil, depth)
+    pred = -(beta[2] - beta[0]) / (stencil[2] - stencil[0])
     return TiltedCheck(
         q=q,
         t=t,
@@ -358,10 +353,10 @@ class SpectrumResult:
         finite_f = self.coarse.f_hat[np.isfinite(self.coarse.f_hat)]
         if finite_f.size and finite_f.min() < -tol:
             out.append("coarse f_hat negative")
-        # the [0,1] ceiling is a cell-proxy guarantee only when all cells at
-        # the matched generation share one length
-        if self.coarse.uniform_cells and finite_f.size and finite_f.max() > 1.0 + tol:
-            out.append("coarse f_hat outside [0, 1]")
+        # the ceiling is a cell-proxy guarantee only when all cells at the
+        # matched generation share one length
+        if self.coarse.uniform_cells and np.any(self.coarse.f_hat > self.coarse.ceiling[:, None] + tol):
+            out.append("coarse f_hat above its cell-count ceiling")
         ok = ~self.boundary
         if np.any(self.b_star[ok] > self.B_star[ok] + tol):
             out.append("b_star exceeds B_star")

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -562,12 +562,12 @@ def criterion_9(res: CriterionResult, seed: int, tol_scale: float) -> None:
         t_val = solve_beta_k(spec, q, depth)
         tc = tilted_dimension_check(spec, q, t_val, depth, n, seed + 11)
         err = abs(tc.alpha_emp_mean - tc.alpha_hat_pred)
-        per_q.append(tc.as_dict())
+        per_q.append(asdict(tc))
         res.record(f"binomial tilt q={q}", err <= 0.02 * tol_scale, error=err)
     uni = spec_uniform()
     tc = tilted_dimension_check(uni, 2.0, solve_beta_k(uni, 2.0, depth), depth, 2048, seed + 12)
     res.record("uniform tilt exact", tc.alpha_emp_mean == 1.0 and tc.alpha_emp_sd == 0.0)
-    res.details = {"binomial": per_q, "uniform": tc.as_dict()}
+    res.details = {"binomial": per_q, "uniform": asdict(tc)}
 
 
 @_criterion(10, "greedy moments versus exact small-depth optima", 60.0)
@@ -649,24 +649,13 @@ def build_artifacts(results: list[CriterionResult], seed: int, tol_scale: float)
 
 
 def _sanitize(obj):
-    """Make numpy scalars/arrays JSON-safe with deterministic formatting."""
+    """Report data with each non-finite float written as "nan", "inf" or "-inf"."""
     if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+        return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, list):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
     return obj
 
 

@@ -138,11 +138,11 @@ def _thin_families(draw, gap_policy):
 
 
 @st.composite
-def random_specs(draw, families=_families, depth_caps=(4, 14)):
+def random_specs(draw, families=_families, depth_caps=st.integers(4, 14)):
     gap_policy = draw(st.sampled_from(tuple(GapPolicy)))
     n_fam = draw(st.integers(1, 3))
     families = tuple(draw(families(gap_policy)) for _ in range(n_fam))
-    depth_cap = draw(st.integers(*depth_caps))
+    depth_cap = draw(depth_caps)
     kind = draw(st.sampled_from(("constant", "periodic", "blocks")))
     fam_index = st.integers(0, n_fam - 1)
     if kind == "constant":
@@ -308,7 +308,7 @@ def test_ball_masses_equal_root_started_search_below_the_ulp(data):
     """Ratios near 0.05 at depth 20 and more, where small cells are shorter
     than the ulp of their left endpoints and sibling lefts tie. Radii of
     2^-36..2^-70 put window edges at that scale."""
-    spec = data.draw(random_specs(_thin_families, (20, 40)))
+    spec = data.draw(random_specs(_thin_families, st.integers(20, 40)))
     xs, r, depth = data.draw(columns(spec, octaves=(36, 70)))
     _check_column(spec, xs, r, max(depth, 20))
 

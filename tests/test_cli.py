@@ -5,9 +5,16 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from test_ball_mass import random_specs
+
+from hsmf import GapPolicy, GenerationFamily, HsmfError, NoBracket, cli, save_spec
 
 VALID_SPEC = {
     "families": [{"probs": [0.25, 0.75], "ratios": [0.5, 0.5]}],
@@ -194,12 +201,22 @@ def test_verify_missing_fixture_dir_exits_2(tmp_path):
 
 
 def test_shipped_specs_validate():
+    from hsmf import verify
+    from hsmf.specs import load_spec
+
     specs_dir = Path(__file__).parent.parent / "specs"
     files = sorted(specs_dir.glob("*.json"))
     assert len(files) == 6
     for f in files:
         proc = run_cli("validate", "--spec", str(f))
         assert proc.returncode == 0, (f.name, proc.stdout, proc.stderr)
+    # the benchmark and the CLI tests run on the acceptance suite's own measures
+    factories = {"uniform": verify.spec_uniform, "binomial_quarter": verify.spec_binomial,
+                 "middle_thirds": verify.spec_middle_thirds, "periodic_two_family": verify.spec_periodic,
+                 "block_switched": verify.spec_block, "switching_binomial": verify.spec_switching}
+    assert sorted(factories) == [f.stem for f in files]
+    for name, factory in factories.items():
+        assert load_spec(specs_dir / f"{name}.json") == factory(), name
 
 
 def test_verify_invalid_fixture_exits_1(tmp_path):
@@ -498,3 +515,81 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# fuzz: no valid spec fails a command
+# ---------------------------------------------------------------------------
+
+# HsmfError types a command may raise on a valid spec, each with the reason it can.
+FUZZ_ALLOWED_ERRORS = {
+    NoBracket: "beta_k's bracket doubles 13 times from [-64, 64], so it holds roots up to "
+               "|beta| = 2^18 only; a child of probability 1e-9 and ratio 0.999 puts beta_1(-20) "
+               "near 4.1e5",
+}
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def _wide_families(draw, gap_policy):
+    """Arity up to 6, probabilities down to 1e-9 and ratios from 1e-6 to 0.999,
+    rescaled onto the gap policy's ratio sum."""
+    arity = draw(st.integers(2, 6))
+    weights = [draw(_log_uniform(1e-9, 1.0)) for _ in range(arity)]
+    probs = tuple(w / math.fsum(weights) for w in weights)
+    weights = [draw(_log_uniform(1e-6, 0.999)) for _ in range(arity)]
+    total = math.fsum(weights)
+    scale = 1.0 / total if gap_policy is GapPolicy.NO_GAPS else min(1.0, 0.999 / total)
+    ratios = tuple(w * scale for w in weights)
+    assume(max(ratios) <= 0.999)
+    return GenerationFamily(probs, ratios)
+
+
+def _run_in_process(argv):
+    """``cli.main(argv)`` with warnings as errors: the exit code and the HsmfError
+    the command raised, if any."""
+    name = f"cmd_{argv[0]}"
+    handler, raised = getattr(cli, name), []
+
+    def recorded(args):
+        try:
+            return handler(args)
+        except HsmfError as e:
+            raised.append(e)
+            raise
+
+    with mock.patch.object(cli, name, recorded), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    return code, raised[0] if raised else None
+
+
+@given(
+    spec=random_specs(_wide_families, st.sampled_from((8, 16, 64, 512))),
+    q_min=st.floats(-20.0, -1.0),
+    q_max=st.floats(1.0, 20.0),
+    steps=st.integers(2, 6),
+    q=st.floats(-20.0, 20.0),
+)
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_no_valid_spec_fails_a_command(tmp_path, spec, q_min, q_max, steps, q):
+    """Every command on a valid spec, at the widest valid ranges, exits 0 or
+    names an allowed error; a warning is a failure. Ball tables cost the most,
+    so moments run 4 octaves and skip scales past 4096 cells."""
+    path = tmp_path / "spec.json"
+    save_spec(spec, path)
+    common = ["--spec", str(path), "--out", str(tmp_path / "out"), "--force"]
+    # "--q=-1e-05": argparse takes a separate "-1e-05" for an option
+    grid = [f"--q-min={q_min!r}", f"--q-max={q_max!r}", f"--q-step={(q_max - q_min) / steps!r}"]
+    for argv in (
+        ["dims", *common, *grid, "--k-max", "64"],
+        ["spectrum", *common, *grid, "--k-max", "64", "--r-octaves", "8"],
+        ["moments", *common, *grid, "--r-octaves", "4"],
+        ["sample", *common, f"--q={q!r}", "--depth", str(min(16, spec.depth_cap)), "--count", "8"],
+    ):
+        with mock.patch.object(cli, "MOMENT_MAX_CELLS", 1 << 12):
+            code, error = _run_in_process(argv)
+        assert code == 0 or (code == 1 and type(error) in FUZZ_ALLOWED_ERRORS), (argv[0], code, error)

@@ -18,10 +18,13 @@ from hsmf import (
     packing_moment,
     partition_moment_table,
 )
+from hsmf import counting
 from hsmf.oracles import brute_force_ball_moments, midpoint_ball_masses
 from hsmf.specs import max_length_at
+from hsmf.verify import criterion_10
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
+LOPSIDED = Path(__file__).resolve().parent / "fixtures" / "lopsided.json"
 
 
 def covering_count(spec, r):
@@ -224,3 +227,30 @@ def test_moment_table_columns_equal_the_table_estimators(name):
         for i, q in enumerate(qs):
             assert cover_m.values[i, j] == covering_moment(table, q)
             assert pack_m.values[i, j] == packing_moment(table, q)
+
+
+def test_criterion_10_finds_each_cover_and_packing_once(monkeypatch):
+    """Structural guard, not a timing gate: criterion 10 reads 6 ball tables at
+    4 q each, and each table finds its cover and its packing once."""
+    calls = {"_covering_centers": 0, "_packing_centers": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(counting, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(counting, name, counted)
+    assert criterion_10().passed
+    assert calls == {"_covering_centers": 6, "_packing_centers": 6}
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_ball_moments_are_inf_without_warning():
+    """One overflow rule for every ball-moment sum: at q = -50 the smallest
+    lopsided ball masses (below 1e-9) overflow to inf, silently, in the greedy
+    moments as in the moments table, and in the oracle's weights."""
+    spec = load_spec(LOPSIDED)
+    table = ball_table(spec, 2.0**-7)
+    assert covering_moment(table, -50.0) == math.inf
+    assert packing_moment(table, -50.0) == math.inf
+    bf = brute_force_ball_moments(midpoint_ball_masses(spec, 2.0**-10, 12), -50.0)
+    assert bf.packing == math.inf

@@ -128,12 +128,9 @@ def test_periodic_formalism_equality_at_tilt_exponents(periodic_spec):
     # exponent -beta'(q) is the same for every q and the histogram matches
     # the transform there
     alpha0 = math.log(6) / math.log(32)
-    qs = np.arange(-2.0, 3.0, 0.05)
-    vals = np.array([solve_beta_k(periodic_spec, float(q), 1000) for q in qs])
-    from hsmf import numeric_derivative
-
+    h = 0.05
     for q in (-1.0, 0.0, 0.5, 2.0):
-        d = numeric_derivative(qs, vals, q)
+        d = (solve_beta_k(periodic_spec, q + h, 1000) - solve_beta_k(periodic_spec, q - h, 1000)) / (2 * h)
         assert -d == pytest.approx(alpha0, abs=1e-9)
     r = 0.25**12 * 0.125**12
     cs = coarse_spectrum(periodic_spec, [r], 0.05, np.array([alpha0]))

@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 
 from hsmf import (
+    ConstantSchedule,
     DegenerateGrid,
+    GapPolicy,
+    GenerationFamily,
+    MoranSpec,
     alpha_bounds,
     coarse_spectrum,
     legendre_transform,
     separator_grid,
     solve_beta_k,
     tilted_dimension_check,
+    validate_spec,
 )
 from hsmf.oracles import switching_alpha_interval, switching_binomial_tau
 from hsmf import spectrum as S
@@ -119,6 +124,19 @@ def test_coarse_uniform_degenerate(uniform_spec):
     near = np.abs(alphas - 1.0) <= 0.02 + 1e-12
     assert np.all(f[near] == pytest.approx(1.0, abs=1e-12))
     assert np.all(np.isnan(f[~near]) | (np.abs(alphas[~near] - 1.0) <= 0.04))
+
+
+def test_coarse_ceiling_counts_cells_shorter_than_the_scale():
+    """Three equal cells of ratio 0.333: at r = 2^-4 the matched generation 3
+    has 27 cells of length 0.0369, more than 1/r = 16 fit in [0, 1]. So f_hat
+    is log 27 / log 16 = 1.19 there; the ceiling is log(1/length) / log(1/r)."""
+    fam = GenerationFamily((1 / 3,) * 3, (0.333,) * 3)
+    spec = validate_spec(MoranSpec((fam,), ConstantSchedule(0), GapPolicy.EQUAL_GAPS, 8))
+    grid = separator_grid(spec, np.arange(-1.0, 1.5, 1.0), 8)
+    result = S.spectrum_result(spec, grid, np.round(np.arange(0.0, 2.5001, 0.025), 10), [2.0**-4])
+    assert np.nanmax(result.coarse.f_hat) == pytest.approx(math.log(27) / math.log(16))
+    assert result.coarse.ceiling[0] == pytest.approx(3 * math.log(0.333) / math.log(2.0**-4))
+    assert result.check_invariants() == []
 
 
 def test_coarse_csv_writes_counts_a_double_holds(uniform_spec):
