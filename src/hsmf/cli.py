@@ -43,6 +43,17 @@ SAMPLE_BATCH = 512
 MOMENT_MAX_CELLS = 1 << 16
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: a number that is neither inf nor nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hsmf", description=__doc__)
     p.add_argument("--version", action="version", version=f"hsmf {__version__}")
@@ -62,31 +73,31 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dims", help="estimate separator functions over a q grid")
     common(sp)
-    sp.add_argument("--q-min", type=float, default=-5.0)
-    sp.add_argument("--q-max", type=float, default=5.0)
-    sp.add_argument("--q-step", type=float, default=0.25)
+    sp.add_argument("--q-min", type=_finite_float, default=-5.0)
+    sp.add_argument("--q-max", type=_finite_float, default=5.0)
+    sp.add_argument("--q-step", type=_finite_float, default=0.25)
     sp.add_argument("--k-max", type=int, default=1024)
 
     sp = sub.add_parser("spectrum", help="legendre transform, coarse spectrum, tilted checks")
     common(sp)
-    sp.add_argument("--q-min", type=float, default=-8.0)
-    sp.add_argument("--q-max", type=float, default=8.0)
-    sp.add_argument("--q-step", type=float, default=0.25)
+    sp.add_argument("--q-min", type=_finite_float, default=-8.0)
+    sp.add_argument("--q-max", type=_finite_float, default=8.0)
+    sp.add_argument("--q-step", type=_finite_float, default=0.25)
     sp.add_argument("--k-max", type=int, default=1024)
     sp.add_argument("--r-octaves", type=int, default=16, help="finest scale as 2^-octaves")
-    sp.add_argument("--epsilon", type=float, default=0.05)
+    sp.add_argument("--epsilon", type=_finite_float, default=0.05)
 
     sp = sub.add_parser("moments", help="moment tables over octave scales")
     common(sp)
-    sp.add_argument("--q-min", type=float, default=-2.0)
-    sp.add_argument("--q-max", type=float, default=2.0)
-    sp.add_argument("--q-step", type=float, default=0.5)
+    sp.add_argument("--q-min", type=_finite_float, default=-2.0)
+    sp.add_argument("--q-max", type=_finite_float, default=2.0)
+    sp.add_argument("--q-step", type=_finite_float, default=0.5)
     sp.add_argument("--r-octaves", type=int, default=10)
 
     sp = sub.add_parser("sample", help="draw tilted addresses")
     common(sp, formats=("json",))
-    sp.add_argument("--q", type=float, default=1.0)
-    sp.add_argument("--t", type=float, default=0.0)
+    sp.add_argument("--q", type=_finite_float, default=1.0)
+    sp.add_argument("--t", type=_finite_float, default=0.0)
     sp.add_argument("--depth", type=int, default=16)
     sp.add_argument("--count", type=int, default=16)
 
@@ -94,7 +105,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--force", action="store_true")
-    sp.add_argument("--tol-scale", type=float, default=1.0,
+    sp.add_argument("--tol-scale", type=_finite_float, default=1.0,
                     help="scale all tolerances (0.1 tightens 10x)")
     sp.add_argument("--fixtures", default=None,
                     help="optional directory of spec fixtures to validate first")

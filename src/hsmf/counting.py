@@ -82,11 +82,11 @@ def _covering_centers(points: np.ndarray, lefts: np.ndarray, rights: np.ndarray,
     n = points.size
     reach = points + r
     piece = np.searchsorted(rights, reach, side="right")
-    done = (piece >= lefts.size).tolist()  # the ball at j reaches past the support
+    done = memoryview(piece >= lefts.size)  # the ball at j reaches past the support
     pos = np.append(np.maximum(reach, lefts[np.minimum(piece, lefts.size - 1)]), lefts[0])
     take = np.searchsorted(points, pos + r, side="right") - 1
-    stuck = ((take < 0) | (points[take] < pos - r)).tolist()
-    take = take.tolist()
+    stuck = memoryview((take < 0) | (points[take] < pos - r))
+    take = memoryview(take)
     centers: list[int] = []
     j = n  # the start slot of ``pos``
     while True:
@@ -103,7 +103,7 @@ def _covering_centers(points: np.ndarray, lefts: np.ndarray, rights: np.ndarray,
 def _packing_centers(points: np.ndarray, r: float) -> list[int]:
     """Indices of a greedy maximal r-separated subset of sorted candidate
     points: from each chosen point, the first one at distance >= r."""
-    nxt = np.searchsorted(points, points + r, side="left").tolist()
+    nxt = memoryview(np.searchsorted(points, points + r, side="left"))
     centers = [0]
     while (i := nxt[centers[-1]]) < points.size:
         if i <= centers[-1]:
@@ -301,6 +301,7 @@ def counting_moment_table(spec: MoranSpec, q_grid, r_list: Sequence[float]) -> t
         # one scalar q per call: numpy rounds q = -1, 0.5, 2 powers unlike a (q x centers) one
         cover_m[:, j] = [covering_moment(table, q) for q in q_grid]
         pack_m[:, j] = [packing_moment(table, q) for q in q_grid]
+        del table  # release this scale's table before the next, finer one is built
     scales = np.asarray(r_list)
     flags = np.broadcast_to((q_grid < 0)[:, None], shape)  # q < 0 ball moments are heuristic
     return (

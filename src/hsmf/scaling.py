@@ -66,6 +66,26 @@ _NEWTON_MAX_ITER = 100
 # beta_k(q)
 # ---------------------------------------------------------------------------
 
+def _bracket_bound(spec: MoranSpec, q: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """
+    Per (q, k) pair, a half-width h at which [-h, h] brackets the root of
+    log S_k(q, t) with margin. A family's sum of p^q c^t is at most 1 once
+    every term is at most 1/arity, t >= max_j (q log p_j + log arity) / -log c_j,
+    and at least 1 once one term is, t <= max_j q log p_j / -log c_j. With U
+    the largest first bound and L the smallest second one over the families
+    present, h = 2 max(|L|, |U|) + 1 puts each sum below max c at h and above
+    1 / max c at -h. It is not finite where a family's terms are all 0, or
+    one is inf, at every t: then no bracket exists.
+    """
+    upper, lower = np.full(q.size, -np.inf), np.full(q.size, np.inf)
+    with np.errstate(over="ignore"):
+        for fam, n in zip(spec.families, counts):
+            qlp, inv = q[:, None] * fam.log_probs, -fam.log_ratios
+            upper = np.where(n > 0, np.maximum(upper, ((qlp + math.log(fam.arity)) / inv).max(axis=-1)), upper)
+            lower = np.where(n > 0, np.minimum(lower, (qlp / inv).max(axis=-1)), lower)
+        return 2.0 * np.maximum(np.abs(lower), np.abs(upper)) + 1.0
+
+
 def _newton_roots(spec: MoranSpec, q: np.ndarray, ks: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """
     Roots in t of log S_k(q, t) = 0 for every (q, k) pair of the flat arrays
@@ -73,22 +93,29 @@ def _newton_roots(spec: MoranSpec, q: np.ndarray, ks: np.ndarray, counts: np.nda
     with its own bracket [lo, hi]: start at [-64, 64] and double until
     g(lo) >= 0 >= g(hi), then take Newton steps that stay inside the bracket
     (else bisect) until |g| <= 1e-13 k. Each element stops on its own, so
-    every root is the one a lone solve gives. Errors name the first failing
-    pair and count the unconverged generations at its q.
+    every root is the one a lone solve gives. A bracket that reaches
+    ``_bracket_bound`` without a sign change raises NoBracket naming it;
+    errors name the first failing pair and NoConvergence counts the
+    unconverged generations at its q.
     """
     lo, hi = np.full(ks.size, -64.0), np.full(ks.size, 64.0)
     todo = np.arange(ks.size)
-    for _ in range(13):
+    bound = None
+    while True:
         glo, _ = log_partition(spec, q[todo], lo[todo], counts[:, todo])
         ghi, _ = log_partition(spec, q[todo], hi[todo], counts[:, todo])
         todo = todo[(glo < 0.0) | (ghi > 0.0)]
         if todo.size == 0:
             break
+        if bound is None:  # only a bracket that must widen pays for the bound
+            bound = np.zeros(ks.size)
+            bound[todo] = _bracket_bound(spec, q[todo], counts[:, todo])
+        past = (hi[todo] >= bound[todo]) | ~np.isfinite(bound[todo])
+        if past.any():
+            i = todo[past][0]
+            raise NoBracket(f"no sign change for beta in [{lo[i]}, {hi[i]}] at q={float(q[i])}, k={ks[i]}")
         lo[todo] *= 2.0
         hi[todo] *= 2.0
-    else:
-        i = todo[0]
-        raise NoBracket(f"no sign change for beta in [{lo[i]}, {hi[i]}] at q={float(q[i])}, k={ks[i]}")
     beta = np.zeros(ks.size)
     tol = 1e-13 * np.maximum(ks, 1)
     todo = np.arange(ks.size)

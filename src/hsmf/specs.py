@@ -520,13 +520,17 @@ def sample_paths(spec: MoranSpec, q: float, t: float, depth: int, n: int, seed: 
     is deterministic given ``seed``. (q, t) = (1, 0) samples from the measure
     itself; (0, 0) picks children uniformly.
 
-    Returns a 1-based (n, depth) int array and per-path log_mass and
-    log_length arrays.
+    Returns a 1-based (n, depth) array of child indices and per-path
+    log_mass and log_length arrays. The paths are stored in the narrowest
+    signed integer dtype that holds the spec's largest arity (int8 up to
+    arity 127), so ``tolist()`` still gives Python ints.
     """
     if depth > spec.depth_cap:
         raise TooDeep(f"depth {depth} exceeds depth_cap {spec.depth_cap}")
     rng = np.random.default_rng(seed)
-    paths = np.empty((n, depth), dtype=np.int64)
+    # a signed type that holds -(arity + 1) also holds arity
+    dtype = np.min_scalar_type(-max(fam.arity for fam in spec.families) - 1)
+    paths = np.empty((n, depth), dtype=dtype)
     log_mass = np.zeros(n)
     log_len = np.zeros(n)
     for g in range(1, depth + 1):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from math import lgamma
 from typing import Sequence
 
@@ -123,6 +124,25 @@ def _compositions(total: int, parts: int):
             yield (first, *rest)
 
 
+def _family_terms(m: int, classes, n_comp: int) -> tuple[np.ndarray, np.ndarray]:
+    """
+    (log_mass, log_count) arrays over the compositions of ``m`` children into
+    ``classes``, in ``_compositions`` order. Each class term is added in class
+    order, as a per-composition float loop would add it, so every value is
+    that loop's bit for bit.
+    """
+    comps = np.fromiter(chain.from_iterable(_compositions(m, len(classes))),
+                        dtype=np.min_scalar_type(m), count=n_comp * len(classes))
+    comps = comps.reshape(n_comp, len(classes))
+    log_gamma = np.array([lgamma(c + 1) for c in range(m + 1)])  # lgamma(cnt + 1) by cnt
+    log_mass = np.zeros(n_comp)
+    log_count = np.full(n_comp, lgamma(m + 1))
+    for (lp, mult), cnt in zip(classes, comps.T):
+        log_count += cnt * math.log(mult) - log_gamma[cnt]
+        log_mass += cnt * lp
+    return log_mass, log_count
+
+
 @dataclass
 class MassDistribution:
     """log-mass values with log-counts for one generation's cells."""
@@ -147,34 +167,24 @@ def mass_distribution(spec: MoranSpec, k: int, seed: int = 0) -> MassDistributio
     total_log_cells = float(
         sum(c * math.log(spec.families[f].arity) for f, c in enumerate(counts) if c)
     )
-    per_family: list[list[tuple[float, float]]] = []
+    per_family: list[tuple[np.ndarray, np.ndarray]] = []
     n_terms = 1
     for f, fam in enumerate(spec.families):
         m = int(counts[f])
         if m == 0:
             continue
         classes = _family_classes(fam)
-        terms: list[tuple[float, float]] = []
         n_comp = math.comb(m + len(classes) - 1, len(classes) - 1)
         if n_terms * n_comp > MASS_MAX_TERMS:
             n_terms = MASS_MAX_TERMS + 1
             break
-        for comp in _compositions(m, len(classes)):
-            log_count = lgamma(m + 1)
-            log_mass = 0.0
-            for (lp, mult), cnt in zip(classes, comp):
-                log_count += cnt * math.log(mult) - lgamma(cnt + 1)
-                log_mass += cnt * lp
-            terms.append((log_mass, log_count))
-        per_family.append(terms)
+        per_family.append(_family_terms(m, classes, n_comp))
         n_terms *= n_comp
 
     if n_terms <= MASS_MAX_TERMS:
         log_masses = np.zeros(1)
         log_counts = np.zeros(1)
-        for terms in per_family:
-            lm = np.array([t[0] for t in terms])
-            lc = np.array([t[1] for t in terms])
+        for lm, lc in per_family:
             log_masses = (log_masses[:, None] + lm[None, :]).ravel()
             log_counts = (log_counts[:, None] + lc[None, :]).ravel()
         return MassDistribution(k, log_masses, log_counts, True, total_log_cells)

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from test_ball_mass import random_specs
 
-from hsmf import GapPolicy, GenerationFamily, HsmfError, NoBracket, cli, save_spec
+from hsmf import GapPolicy, GenerationFamily, HsmfError, cli, save_spec
 
 VALID_SPEC = {
     "families": [{"probs": [0.25, 0.75], "ratios": [0.5, 0.5]}],
@@ -413,6 +413,34 @@ def test_scale_usage_errors_write_nothing(tmp_path, command, bad, message):
     assert not out.exists()
 
 
+FLOAT_OPTIONS = [("dims", "--q-min"), ("dims", "--q-max"), ("dims", "--q-step"),
+                 ("spectrum", "--q-min"), ("spectrum", "--q-max"), ("spectrum", "--q-step"),
+                 ("spectrum", "--epsilon"),
+                 ("moments", "--q-min"), ("moments", "--q-max"), ("moments", "--q-step"),
+                 ("sample", "--q"), ("sample", "--t"),
+                 ("verify", "--tol-scale")]
+
+
+def test_float_options_are_the_listed_ones():
+    subparsers = next(a for a in cli._parser()._actions if a.dest == "command")
+    found = [(name, action.option_strings[0])
+             for name, sp in subparsers.choices.items() for action in sp._actions
+             if action.type in (float, cli._finite_float)]
+    assert sorted(found) == sorted(FLOAT_OPTIONS)
+
+
+@pytest.mark.parametrize("command, option", FLOAT_OPTIONS)
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_float_options_are_usage_errors(spec_file, tmp_path, capsys, command, option, value):
+    out = tmp_path / "s"
+    argv = [command, f"{option}={value}", "--out", str(out)]
+    if command != "verify":
+        argv += ["--spec", str(spec_file)]
+    assert cli.main(argv) == 2
+    assert f"argument {option}: must be finite, got '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_format_json_is_accepted(spec_file, tmp_path):
     proc = run_cli("sample", "--spec", str(spec_file), "--count", "3", "--format", "json",
                    "--out", str(tmp_path))
@@ -452,9 +480,10 @@ def test_failed_stream_leaves_no_file_and_keeps_the_old_one(spec_file, tmp_path,
 
 def test_sample_peak_allocation_is_bounded_by_its_arrays(tmp_path):
     """
-    Allocation guard, not a timing gate. At 4096 paths of depth 64 the paths
-    and log arrays take 2.2 MB. Streaming samples.json keeps the traced peak
-    near 1.8x that; building the whole document first peaks past 4x.
+    Allocation guard, not a timing gate. At 4096 paths of depth 64, int64
+    paths and the log arrays take 2.2 MB, the unit of the bound. Streaming
+    samples.json kept the traced peak near 1.8x that with int64 paths, and
+    near 0.95x with int8 ones; building the whole document first peaks past 4x.
     """
     from hsmf import cli
 
@@ -506,6 +535,21 @@ def test_dims_reports_newton_non_convergence(tmp_path, monkeypatch, capsys):
     assert "did not converge in 1 Newton steps at q=-1.0" in capsys.readouterr().err
 
 
+def test_dims_brackets_roots_past_the_old_doubling_cap(tmp_path):
+    """beta_1(-20) is about 4.1e5 here, past the 2^18 that 13 doublings of
+    [-64, 64] reach; the spec's own bound lets the bracket widen to it."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "families": [{"probs": [1e-9, 0.999999999], "ratios": [0.999, 0.001]}],
+        "schedule": {"type": "constant", "family": 0}, "gap_policy": "no_gaps", "depth_cap": 64}))
+    argv = ["dims", "--spec", str(path), "--q-min=-20", "--q-max", "20", "--q-step", "10",
+            "--k-max", "64", "--out", str(tmp_path / "out")]
+    code, error = _run_in_process(argv)
+    assert (code, error) == (0, None)
+    rows = (tmp_path / "out" / "separators.csv").read_text().splitlines()
+    assert rows[2].startswith("-20,414258.0495245")
+
+
 def test_cli_import_loads_no_scipy():
     # structural guard: scipy is a test-only dependency
     proc = subprocess.run(
@@ -522,11 +566,7 @@ def test_cli_import_loads_no_scipy():
 # ---------------------------------------------------------------------------
 
 # HsmfError types a command may raise on a valid spec, each with the reason it can.
-FUZZ_ALLOWED_ERRORS = {
-    NoBracket: "beta_k's bracket doubles 13 times from [-64, 64], so it holds roots up to "
-               "|beta| = 2^18 only; a child of probability 1e-9 and ratio 0.999 puts beta_1(-20) "
-               "near 4.1e5",
-}
+FUZZ_ALLOWED_ERRORS: dict[type, str] = {}
 
 
 def _log_uniform(lo, hi):

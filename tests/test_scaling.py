@@ -25,7 +25,7 @@ from hsmf import (
 )
 from hsmf.counting import MomentTable, log_partition, log_partition_moment
 from hsmf.errors import InsufficientScales, NoBracket, NoConvergence
-from hsmf.scaling import sample_generations
+from hsmf.scaling import _bracket_bound, sample_generations
 from hsmf.specs import family_generation_counts, load_spec
 from hsmf.oracles import periodic_moran_beta, switching_binomial_tau
 
@@ -425,15 +425,41 @@ def test_newton_iteration_cap_raises(monkeypatch):
         separator_grid(spec, [0.5, 2.0], 64)
 
 
+@pytest.mark.parametrize("probs, ratios", [((0.2, 0.5, 0.3), (0.2, 0.3, 0.25)),
+                                           ((1e-9, 0.999999999), (0.998, 0.001)),
+                                           ((0.01, 0.99), (1e-6, 0.999))])
+def test_bracket_bound_brackets_every_root(probs, ratios):
+    """At +-h from ``_bracket_bound``, log S_k(q, t) has the signs a bracket
+    needs, for q of both signs far past the CLI's usual range."""
+    spec = validate_spec(MoranSpec((GenerationFamily(probs, ratios),), ConstantSchedule(0),
+                                   GapPolicy.EQUAL_GAPS, 256))
+    qs = np.repeat([-1e4, -20.0, -1.0, 0.0, 0.5, 1.0, 20.0, 1e4], 3)
+    ks = np.tile([1, 7, 256], 8)
+    counts = family_generation_counts(spec, ks)
+    h = _bracket_bound(spec, qs, counts)
+    assert np.all(np.isfinite(h))
+    assert np.all(log_partition(spec, qs, h, counts)[0] < 0.0)
+    assert np.all(log_partition(spec, qs, -h, counts)[0] > 0.0)
+    roots = solve_beta_k(spec, qs, ks)
+    assert np.all(np.abs(roots) < h)
+
+
 def test_batched_solve_errors_name_the_first_failing_pair(monkeypatch):
     from hsmf import scaling
 
     fam = GenerationFamily((0.2, 0.5, 0.3), (0.2, 0.3, 0.25))
     spec = validate_spec(MoranSpec((fam,), ConstantSchedule(0), GapPolicy.EQUAL_GAPS, 256))
     ks = np.array([5, 40])
-    # no root within the 13 bracket doublings, |beta| <= 2^18, at this q
-    with pytest.raises(NoBracket, match=r"at q=10000000\.0, k=5$"):
+    # 5 (q log 0.2) overflows to inf, so log S_5 is inf at every t: no bracket
+    # exists, and the spec's bound says so at the first one checked
+    with np.errstate(over="ignore"), pytest.raises(
+            NoBracket, match=r"in \[-64\.0, 64\.0\] at q=-1e\+308, k=5$"):
+        solve_beta_k(spec, np.array([0.5, -1e308])[:, None], ks)
+    # a bracket that reaches the bound without a sign change is named as checked
+    monkeypatch.setattr(scaling, "_bracket_bound", lambda spec, q, counts: np.full(q.size, 100.0))
+    with pytest.raises(NoBracket, match=r"in \[-128\.0, 128\.0\] at q=10000000\.0, k=5$"):
         solve_beta_k(spec, np.array([0.5, 1e7])[:, None], ks)
+    monkeypatch.undo()
     # beta_k(1) = 0 is the starting point, so q = 1 converges in one step
     monkeypatch.setattr(scaling, "_NEWTON_MAX_ITER", 1)
     with pytest.raises(NoConvergence, match=r"q=2\.0, k=5 \(2 of 2 generations"):

@@ -25,7 +25,7 @@ from hsmf import (
     validate_spec,
 )
 from hsmf.counting import ball_table
-from hsmf.specs import cells, matched_generation
+from hsmf.specs import _tilt_weights, cells, matched_generation
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +210,39 @@ def test_sample_path_deterministic(binomial_spec):
     assert p1.shape == (1, 12)
     assert [row.tolist() for row in p1] == [row.tolist() for row in p2]
     assert set(p1.ravel().tolist()) <= {1, 2}
+
+
+def _int64_sample_paths(spec, q, t, depth, n, seed):
+    """Reference: the path matrix drawn as ``sample_paths`` draws it, stored as int64."""
+    rng = np.random.default_rng(seed)
+    paths = np.empty((n, depth), dtype=np.int64)
+    for g in range(1, depth + 1):
+        fam = spec.family_at(g)
+        cum = np.cumsum(_tilt_weights(fam, q, t))
+        cum[-1] = 1.0
+        paths[:, g - 1] = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), fam.arity - 1) + 1
+    return paths
+
+
+def _equal_family(arity):
+    return GenerationFamily((1.0 / arity,) * arity, (1.0 / arity,) * arity)
+
+
+@pytest.mark.parametrize("arities", [(2,), (2, 6), (300,), (127,), (128,)])
+def test_sample_paths_are_stored_in_the_narrowest_signed_dtype(arities):
+    spec = validate_spec(MoranSpec(tuple(_equal_family(a) for a in arities),
+                                   PeriodicSchedule(tuple(range(len(arities)))), GapPolicy.NO_GAPS, 64))
+    n, depth = 500, 12
+    for q, t in ((1.0, 0.0), (0.0, 0.0), (2.0, -0.5)):
+        paths = sample_paths(spec, q, t, depth, n, seed=7)[0]
+        if max(arities) <= 127:
+            assert paths.dtype == np.int8 and paths.nbytes == n * depth
+        else:
+            assert paths.dtype == np.int16
+        want = _int64_sample_paths(spec, q, t, depth, n, seed=7)
+        assert np.array_equal(paths, want)
+        assert paths.tolist() == want.tolist()
+        assert paths.max() <= max(arities)
 
 
 def test_tilt_probabilities_match_frequencies(binomial_spec):

@@ -223,6 +223,58 @@ def test_mass_distribution_total(periodic_spec):
     assert logsumexp(dist.log_counts + dist.log_masses) == pytest.approx(0.0, abs=1e-10)
 
 
+def _tuple_loop_mass_distribution(spec, k):
+    """Reference: the exact (log_mass, log_count) arrays built from one Python
+    tuple per composition term, as ``mass_distribution`` once built them."""
+    from hsmf.specs import family_generation_counts
+
+    counts = family_generation_counts(spec, k)[:, 0]
+    log_masses, log_counts = np.zeros(1), np.zeros(1)
+    for f, fam in enumerate(spec.families):
+        m = int(counts[f])
+        if m == 0:
+            continue
+        classes = S._family_classes(fam)
+        terms = []
+        for comp in S._compositions(m, len(classes)):
+            log_count = math.lgamma(m + 1)
+            log_mass = 0.0
+            for (lp, mult), cnt in zip(classes, comp):
+                log_count += cnt * math.log(mult) - math.lgamma(cnt + 1)
+                log_mass += cnt * lp
+            terms.append((log_mass, log_count))
+        lm = np.array([t[0] for t in terms])
+        lc = np.array([t[1] for t in terms])
+        log_masses = (log_masses[:, None] + lm[None, :]).ravel()
+        log_counts = (log_counts[:, None] + lc[None, :]).ravel()
+    return log_masses, log_counts
+
+
+def _assert_mass_distribution_is_the_tuple_loop(spec, ks):
+    for k in ks:
+        dist = mass_distribution(spec, k)
+        assert dist.exact
+        log_masses, log_counts = _tuple_loop_mass_distribution(spec, k)
+        assert dist.log_masses.tobytes() == log_masses.tobytes()
+        assert dist.log_counts.tobytes() == log_counts.tobytes()
+
+
+@pytest.mark.parametrize("fixture", ["uniform_spec", "binomial_spec", "cantor_spec",
+                                     "periodic_spec", "block_spec", "switching_spec"])
+def test_mass_distribution_equals_the_tuple_loop_on_the_fixtures(fixture, request):
+    _assert_mass_distribution_is_the_tuple_loop(request.getfixturevalue(fixture), (1, 2, 7, 16, 40))
+
+
+@pytest.mark.parametrize("probs", [(0.1, 0.2, 0.3, 0.4), (0.3, 0.2, 0.3, 0.2), (0.25, 0.25, 0.25, 0.25),
+                                   (0.4, 0.1, 0.1, 0.4)])
+def test_mass_distribution_equals_the_tuple_loop_on_four_children(probs):
+    """Four classes, and repeated probabilities that merge into fewer classes
+    with multiplicities."""
+    spec = validate_spec(MoranSpec((GenerationFamily(probs, (0.97, 0.01, 0.01, 0.01)),),
+                                   ConstantSchedule(0), GapPolicy.NO_GAPS, 4096))
+    _assert_mass_distribution_is_the_tuple_loop(spec, (1, 3, 30, 90))
+
+
 def test_local_exponent_nonnegative(binomial_spec, cantor_spec):
     from hsmf import ball_mass
 
