@@ -74,10 +74,8 @@ from .spectrum import (
 from .oracles import (
     BlockBounds,
     BruteForceMoments,
-    OracleCurve,
     block_moran_bounds,
     brute_force_ball_moments,
-    oracle_curve,
     periodic_moran_beta,
     switching_alpha_interval,
     switching_binomial_tau,

@@ -41,6 +41,9 @@ FAILURE = 1
 SAMPLE_BATCH = 512
 # moments use a radius only when its matched generation has at most this many cells
 MOMENT_MAX_CELLS = 1 << 16
+# q grids longer than this are usage errors: dims and spectrum solve beta_k on
+# a (q x generation) array with up to about 2048 generations per q
+Q_GRID_MAX_POINTS = 1 << 12
 
 
 def _finite_float(text: str) -> float:
@@ -115,8 +118,12 @@ def _parser() -> argparse.ArgumentParser:
 def _q_grid(args) -> np.ndarray:
     if args.q_step <= 0 or args.q_min >= args.q_max:
         raise ValueError("need q_step > 0 and q_min < q_max")
-    n = int(round((args.q_max - args.q_min) / args.q_step))
-    return args.q_min + args.q_step * np.arange(n + 1)
+    steps = (args.q_max - args.q_min) / args.q_step  # inf when the span overflows
+    points = round(steps) + 1 if math.isfinite(steps) else math.inf
+    if points > Q_GRID_MAX_POINTS:
+        raise ValueError(f"--q-step {args.q_step} from --q-min {args.q_min} to --q-max {args.q_max} "
+                         f"gives {points} q points; at most {Q_GRID_MAX_POINTS} are allowed")
+    return args.q_min + args.q_step * np.arange(points)
 
 
 def _require_at_least(args, low: int, *options: str) -> None:
@@ -189,7 +196,7 @@ def cmd_validate(args) -> int:
     spec = load_spec(args.spec)
     violations = check_spec(spec)
     if violations:
-        print(json.dumps([v.as_dict() for v in violations], sort_keys=True))
+        print(json.dumps([asdict(v) for v in violations], sort_keys=True))
         return FAILURE
     print(json.dumps({"valid": True, "families": len(spec.families)}, sort_keys=True))
     return 0
@@ -364,7 +371,7 @@ def main(argv=None) -> int:
         }[args.command]
         return handler(args)
     except SpecValidationError as e:
-        print(json.dumps([v.as_dict() for v in e.violations], sort_keys=True))
+        print(json.dumps([asdict(v) for v in e.violations], sort_keys=True))
         return FAILURE
     except (FileNotFoundError, FileExistsError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -17,9 +17,6 @@ class Violation:
     where: str     # location inside the spec, e.g. "families[1].probs"
     message: str
 
-    def as_dict(self) -> dict:
-        return {"code": self.code, "where": self.where, "message": self.message}
-
 
 class SpecValidationError(HsmfError):
     """Raised by validate_spec; carries the full list of violations."""

@@ -111,40 +111,6 @@ def switching_alpha_interval(p_hat: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Oracle curves as grid objects
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OracleCurve:
-    """A closed-form reference curve sampled on a q grid."""
-
-    name: str
-    q_grid: np.ndarray
-    values: np.ndarray
-    provenance: str   # which closed form and parameters produced it
-    convex: bool = True  # min-of-branches envelopes are not convex at crossings
-
-    def check_invariants(self) -> list[str]:
-        tol = 1e-8
-        out = []
-        if not np.all(np.isfinite(self.values)):
-            out.append(f"{self.name}: non-finite values")
-        if np.any(np.diff(self.values) > tol):
-            out.append(f"{self.name}: not non-increasing")
-        if self.convex and self.q_grid.size >= 3:
-            second = np.diff(np.diff(self.values) / np.diff(self.q_grid))
-            if np.any(second < -tol):
-                out.append(f"{self.name}: not discretely convex")
-        return out
-
-
-def oracle_curve(name: str, q_grid, fn, provenance: str, convex: bool = True) -> OracleCurve:
-    q_grid = np.asarray(q_grid, dtype=float)
-    values = np.array([fn(float(q)) for q in q_grid])
-    return OracleCurve(name, q_grid, values, provenance, convex)
-
-
-# ---------------------------------------------------------------------------
 # Exact midpoint-class ball-moment optima
 # ---------------------------------------------------------------------------
 

@@ -183,20 +183,6 @@ class BetaSequence:
     liminf_est: float
     limsup_est: float
 
-    @property
-    def oscillation(self) -> float:
-        return self.limsup_est - self.liminf_est
-
-    def check_invariants(self) -> list[str]:
-        out = []
-        if not np.all(np.diff(self.k_samples) > 0):
-            out.append("k_samples not increasing")
-        if not (np.isfinite(self.liminf_est) and np.isfinite(self.limsup_est)):
-            out.append("envelope estimates not finite")
-        if self.liminf_est > self.limsup_est + 1e-12:
-            out.append("liminf exceeds limsup")
-        return out
-
 
 def sample_generations(spec: MoranSpec, k_max: int) -> np.ndarray:
     """
@@ -262,6 +248,41 @@ def theta_delta_from_moments(log_moments, neg_log_r) -> tuple[np.ndarray, np.nda
 # Separator grids
 # ---------------------------------------------------------------------------
 
+def slope_changes(x, y) -> np.ndarray:
+    """
+    Second divided differences of y over x, the change of slope at each
+    interior point, signed by the direction of x: non-negative on a convex
+    curve whether x increases or decreases. Empty below three points.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return np.diff(np.diff(y) / np.diff(x)) * np.sign(np.diff(x[:-1]))
+
+
+def separator_problems(q, b, B) -> list[str]:
+    """
+    The shape theorem on an increasing q grid, for an estimated grid or a
+    closed-form (lower, upper) pair: b <= B, both non-increasing, B
+    discretely convex, to 1e-8; b(1) = B(1) = 0 to 1e-9 where the grid has
+    q = 1. Empty list when all hold, else one message each.
+    """
+    tol = 1e-8
+    out = []
+    if np.any(b > B + tol):
+        out.append("chain b <= B violated")
+    for name, curve in (("b", b), ("B", B)):
+        if np.any(np.diff(curve) > tol):
+            out.append(f"{name} not non-increasing in q")
+    if np.any(slope_changes(q, B) < -tol):
+        out.append("B not discretely convex")
+    ones = np.isclose(q, 1.0, atol=1e-12)
+    if ones.any():
+        if abs(float(b[ones][0])) > 1e-9:
+            out.append("b(1) != 0")
+        if abs(float(B[ones][0])) > 1e-9:
+            out.append("B(1) != 0")
+    return out
+
+
 @dataclass
 class SeparatorGrid:
     """
@@ -280,27 +301,8 @@ class SeparatorGrid:
     diagnostics: list[dict] = field(default_factory=list)
 
     def check_invariants(self) -> list[str]:
-        """Empty list when all grid invariants hold, to 1e-8 (1e-9 for the
-        zeros at q = 1); else one message each."""
-        tol = 1e-8
-        out = []
-        if np.any(self.b > self.B + tol):
-            out.append("chain b <= B violated")
-        for name, curve in (("b", self.b), ("B", self.B)):
-            if np.any(np.diff(curve) > tol):
-                out.append(f"{name} not non-increasing in q")
-        if self.q_grid.size >= 3:
-            h1 = np.diff(self.q_grid[:-1])
-            second = np.diff(np.diff(self.B) / np.diff(self.q_grid)) * np.sign(h1)
-            if np.any(second < -tol):
-                out.append("B not discretely convex")
-        ones = np.isclose(self.q_grid, 1.0, atol=1e-12)
-        if ones.any():
-            if abs(float(self.b[ones][0])) > 1e-9:
-                out.append("b(1) != 0")
-            if abs(float(self.B[ones][0])) > 1e-9:
-                out.append("B(1) != 0")
-        return out
+        """``separator_problems`` on this grid's b and B."""
+        return separator_problems(self.q_grid, self.b, self.B)
 
     csv_columns = ("q", "b", "B", "Lambda", "Theta", "Delta", "osc", "converged")
 

@@ -28,7 +28,7 @@ import numpy as np
 from .counting import logsumexp
 from .errors import DegenerateGrid, ScaleTooSmall
 from .output import fmt
-from .scaling import SeparatorGrid, solve_beta_k
+from .scaling import SeparatorGrid, slope_changes, solve_beta_k
 from .specs import (
     MoranSpec,
     family_generation_counts,
@@ -69,11 +69,7 @@ def legendre_transform(q_grid, phi, alpha_grid) -> tuple[np.ndarray, np.ndarray]
         raise DegenerateGrid("legendre transform needs at least two q points")
     objective = alpha[:, None] * q[None, :] + phi[None, :]
     values = objective.min(axis=1)
-    boundary = np.empty(alpha.size, dtype=bool)
-    for i in range(alpha.size):
-        attained = np.flatnonzero(objective[i] == values[i])
-        interior = (attained > 0) & (attained < q.size - 1)
-        boundary[i] = not bool(interior.any())
+    boundary = ~(objective == values[:, None])[:, 1:-1].any(axis=1)
     return values, boundary
 
 
@@ -373,13 +369,8 @@ class SpectrumResult:
         for name, curve in (("b_star", self.b_star), ("B_star", self.B_star)):
             vals = np.where(self.boundary, np.nan, curve)
             fin = np.isfinite(vals)
-            if fin.sum() >= 3:
-                idx = np.flatnonzero(fin)
-                a = self.alpha_grid[idx]
-                v = vals[idx]
-                second = np.diff(np.diff(v) / np.diff(a))
-                if np.any(second > tol):
-                    out.append(f"{name} not discretely concave")
+            if np.any(slope_changes(self.alpha_grid[fin], vals[fin]) > tol):
+                out.append(f"{name} not discretely concave")
         return out
 
     def legendre_rows_csv(self):

@@ -38,14 +38,20 @@ from .oracles import (
     block_moran_bounds,
     brute_force_ball_moments,
     midpoint_ball_masses,
-    oracle_curve,
     periodic_moran_beta,
     switching_alpha_interval,
     switching_binomial_tau,
     uniform_beta,
 )
 from .output import config_hash, csv_bytes, json_bytes, meta_line
-from .scaling import SeparatorGrid, beta_sequence, separator_grid, solve_beta_k
+from .scaling import (
+    SeparatorGrid,
+    beta_sequence,
+    separator_grid,
+    separator_problems,
+    slope_changes,
+    solve_beta_k,
+)
 from .spectrum import (
     alpha_bounds,
     coarse_spectrum,
@@ -241,6 +247,13 @@ def _random_spec(rng) -> MoranSpec:
 C1_QS = np.arange(-3.0, 4.0)
 
 
+def _record_grid(res: CriterionResult, grid: SeparatorGrid) -> None:
+    """Keep ``grid`` as the criterion's artifact and record its shape check."""
+    problems = grid.check_invariants()
+    res.record("grid invariants", not problems, problems=problems)
+    res.grid = grid
+
+
 @_criterion(1, "normalization root and residual bound", 5.0)
 def criterion_1(res: CriterionResult, seed: int, tol_scale: float) -> None:
     """Normalization root: beta_k(1) = 0 and the solver residual bound."""
@@ -270,8 +283,8 @@ def criterion_2(res: CriterionResult, seed: int, tol_scale: float) -> None:
         float(np.max(np.abs(grid.B - target))),
     )
     res.record("max |estimate - (1-q)|", worst <= 1e-9 * tol_scale, worst=worst)
+    _record_grid(res, grid)
     res.details = {"worst_abs_error": worst}
-    res.grid = grid
 
 
 @_criterion(3, "periodic construction matches closed form", 1.0)
@@ -289,8 +302,8 @@ def criterion_3(res: CriterionResult, seed: int, tol_scale: float) -> None:
     gap = float(np.max(np.abs(grid.B - grid.b)))
     res.record("max |estimate - closed form|", worst <= 1e-6 * tol_scale, worst=worst)
     res.record("b == B (validating case)", gap <= 1e-9 * tol_scale, worst=gap)
+    _record_grid(res, grid)
     res.details = {"worst_abs_error": worst, "max_b_B_gap": gap}
-    res.grid = grid
 
 
 BLOCK_QS = (-2.0, -1.0, 0.25, 0.5, 0.75, 2.0)
@@ -355,70 +368,43 @@ def criterion_5(res: CriterionResult, seed: int, tol_scale: float) -> None:
     res.record(
         "alpha_max endpoint", abs(ab.alpha_max - a_hi) <= 0.02 * tol_scale, value=ab.alpha_max, want=a_hi
     )
+    _record_grid(res, grid)
     res.details = {
         "per_q": per_q,
         "alpha_bounds": [ab.alpha_min, ab.alpha_max, ab.beta_min, ab.beta_max],
         "interval_oracle": [a_lo, a_hi],
     }
-    res.grid = grid
 
 
 @_criterion(6, "structural invariants of grids and oracle curves", 30.0)
 def criterion_6(res: CriterionResult, seed: int, tol_scale: float) -> None:
-    """Structural suite on every emitted separator grid and oracle curve."""
+    """
+    Shape check (``separator_problems``) on the block and switching grids at
+    k_max 4^8 and on every closed form: the four limit exponents each as
+    b = B, the block construction as (liminf, limsup). Criteria 2, 3 and 5
+    check the grids they emit.
+    """
     qs = np.arange(-5.0, 5.0 + 0.25, 0.25)
-    grids = {
-        "uniform": separator_grid(spec_uniform(), qs, 64),
-        "periodic": separator_grid(spec_periodic(), qs, 1000),
-        "block": separator_grid(spec_block(), qs, 4**8),
-        "switching": separator_grid(spec_switching(), qs, 4**8),
-    }
-    for name, grid in grids.items():
-        problems = grid.check_invariants()
+    for name, factory in (("block", spec_block), ("switching", spec_switching)):
+        problems = separator_grid(factory(), qs, 4**8).check_invariants()
         res.record(f"grid invariants: {name}", not problems, problems=problems)
     qs = np.arange(-6.0, 6.0 + 0.25, 0.25)
-    curves = [
-        oracle_curve("uniform_beta", qs, uniform_beta, "uniform dyadic closed form"),
-        oracle_curve(
-            "periodic_beta",
-            qs,
-            lambda q: periodic_moran_beta(PERIODIC_P1, PERIODIC_R1, PERIODIC_P2, PERIODIC_R2, q),
-            "alternating two-family closed form",
-        ),
-        oracle_curve(
-            "switching_tau",
-            qs,
-            lambda q: switching_binomial_tau(SWITCHING_P, SWITCHING_P_HAT, q)[0],
-            "switching binomial p branch",
-        ),
-        oracle_curve(
-            "switching_tau_hat",
-            qs,
-            lambda q: switching_binomial_tau(SWITCHING_P, SWITCHING_P_HAT, q)[1],
-            "switching binomial p_hat branch",
-        ),
-        oracle_curve(
-            "block_upper",
-            qs,
-            lambda q: block_moran_bounds(BLOCK_P1, BLOCK_R1, BLOCK_P2, BLOCK_R2, q).limsup,
-            "block construction upper branch (max of two convex branches)",
-        ),
-        oracle_curve(
-            "block_lower",
-            qs,
-            lambda q: block_moran_bounds(BLOCK_P1, BLOCK_R1, BLOCK_P2, BLOCK_R2, q).liminf,
-            "block construction lower branch (min envelope: kinked at crossings)",
-            convex=False,
-        ),
-    ]
-    for curve in curves:
-        problems = curve.check_invariants()
-        res.record(f"oracle curve: {curve.name}", not problems, problems=problems)
-        one = np.isclose(curve.q_grid, 1.0)
-        if one.any():
-            v1 = float(curve.values[one][0])
-            res.record(f"{curve.name}(1) == 0", abs(v1) <= 1e-9, value=v1)
-    res.details = {"curves": [c.name for c in curves]}
+    forms = {
+        "uniform_beta": uniform_beta,
+        "periodic_beta": lambda q: periodic_moran_beta(PERIODIC_P1, PERIODIC_R1, PERIODIC_P2, PERIODIC_R2, q),
+        "switching_tau": lambda q: switching_binomial_tau(SWITCHING_P, SWITCHING_P_HAT, q)[0],
+        "switching_tau_hat": lambda q: switching_binomial_tau(SWITCHING_P, SWITCHING_P_HAT, q)[1],
+        "block_upper": lambda q: block_moran_bounds(BLOCK_P1, BLOCK_R1, BLOCK_P2, BLOCK_R2, q).limsup,
+        "block_lower": lambda q: block_moran_bounds(BLOCK_P1, BLOCK_R1, BLOCK_P2, BLOCK_R2, q).liminf,
+    }
+    curves = {name: np.array([fn(float(q)) for q in qs]) for name, fn in forms.items()}
+    not_finite = [name for name, values in curves.items() if not np.all(np.isfinite(values))]
+    res.record("oracle curves finite", not not_finite, curves=not_finite)
+    pairs = [(name, name) for name in ("uniform_beta", "periodic_beta", "switching_tau", "switching_tau_hat")]
+    for lower, upper in [*pairs, ("block_lower", "block_upper")]:
+        problems = separator_problems(qs, curves[lower], curves[upper])
+        res.record(f"oracle curves: b = {lower}, B = {upper}", not problems, problems=problems)
+    res.details = {"curves": list(curves)}
 
 
 # specs and scales for the Legendre / coarse-spectrum gate
@@ -470,7 +456,7 @@ def criterion_7(res: CriterionResult, seed: int, tol_scale: float) -> None:
             vals = curve[~flg]
             av = alpha[~flg]
             if av.size >= 3:
-                second = np.diff(np.diff(vals) / np.diff(av))
+                second = slope_changes(av, vals)
                 res.record(
                     f"{label} concave: {name}", bool(np.all(second <= 1e-8)), worst=float(second.max())
                 )

@@ -5,9 +5,11 @@ Each test prints one PASS/FAIL line; the suite shares the criterion runners
 with the CLI ``verify`` command so a green pytest implies a green CLI run.
 """
 
+import dataclasses
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hsmf import verify as V
@@ -108,6 +110,43 @@ def test_criterion_9_tilted_sampler():
 def test_criterion_10_greedy_vs_oracle_brackets():
     """Greedy moments inside the exact midpoint-class optima at depth 12."""
     _run(V.criterion_10, 10)
+
+
+@pytest.mark.parametrize("criterion", [V.criterion_2, V.criterion_3, V.criterion_5],
+                         ids=["c2", "c3", "c5"])
+def test_grid_criteria_check_the_grid_they_emit(monkeypatch, criterion):
+    """A separator grid whose B is raised just above its chord at q = 0 fails
+    the emitting criterion's shape record, and that grid is the one kept for its CSV."""
+    real = V.separator_grid
+
+    def bumped(spec, qs, k_max):
+        grid = real(spec, qs, k_max)
+        B = grid.B.copy()
+        i = int(np.flatnonzero(grid.q_grid == 0.0)[0])
+        B[i] = (B[i - 1] + B[i + 1]) / 2 + 1e-6
+        return dataclasses.replace(grid, B=B)
+
+    monkeypatch.setattr(V, "separator_grid", bumped)
+    res = criterion(seed=0)
+    assert {"check": "grid invariants", "problems": ["B not discretely convex"]} in res.failures
+    assert res.grid.check_invariants() == ["B not discretely convex"]
+
+
+def test_criterion_7_records_a_bent_transform(monkeypatch):
+    """A dip at one unflagged alpha of each transform fails the concavity records."""
+    real = V.legendre_transform
+
+    def dipped(q_grid, phi, alpha_grid):
+        values, flags = real(q_grid, phi, alpha_grid)
+        inside = np.flatnonzero(~flags)
+        values = values.copy()
+        values[inside[inside.size // 2]] -= 1e-3
+        return values, flags
+
+    monkeypatch.setattr(V, "legendre_transform", dipped)
+    failed = {f["check"] for f in V.criterion_7(seed=0).failures}
+    # the other transforms have fewer than three unflagged alphas, so no concavity record
+    assert {"b* concave: binomial", "B* concave: binomial", "B* concave: switching"} <= failed
 
 
 def test_run_verify_calls_criteria_by_name_and_keeps_grids_out_of_details(monkeypatch):

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, artifact formats, byte determinism."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -439,6 +440,28 @@ def test_non_finite_float_options_are_usage_errors(spec_file, tmp_path, capsys, 
     assert cli.main(argv) == 2
     assert f"argument {option}: must be finite, got '{value}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["dims", "spectrum", "moments"])
+@pytest.mark.parametrize("grid, points", [
+    (["--q-min=-1e308", "--q-max=1e308"], "inf"),  # the span overflows
+    (["--q-min=-5", "--q-max=5", "--q-step=1e-9"], "10000000001"),
+], ids=["overflowing-span", "tiny-step"])
+def test_q_grids_past_the_cap_are_usage_errors(spec_file, tmp_path, capsys, command, grid, points):
+    out = tmp_path / "s"
+    assert cli.main([command, "--spec", str(spec_file), "--out", str(out), *grid]) == 2
+    err = capsys.readouterr().err
+    assert "--q-step" in err and f"gives {points} q points; at most {cli.Q_GRID_MAX_POINTS}" in err
+    assert not out.exists()
+
+
+def test_q_grid_holds_at_most_the_stated_number_of_points():
+    def grid(step):
+        return cli._q_grid(argparse.Namespace(q_min=0.0, q_max=1.0, q_step=step))
+
+    assert grid(1 / (cli.Q_GRID_MAX_POINTS - 1)).size == cli.Q_GRID_MAX_POINTS
+    with pytest.raises(ValueError, match=f"gives {cli.Q_GRID_MAX_POINTS + 1} q points"):
+        grid(1 / cli.Q_GRID_MAX_POINTS)
 
 
 def test_sample_format_json_is_accepted(spec_file, tmp_path):

@@ -16,7 +16,6 @@ from hsmf import (
     block_moran_bounds,
     brute_force_ball_moments,
     covering_moment,
-    oracle_curve,
     packing_moment,
     periodic_moran_beta,
     switching_alpha_interval,
@@ -25,6 +24,7 @@ from hsmf import (
     validate_spec,
 )
 from hsmf.oracles import midpoint_ball_masses
+from hsmf.scaling import separator_problems
 from hsmf.specs import max_length_at
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -95,43 +95,39 @@ def test_switching_alpha_interval():
     assert (round(lo, 4), round(hi, 4)) == (0.7370, 1.3219)
 
 
+def _block(q):
+    return block_moran_bounds((0.25, 0.75), 0.25, (1 / 3,) * 3, 1 / 9, q)
+
+
 def test_oracle_curves_satisfy_grid_invariants():
+    """Each limit exponent as b = B, and the block construction as
+    (liminf, limsup), passes the shape check the separator grids go through."""
     qs = np.arange(-6.0, 6.25, 0.25)
-    combos = [
-        ("uniform", uniform_beta, True),
-        (
-            "periodic",
-            lambda q: periodic_moran_beta((0.5, 0.5), 0.25, (1 / 3,) * 3, 0.125, q),
-            True,
-        ),
-        ("tau", lambda q: switching_binomial_tau(0.2, 0.4, q)[0], True),
-        ("tau_hat", lambda q: switching_binomial_tau(0.2, 0.4, q)[1], True),
-        (
-            "block_upper",
-            lambda q: block_moran_bounds((0.25, 0.75), 0.25, (1 / 3,) * 3, 1 / 9, q).limsup,
-            True,
-        ),
-        (
-            "block_lower",
-            lambda q: block_moran_bounds((0.25, 0.75), 0.25, (1 / 3,) * 3, 1 / 9, q).liminf,
-            False,  # min of two crossing convex branches kinks concavely at q=0
-        ),
+
+    def curve(fn):
+        return np.array([fn(float(q)) for q in qs])
+
+    limits = [
+        uniform_beta,
+        lambda q: periodic_moran_beta((0.5, 0.5), 0.25, (1 / 3,) * 3, 0.125, q),
+        lambda q: switching_binomial_tau(0.2, 0.4, q)[0],
+        lambda q: switching_binomial_tau(0.2, 0.4, q)[1],
     ]
-    for name, fn, convex in combos:
-        curve = oracle_curve(name, qs, fn, provenance=name, convex=convex)
-        assert curve.check_invariants() == []
+    for fn in limits:
+        values = curve(fn)
+        assert np.all(np.isfinite(values))
+        assert separator_problems(qs, values, values) == []
+    liminf, limsup = curve(lambda q: _block(q).liminf), curve(lambda q: _block(q).limsup)
+    assert np.all(np.isfinite(liminf)) and np.all(np.isfinite(limsup))
+    assert separator_problems(qs, liminf, limsup) == []
 
 
 def test_block_lower_envelope_is_not_convex_at_crossing():
+    """The block liminf is the min of two crossing convex branches, so it kinks
+    concavely at q = 0 and fails the convexity asked of B."""
     qs = np.arange(-1.0, 1.25, 0.25)
-    curve = oracle_curve(
-        "block_lower",
-        qs,
-        lambda q: block_moran_bounds((0.25, 0.75), 0.25, (1 / 3,) * 3, 1 / 9, q).liminf,
-        provenance="block lower branch",
-        convex=True,
-    )
-    assert any("not discretely convex" in p for p in curve.check_invariants())
+    liminf = np.array([_block(float(q)).liminf for q in qs])
+    assert separator_problems(qs, liminf, liminf) == ["B not discretely convex"]
 
 
 # ---------------------------------------------------------------------------

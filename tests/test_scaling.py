@@ -25,7 +25,7 @@ from hsmf import (
 )
 from hsmf.counting import MomentTable, log_partition, log_partition_moment
 from hsmf.errors import InsufficientScales, NoBracket, NoConvergence
-from hsmf.scaling import _bracket_bound, sample_generations
+from hsmf.scaling import _bracket_bound, sample_generations, separator_problems, slope_changes
 from hsmf.specs import family_generation_counts, load_spec
 from hsmf.oracles import periodic_moran_beta, switching_binomial_tau
 
@@ -124,7 +124,7 @@ def test_beta_monotone_convex_in_q(block_spec):
 def test_beta_sequence_uniform_exact(uniform_spec):
     bs = beta_sequence(uniform_spec, 0.5, 256)
     assert bs.liminf_est == bs.limsup_est == pytest.approx(0.5, abs=1e-14)
-    assert not bs.check_invariants()
+    assert np.all(np.diff(bs.k_samples) > 0)
 
 
 def test_beta_sequence_block_bounds(block_spec):
@@ -133,7 +133,7 @@ def test_beta_sequence_block_bounds(block_spec):
     lo = math.log(math.sqrt(0.25) + math.sqrt(0.75)) / math.log(4.0)
     assert bs.liminf_est == pytest.approx(lo, abs=0.02)
     assert bs.limsup_est == pytest.approx(0.25, abs=0.02)
-    assert bs.oscillation > 0.01
+    assert bs.limsup_est - bs.liminf_est > 0.01
 
 
 def test_beta_sequence_switching_branches(switching_spec):
@@ -173,7 +173,9 @@ def test_beta_sequence_block_nonconstant_ratios():
         )
     )
     bs = beta_sequence(spec, 1.5, 2000)
-    assert not bs.check_invariants()
+    assert np.all(np.diff(bs.k_samples) > 0)
+    assert np.isfinite(bs.liminf_est) and np.isfinite(bs.limsup_est)
+    assert bs.liminf_est <= bs.limsup_est + 1e-12
     # the endpoint envelope brackets directly solved interior values
     for k in (7, 63, 511, 1999):
         val = solve_beta_k(spec, 1.5, k)
@@ -602,6 +604,28 @@ def test_grid_invariant_reporting():
     problems = bad.check_invariants()
     assert any("b not non-increasing" in p for p in problems)
     assert any("chain" in p for p in problems)
+
+
+@pytest.mark.parametrize("b, B, message", [
+    ([1.0, 0.0, -0.5], [1.0, 0.0, -1.0], "chain b <= B violated"),
+    ([-1.0, 0.0, -0.5], [1.0, 0.0, -0.5], "b not non-increasing in q"),
+    ([1.0, 0.0, -1.0], [1.0, 0.0, 0.5], "B not non-increasing in q"),
+    ([0.5, 0.0, -1.0], [0.5, 0.0, -1.0], "B not discretely convex"),
+    ([1.0, -0.5, -1.0], [1.0, 0.0, -1.0], "b(1) != 0"),
+    ([1.0, 0.0, -1.0], [1.5, 0.5, -0.5], "B(1) != 0"),
+])
+def test_separator_problems_names_each_broken_clause(b, B, message):
+    """On q = (0, 1, 2), each pair breaks exactly one clause of the shape theorem."""
+    qs = np.array([0.0, 1.0, 2.0])
+    assert separator_problems(qs, np.array(b), np.array(B)) == [message]
+
+
+def test_slope_changes_keep_their_sign_on_a_reversed_grid():
+    x = np.array([-1.0, 0.0, 2.0, 3.0])
+    forward = slope_changes(x, x**2)
+    assert np.array_equal(forward, [3.0, 3.0])
+    assert np.array_equal(slope_changes(x[::-1], (x**2)[::-1]), forward[::-1])
+    assert slope_changes(x[:2], x[:2]).size == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Legendre transforms, exponent intervals, coarse histograms, tilted checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -74,6 +75,46 @@ def test_legendre_concave():
     a = alphas[~flags]
     second = np.diff(np.diff(v) / np.diff(a))
     assert np.all(second <= 1e-8)
+
+
+def _boundary_by_loop(objective, values):
+    """The per-alpha loop the vectorized boundary flags replaced, kept as their reference."""
+    boundary = np.empty(values.size, dtype=bool)
+    for i in range(values.size):
+        attained = np.flatnonzero(objective[i] == values[i])
+        interior = (attained > 0) & (attained < objective.shape[1] - 1)
+        boundary[i] = not bool(interior.any())
+    return boundary
+
+
+@pytest.mark.parametrize("qs, phi", [
+    ([-1, 0, 1], [1, 0, 1]),        # at alpha = 1 and -1 an endpoint ties the interior
+    ([-1, 0, 1], [0, 1, 0]),        # at alpha = 0 the two endpoints tie
+    ([-1, 0, 1, 2], [1, 0, 0, 1]),  # at alpha = 0 two interior points tie
+    ([0, 1], [0, 0]),               # two points: every minimum is at an endpoint
+    ([0, 1], [1, 0]),
+    ([-3, -1, 0, 2, 5, 6], [9, 4, 2, 2, 4, 9]),
+], ids=["endpoint-interior", "endpoints", "interior", "two-tied", "two", "wide"])
+def test_legendre_boundary_flags_equal_the_per_alpha_loop(qs, phi):
+    qs, phi = np.asarray(qs, dtype=float), np.asarray(phi, dtype=float)
+    alphas = np.arange(-3.0, 3.25, 0.25)  # exact products, so ties are exact
+    vals, flags = legendre_transform(qs, phi, alphas)
+    objective = alphas[:, None] * qs[None, :] + phi[None, :]
+    assert np.array_equal(flags, _boundary_by_loop(objective, vals))
+
+
+@pytest.mark.parametrize("name, bend", [("b_star", -1e-3), ("B_star", 1e-3)])
+def test_bent_transform_is_not_discretely_concave(binomial_spec, name, bend):
+    """A dip in b_star, or a bump in B_star (which keeps b_star <= B_star), at
+    one unflagged alpha breaks discrete concavity and nothing else."""
+    grid = separator_grid(binomial_spec, np.arange(-4.0, 4.25, 0.25), 64)
+    result = S.spectrum_result(binomial_spec, grid, np.round(np.arange(0.0, 2.5001, 0.025), 10), [2.0**-8])
+    assert result.check_invariants() == []
+    inside = np.flatnonzero(~result.boundary)
+    curve = getattr(result, name).copy()
+    curve[inside[inside.size // 2]] += bend
+    bent = dataclasses.replace(result, **{name: curve})
+    assert bent.check_invariants() == [f"{name} not discretely concave"]
 
 
 # ---------------------------------------------------------------------------
