@@ -12,7 +12,6 @@ for acceptance testing, plus a deterministic CLI.
 __version__ = "0.1.0"
 
 from .errors import (
-    AddressOutOfRange,
     DegenerateGrid,
     HsmfError,
     InsufficientScales,
@@ -33,11 +32,9 @@ from .specs import (
     PeriodicSchedule,
     ball_mass,
     check_spec,
-    interval_of,
     load_spec,
     matched_generation,
     sample_paths,
-    save_spec,
     spec_from_dict,
     validate_spec,
 )

@@ -119,7 +119,8 @@ def _q_grid(args) -> np.ndarray:
     if args.q_step <= 0 or args.q_min >= args.q_max:
         raise ValueError("need q_step > 0 and q_min < q_max")
     steps = (args.q_max - args.q_min) / args.q_step  # inf when the span overflows
-    points = round(steps) + 1 if math.isfinite(steps) else math.inf
+    # whole steps that fit, so no point passes q_max; 1e-9 absorbs a quotient's rounding
+    points = math.floor(steps + 1e-9) + 1 if math.isfinite(steps) else math.inf
     if points > Q_GRID_MAX_POINTS:
         raise ValueError(f"--q-step {args.q_step} from --q-min {args.q_min} to --q-max {args.q_max} "
                          f"gives {points} q points; at most {Q_GRID_MAX_POINTS} are allowed")

@@ -17,9 +17,10 @@ count is the q = 0 moment. Two deterministic candidate classes are used:
   generation-k superset) and the q = 0 packing moment counts a valid packing
   of the support, hence a lower bound for the true packing number. Both are
   within a factor 2 of the continuum optimum.
-* ``"midpoints"``: centers are cell midpoints. This is the class searched
-  exhaustively by the brute-force oracle, so greedy-versus-oracle comparisons
-  are apples to apples.
+* ``"midpoints"``: centers are cell midpoints, the class criterion 10 runs.
+
+The sweeps' two lookups, ``separated_after`` and ``cover_steps``, are also
+the steps of the exact programs in ``oracles``, which accept any sorted class.
 
 A table owns one cover and one packing, both q-independent and each found
 once. ``covering_moment`` and ``packing_moment`` are the one ball-moment sum:
@@ -69,26 +70,34 @@ class MomentKind(str, Enum):
 # Greedy center selection
 # ---------------------------------------------------------------------------
 
-def _covering_centers(points: np.ndarray, lefts: np.ndarray, rights: np.ndarray, r: float) -> list[int]:
+def separated_after(points: np.ndarray, r: float) -> np.ndarray:
+    """For each sorted candidate i, the first j with points[i] + r <= points[j]."""
+    return np.searchsorted(points, points + r, side="left")
+
+
+def cover_steps(points: np.ndarray, lefts: np.ndarray, rights: np.ndarray, r: float):
     """
-    Indices into ``points`` (sorted) of a greedy left-to-right cover of the
-    union of [lefts, rights] intervals (sorted) by closed balls of radius r.
-    At each step the farthest candidate that still covers the leftmost
-    uncovered point is taken; on the line this sweep is optimal within the
-    candidate class. That point is lefts[0] at the start and, after a ball at
-    j, max(points[j] + r, left end of the first piece reaching past it), so
-    every step is a lookup in arrays built once.
+    Step lookups of a left-to-right cover of the sorted pieces [lefts, rights]
+    by radius-r balls at the sorted ``points``, per ball j plus a start slot n.
+    The slot's uncovered point y is lefts[0] at the start, else max(points[j]
+    + r, left end of the first piece reaching past it). ``take``: the farthest
+    p with p <= y + r; ``stuck``: no p has y - r <= p <= y + r; ``done`` (per
+    ball): it reaches past the support.
     """
-    n = points.size
     reach = points + r
     piece = np.searchsorted(rights, reach, side="right")
-    done = memoryview(piece >= lefts.size)  # the ball at j reaches past the support
     pos = np.append(np.maximum(reach, lefts[np.minimum(piece, lefts.size - 1)]), lefts[0])
     take = np.searchsorted(points, pos + r, side="right") - 1
-    stuck = memoryview((take < 0) | (points[take] < pos - r))
-    take = memoryview(take)
+    return take, (take < 0) | (points[take] < pos - r), piece >= lefts.size
+
+
+def _covering_centers(points: np.ndarray, lefts: np.ndarray, rights: np.ndarray, r: float) -> list[int]:
+    """Indices into ``points`` of the greedy cover from ``cover_steps``: each step
+    takes the farthest candidate that still covers the leftmost uncovered
+    point, which on the line is optimal within the candidate class."""
+    take, stuck, done = map(memoryview, cover_steps(points, lefts, rights, r))
     centers: list[int] = []
-    j = n  # the start slot of ``pos``
+    j = points.size  # the start slot
     while True:
         if stuck[j]:
             raise ScaleTooSmall("candidate centers cannot cover the support at this radius")
@@ -96,14 +105,14 @@ def _covering_centers(points: np.ndarray, lefts: np.ndarray, rights: np.ndarray,
         centers.append(j)
         if done[j]:
             return centers
-        if len(centers) > n + 1:
+        if len(centers) > points.size + 1:
             raise ScaleTooSmall("covering sweep failed to progress")
 
 
 def _packing_centers(points: np.ndarray, r: float) -> list[int]:
     """Indices of a greedy maximal r-separated subset of sorted candidate
-    points: from each chosen point, the first one at distance >= r."""
-    nxt = memoryview(np.searchsorted(points, points + r, side="left"))
+    points: from each chosen point, the first one r apart from it."""
+    nxt = memoryview(separated_after(points, r))
     centers = [0]
     while (i := nxt[centers[-1]]) < points.size:
         if i <= centers[-1]:

@@ -27,10 +27,6 @@ class SpecValidationError(HsmfError):
         super().__init__(f"invalid measure spec: {detail}")
 
 
-class AddressOutOfRange(HsmfError):
-    """A node address has an index outside its generation's arity, or is too deep."""
-
-
 class ScaleTooSmall(HsmfError):
     """A radius is below the deepest generation that can be enumerated or matched."""
 

@@ -6,13 +6,11 @@ The closed forms are the acceptance oracles: the alternating two-family
 construction has a genuine limit exponent; the block-switched construction has
 distinct liminf/limsup branches given by the two single-family exponents; the
 switching binomial's branches are the two dyadic moment exponents. The brute
-force solves the exact packing/covering optimum over the midpoint-center
-class by dynamic programming on the line, certifying the greedy estimators
-within that class, on the ball table those estimators read. Both programs
-are O(n) past one sorted lookup per point. In the covering program the first
-support point ns_i left uncovered by ball i is non-decreasing in i, so the
-balls that may precede ball j form a suffix [lo_j, j) whose start never moves
-left, and a monotone deque yields each suffix minimum, an existing value.
+force solves the exact packing/covering optimum by dynamic programming on the
+line, certifying the greedy estimators on the ball table they read. Both
+programs read the greedy's own lookups (``separated_after``, ``cover_steps``),
+so "r apart" and "covers" are one float test each, and accept any sorted
+candidate class; criterion 10 runs them on midpoint tables.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import BallTable, ball_table
+from .counting import BallTable, ball_table, cover_steps, separated_after
 from .errors import ParameterOutOfRange, TooDeep
 from .specs import MoranSpec, _num_cells
 
@@ -111,13 +109,13 @@ def switching_alpha_interval(p_hat: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Exact midpoint-class ball-moment optima
+# Exact ball-moment optima
 # ---------------------------------------------------------------------------
 
 @dataclass
 class BruteForceMoments:
-    packing: float   # max of sum mu(B)^q over r-separated midpoint sets
-    covering: float  # min of sum mu(B)^q over midpoint covers of the support
+    packing: float   # max of sum mu(B)^q over r-separated candidate sets
+    covering: float  # min of sum mu(B)^q over candidate covers of the support
 
 
 def midpoint_ball_masses(spec: MoranSpec, r: float, depth: int) -> BallTable:
@@ -132,13 +130,13 @@ def midpoint_ball_masses(spec: MoranSpec, r: float, depth: int) -> BallTable:
 
 def _max_packing_value(points: np.ndarray, weights: np.ndarray, r: float) -> float:
     """
-    Exact max of sum(weights) over subsets of the sorted ``points`` with
-    pairwise distance >= r: prefix-max dynamic program on the line, where the
-    last point at distance >= r left of each point is found in one pass.
+    Exact max of sum(weights) over r-separated subsets of the sorted
+    ``points``: prefix-max dynamic program on the line, where the last point
+    r apart left of each point is read from ``separated_after``.
     """
-    before = (np.searchsorted(points, points - r, side="right") - 1).tolist()
+    before = np.searchsorted(separated_after(points, r), np.arange(points.size), side="right") - 1
     prefix: list[float] = []  # prefix[i] = max value of a packing within points[:i+1]
-    for i, (j, w) in enumerate(zip(before, weights.tolist())):
+    for i, (j, w) in enumerate(zip(before.tolist(), weights.tolist())):
         best = w + max(prefix[j] if j >= 0 else 0.0, 0.0)  # packing ending at i
         prefix.append(best if i == 0 else max(prefix[-1], best))
     return prefix[-1]
@@ -153,28 +151,21 @@ def _min_cover_value(
 ) -> float:
     """
     Exact min of sum(weights) over center subsets whose radius-r balls cover
-    the union of [lefts, rights]. Dynamic program over centers in left-to-
-    right order: ball j may extend a chain ending at ball i when no support
-    point lies in the gap (reach_i, points_j - r), i.e. when points_j - r is
-    at most ns_i, the first support point beyond reach_i. ``points`` and the
-    pieces must be sorted; then ns is non-decreasing (module docstring).
+    the sorted pieces [lefts, rights], by a left-to-right dynamic program on
+    the greedy's ``cover_steps``: ball j may come first when it covers
+    lefts[0], and follow ball i < j when j <= take_i or i is done. take is
+    non-decreasing, so ball j's predecessors form a suffix [lo_j, j), and a
+    monotone deque yields each suffix minimum, an existing value.
     """
+    assert np.all(points[1:] >= points[:-1]), "points must be sorted"
     n = points.size
-    start = float(lefts[0])
-    reach = points + r
-    # ns[i]: first support point strictly beyond reach[i] (the point the next
-    # ball must still cover); +inf when the chain already covers everything.
-    idx = np.searchsorted(rights, reach, side="right")
-    ns = np.full(n, math.inf)
-    inside = idx < lefts.size
-    ns[inside] = np.maximum(reach[inside], lefts[idx[inside]])
-    assert np.all(ns[1:] >= ns[:-1]), "points and support pieces must be sorted"
-    lo = np.searchsorted(ns, points - r, side="left").tolist()
-    init = ((points - r <= start) & (start <= reach)).tolist()
+    take, _, done = cover_steps(points, lefts, rights, r)
+    first, last = int(np.searchsorted(points, lefts[0] - r, side="left")), int(take[n])
+    lo = np.searchsorted(np.where(done, n - 1, take[:n]), np.arange(n), side="left").tolist()
     cost: list[float] = []
     window: deque[int] = deque()  # indices in [lo_j, j) with increasing cost
     for j, w in enumerate(weights.tolist()):
-        c = w if init[j] else math.inf
+        c = w if first <= j <= last else math.inf
         while window and window[0] < lo[j]:
             window.popleft()
         if window and cost[window[0]] + w < c:
@@ -183,14 +174,14 @@ def _min_cover_value(
         while window and cost[window[-1]] >= c:
             window.pop()
         window.append(j)
-    return min(cost[int(np.searchsorted(ns, math.inf)):], default=math.inf)
+    return min(cost[n - int(np.count_nonzero(done)):], default=math.inf)
 
 
 def brute_force_ball_moments(table: BallTable, q: float) -> BruteForceMoments:
     """
-    Certified packing/covering moment optima over the table's centers (the
-    midpoint class from ``midpoint_ball_masses``). The packing side is an
-    exact interval-graph DP; the covering side an exact shortest-cover DP.
+    Certified packing/covering moment optima over the table's centers, of
+    either class. The packing side is an exact interval-graph DP; the
+    covering side an exact shortest-cover DP.
     """
     with np.errstate(over="ignore"):  # an overflowing weight is inf, as in the greedy sums
         weights = table.ball_mass**q

@@ -23,11 +23,11 @@ space where underflow matters.
 
 Each spec carries one child table (``MoranSpec.child_table``): per family, the
 children's left offsets, ratios and log probabilities, which ``ball_mass``,
-``ball_masses``, ``interval_of`` and ``cells`` all read. It is built on first
-use from the spec's own fields; building it is deterministic and idempotent
-(a concurrent second build yields the same floats), so specs still behave as
-immutable values. Every function here is pure given its inputs (plus an
-explicit seed for sampling) and safe to call concurrently.
+``ball_masses`` and ``cells`` all read. It is built on first use from the
+spec's own fields; building it is deterministic and idempotent (a concurrent
+second build yields the same floats), so specs still behave as immutable
+values. Every function here is pure given its inputs (plus an explicit seed
+for sampling) and safe to call concurrently.
 
 ``ball_mass`` is a depth-first search over the cells meeting a window. Its
 optional ``start`` argument begins the search at the window's anchor: the
@@ -51,14 +51,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (
-    AddressOutOfRange,
-    ScaleTooSmall,
-    SpecValidationError,
-    TooDeep,
-    Violation,
-)
-from .output import json_bytes
+from .errors import ScaleTooSmall, SpecValidationError, TooDeep, Violation
 
 PROB_TOL = 1e-12
 # Hard cap for exhaustive cell enumeration (counts, coarse histograms, oracles).
@@ -359,30 +352,6 @@ def validate_spec(spec: MoranSpec) -> MoranSpec:
 # Geometry
 # ---------------------------------------------------------------------------
 
-def interval_of(spec: MoranSpec, address: tuple[int, ...]) -> tuple[float, float, float]:
-    """
-    Return ``(left, length, mass)`` of the basic interval at a 1-based address.
-
-    Disjointness of siblings (equal gaps) or abutment (no gaps) and the
-    left-to-right child order follow from the layout.
-    """
-    if len(address) > spec.depth_cap:
-        raise AddressOutOfRange(f"address depth {len(address)} exceeds depth_cap {spec.depth_cap}")
-    left = 0.0
-    length = 1.0
-    mass = 1.0
-    for g, idx in enumerate(address, start=1):
-        f = spec.schedule.family_index(g)
-        rows = spec.child_table[f]
-        if not (1 <= idx <= len(rows)):
-            raise AddressOutOfRange(f"index {idx} at generation {g} outside 1..{len(rows)}")
-        offset, ratio, _ = rows[idx - 1]
-        left += offset * length
-        length *= ratio
-        mass *= spec.families[f].probs[idx - 1]
-    return left, length, mass
-
-
 def ball_mass(spec: MoranSpec, x: float, r: float, depth: int, start=None) -> tuple[float, float]:
     """
     Evaluate mu(B(x, r)) by tree descent truncated at ``depth``.
@@ -681,8 +650,3 @@ def spec_from_dict(d: dict) -> MoranSpec:
 def load_spec(path) -> MoranSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return spec_from_dict(json.load(fh))
-
-
-def save_spec(spec: MoranSpec, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(json_bytes(spec.as_dict()))

@@ -32,12 +32,25 @@ from hsmf import (
 )
 from hsmf import counting
 from hsmf import specs as specs_module
-from hsmf.specs import BALL_CHUNK, ball_masses, cells, interval_of, load_spec, matched_generation
+from hsmf.specs import BALL_CHUNK, ball_masses, cells, load_spec, matched_generation
 
 
 # ---------------------------------------------------------------------------
 # test-only oracle: the per-node family_at/child_layout/math.log search
 # ---------------------------------------------------------------------------
+
+def interval_of(spec, address):
+    """``(left, length, mass)`` of the basic interval at a 1-based address,
+    walked down the spec's child table one generation at a time."""
+    left, length, mass = 0.0, 1.0, 1.0
+    for g, idx in enumerate(address, start=1):
+        f = spec.schedule.family_index(g)
+        offset, ratio, _ = spec.child_table[f][idx - 1]
+        left += offset * length
+        length *= ratio
+        mass *= spec.families[f].probs[idx - 1]
+    return left, length, mass
+
 
 def _old_child_layout(family, gap_policy):
     c = family.ratios

@@ -15,7 +15,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from test_ball_mass import random_specs
 
-from hsmf import GapPolicy, GenerationFamily, HsmfError, cli, save_spec
+from hsmf import GapPolicy, GenerationFamily, HsmfError, cli
+from hsmf.output import json_bytes
 
 VALID_SPEC = {
     "families": [{"probs": [0.25, 0.75], "ratios": [0.5, 0.5]}],
@@ -464,6 +465,17 @@ def test_q_grid_holds_at_most_the_stated_number_of_points():
         grid(1 / cli.Q_GRID_MAX_POINTS)
 
 
+@pytest.mark.parametrize("q_min, q_max, q_step, points, last", [
+    (0.0, 1.0, 0.35, 3, 0.7),      # a step that does not divide the span stops short of q_max
+    (-2.0, 2.0, 0.3, 14, 1.9),
+    (-5.0, 5.0, 0.25, 41, 5.0),    # a dividing step ends on q_max
+    (0.0, 0.7, 0.007, 101, 0.7),   # so does one whose quotient rounds to 99.99999999999999
+])
+def test_q_grid_stays_inside_q_max(q_min, q_max, q_step, points, last):
+    qs = cli._q_grid(argparse.Namespace(q_min=q_min, q_max=q_max, q_step=q_step))
+    assert qs.size == points and qs[-1] == pytest.approx(last, rel=1e-12)
+
+
 def test_sample_format_json_is_accepted(spec_file, tmp_path):
     proc = run_cli("sample", "--spec", str(spec_file), "--count", "3", "--format", "json",
                    "--out", str(tmp_path))
@@ -643,7 +655,7 @@ def test_no_valid_spec_fails_a_command(tmp_path, spec, q_min, q_max, steps, q):
     names an allowed error; a warning is a failure. Ball tables cost the most,
     so moments run 4 octaves and skip scales past 4096 cells."""
     path = tmp_path / "spec.json"
-    save_spec(spec, path)
+    path.write_bytes(json_bytes(spec.as_dict()))
     common = ["--spec", str(path), "--out", str(tmp_path / "out"), "--force"]
     # "--q=-1e-05": argparse takes a separate "-1e-05" for an option
     grid = [f"--q-min={q_min!r}", f"--q-max={q_max!r}", f"--q-step={(q_max - q_min) / steps!r}"]

@@ -3,6 +3,9 @@ The linear-time exact DPs and pointer-following greedy sweeps against the
 quadratic per-step versions they replaced, kept here as test-only oracles.
 Values and center lists must agree exactly (``==``), not to a tolerance:
 the verify artifacts are byte-compared, so the rewrite may not move a bit.
+The references spell "r apart" (a + r <= b) and "covers" (p <= y + r and
+y - r <= p) as the greedy sweeps do, written out per step rather than read
+from the sweeps' lookups, so the exact programs answer for the same floats.
 """
 
 import math
@@ -12,9 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsmf.counting import _covering_centers, _packing_centers
+from hsmf.counting import _covering_centers, _packing_centers, ball_table, covering_moment, packing_moment
 from hsmf.errors import ScaleTooSmall
-from hsmf.oracles import _max_packing_value, _min_cover_value, midpoint_ball_masses
+from hsmf.oracles import (
+    _max_packing_value,
+    _min_cover_value,
+    brute_force_ball_moments,
+    midpoint_ball_masses,
+)
 from hsmf.specs import max_length_at
 from hsmf.verify import spec_binomial, spec_middle_thirds, spec_uniform
 
@@ -28,8 +36,8 @@ def _ref_max_packing_value(points, weights, r):
     best = np.empty(n)
     prefix = np.empty(n)
     for i in range(n):
-        j = np.searchsorted(points, points[i] - r, side="right") - 1
-        prev = prefix[j] if j >= 0 else 0.0
+        apart = np.flatnonzero(points + r <= points[i])  # the greedy's "r apart" test
+        prev = prefix[apart[-1]] if apart.size else 0.0
         best[i] = weights[i] + max(prev, 0.0)
         prefix[i] = best[i] if i == 0 else max(prefix[i - 1], best[i])
     return float(prefix[-1])
@@ -46,10 +54,10 @@ def _ref_min_cover_value(points, weights, r, lefts, rights):
     piece_left = lefts[safe_idx]
     ns[inside] = np.where(piece_left[inside] <= reach[inside], reach[inside], piece_left[inside])
     cost = np.full(n, math.inf)
-    init = (points - r <= start) & (start <= reach)
+    init = (start - r <= points) & (points <= start + r)  # the greedy's "covers" tests
     cost[init] = weights[init]
     for j in range(1, n):
-        ok = ns[:j] >= points[j] - r
+        ok = points[j] <= ns[:j] + r
         if ok.any():
             prev = cost[:j][ok].min()
             if prev + weights[j] < cost[j]:
@@ -149,6 +157,26 @@ def test_cover_dp_rejects_unsorted_points():
         _min_cover_value(points, np.ones(3), 0.2, np.array([0.0]), np.array([1.0]))
 
 
+def test_packing_program_and_sweep_share_r_apart():
+    # a + r <= b holds for these two endpoints of middle_thirds at r = 3^-12, b - r >= a does not
+    points = np.array([3.7633528463178403e-06, 5.64502926947676e-06])
+    r = max_length_at(spec_middle_thirds(), 12)
+    assert _packing_centers(points, r) == [0, 1]
+    assert _max_packing_value(points, np.ones(2), r) == 2.0
+
+
+def test_cover_program_and_sweep_share_covers():
+    # the first ball: 0.1 + 0.2 <= 0.1 + 0.2 holds, (0.1 + 0.2) - 0.2 <= 0.1 does not
+    points, lefts, rights = np.array([0.1 + 0.2]), np.array([0.1]), np.array([0.5])
+    assert _covering_centers(points, lefts, rights, 0.2) == [0]
+    assert _min_cover_value(points, np.ones(1), 0.2, lefts, rights) == 1.0
+    # a following ball: b <= (a + r) + r holds, b - r <= a + r does not
+    points, r = np.array([0.08991356716121543, 0.36352589987981054]), 0.13680616635929754
+    lefts, rights = np.array([0.0]), np.array([0.5])
+    assert _covering_centers(points, lefts, rights, r) == [0, 1]
+    assert _min_cover_value(points, np.ones(2), r, lefts, rights) == 2.0
+
+
 def test_packing_sweep_without_progress_raises():
     # a radius below the spacing resolution of the points cannot advance
     with pytest.raises(ScaleTooSmall, match="progress"):
@@ -174,3 +202,21 @@ def test_equal_on_verify_measures(factory):
             assert _min_cover_value(mids, w, r, lefts, rights) == _ref_min_cover_value(
                 mids, w, r, lefts, rights
             )
+
+
+@pytest.mark.parametrize("factory", [spec_uniform, spec_middle_thirds, spec_binomial])
+def test_exact_programs_certify_the_endpoint_class(factory):
+    """Criterion 10's cells on the endpoint tables that ``moments`` sums over:
+    the greedy stays inside the optima to criterion 10's 1e-9, and at q = 0
+    the sweeps are optimal within the class, so both sides are equal."""
+    spec = factory()
+    base = max_length_at(spec, 12)
+    for r in (base, 2.7 * base):
+        table = ball_table(spec, r, 12)
+        for q in (-1.0, 0.0, 1.0, 2.0):
+            bf = brute_force_ball_moments(table, q)
+            cover, pack = covering_moment(table, q), packing_moment(table, q)
+            tol = 1e-9 * max(1.0, abs(bf.covering), abs(bf.packing))
+            assert cover >= bf.covering - tol and pack <= bf.packing + tol, (r, q)
+            if q == 0.0:
+                assert (cover, pack) == (bf.covering, bf.packing), r
