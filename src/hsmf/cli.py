@@ -17,9 +17,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
+from ._np import np
 from .counting import counting_moment_table, partition_moment_table
 from .errors import HsmfError, ScaleTooSmall, SpecValidationError
 from .output import JsonStream, config_hash, csv_bytes, json_bytes, meta_line, write_json

@@ -43,8 +43,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
+from ._np import np
 from .errors import ScaleTooSmall, TooDeep
 from .output import fmt
 from .specs import (

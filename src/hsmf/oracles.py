@@ -19,10 +19,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .counting import BallTable, ball_table, cover_steps, separated_after
-from .errors import ParameterOutOfRange, TooDeep
+from .errors import ParameterOutOfRange, ScaleTooSmall, TooDeep
 from .specs import MoranSpec, _num_cells
 
 _BRUTE_FORCE_MAX_CELLS = 1 << 13
@@ -134,7 +133,11 @@ def _max_packing_value(points: np.ndarray, weights: np.ndarray, r: float) -> flo
     ``points``: prefix-max dynamic program on the line, where the last point
     r apart left of each point is read from ``separated_after``.
     """
-    before = np.searchsorted(separated_after(points, r), np.arange(points.size), side="right") - 1
+    idx = np.arange(points.size)
+    after = separated_after(points, r)
+    if np.any(after <= idx):  # r below the points' spacing resolution, as in _packing_centers
+        raise ScaleTooSmall("packing program failed to progress")
+    before = np.searchsorted(after, idx, side="right") - 1
     prefix: list[float] = []  # prefix[i] = max value of a packing within points[:i+1]
     for i, (j, w) in enumerate(zip(before.tolist(), weights.tolist())):
         best = w + max(prefix[j] if j >= 0 else 0.0, 0.0)  # packing ending at i

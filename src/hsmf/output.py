@@ -10,7 +10,6 @@ into a sink, so a document with a ``JsonStream`` array never exists whole.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import math
@@ -143,6 +142,8 @@ def _write(obj, nl: str, parts: list[str], sink: Callable[[bytes], object]) -> N
 
 
 def config_hash(obj) -> str:
+    import hashlib  # here, not at module level: `validate` never hashes
+
     payload = json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
     return hashlib.sha256(payload.encode("ascii")).hexdigest()[:12]
 

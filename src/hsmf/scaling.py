@@ -47,8 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._np import np
 from .errors import InsufficientScales, NoBracket, NoConvergence, TooDeep
 from .output import fmt
 from .specs import (

@@ -27,7 +27,10 @@ children's left offsets, ratios and log probabilities, which ``ball_mass``,
 spec's own fields; building it is deterministic and idempotent (a concurrent
 second build yields the same floats), so specs still behave as immutable
 values. Every function here is pure given its inputs (plus an explicit seed
-for sampling) and safe to call concurrently.
+for sampling) and safe to call concurrently, with one caveat before Python
+3.12: numpy loads on its first use (``hsmf._np``), and that load is not
+thread-safe, so the first numpy use must not race. Importing numpy before
+``hsmf`` avoids the issue.
 
 ``ball_mass`` is a depth-first search over the cells meeting a window. Its
 optional ``start`` argument begins the search at the window's anchor: the
@@ -49,8 +52,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Union
 
-import numpy as np
-
+from ._np import np
 from .errors import ScaleTooSmall, SpecValidationError, TooDeep, Violation
 
 PROB_TOL = 1e-12

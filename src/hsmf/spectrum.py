@@ -23,8 +23,7 @@ from itertools import chain
 from math import lgamma
 from typing import Sequence
 
-import numpy as np
-
+from ._np import np
 from .counting import logsumexp
 from .errors import DegenerateGrid, ScaleTooSmall
 from .output import fmt

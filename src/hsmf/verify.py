@@ -31,9 +31,8 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import __version__
+from ._np import np
 from .oracles import (
     block_moran_bounds,
     brute_force_ball_moments,

@@ -596,6 +596,42 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_commands_that_compute_nothing_never_load_numpy(tmp_path):
+    # structural guard, not a timing gate: hsmf defers numpy to its first use
+    script = (
+        "import sys\n"
+        "from hsmf import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('numpy.')))\n"
+    )
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(VALID_SPEC, families=[{"probs": [0.5, 0.6], "ratios": [0.5, 0.5]}])))
+    cases = [
+        (["validate", "--spec", str(SPECS / "uniform.json")], 0),
+        (["--version"], 0),
+        (["dims", "--spec", str(SPECS / "uniform.json"), "--k-max", "0"], 2),
+        (["validate", "--spec", str(bad)], 1),
+    ]
+    for argv, code in cases:
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{code} []", argv
+
+
+def test_np_is_the_numpy_module_whichever_is_imported_first():
+    for script in ("import numpy, hsmf._np; print(hsmf._np.np is numpy)",
+                   "import hsmf._np, numpy; print(hsmf._np.np is numpy and numpy.add(1, 2) == 3)"):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout.strip()) == (0, "True"), proc.stderr
+    # without numpy, importing hsmf fails as a plain numpy import would
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.modules['numpy'] = None; import hsmf"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "ModuleNotFoundError: No module named 'numpy'" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # fuzz: no valid spec fails a command
 # ---------------------------------------------------------------------------

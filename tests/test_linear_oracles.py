@@ -178,9 +178,13 @@ def test_cover_program_and_sweep_share_covers():
 
 
 def test_packing_sweep_without_progress_raises():
-    # a radius below the spacing resolution of the points cannot advance
+    # a radius below the spacing resolution of the points cannot advance, in the
+    # sweep or in the exact program that reads the same lookup
+    points = np.array([1.0, 2.0])
     with pytest.raises(ScaleTooSmall, match="progress"):
-        _packing_centers(np.array([1.0, 2.0]), 1e-20)
+        _packing_centers(points, 1e-20)
+    with pytest.raises(ScaleTooSmall, match="progress"):
+        _max_packing_value(points, np.ones(2), 1e-20)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Structural guards on the source tree: the benchmark's wrapped names, dead imports,
-unused options and memoizing caches."""
+direct numpy imports, unused options and memoizing caches."""
 
 import ast
 import importlib
@@ -54,6 +54,36 @@ def test_no_unused_module_imports():
         if path.name != "__init__.py" and (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def _numpy_imports(source: str) -> list[str]:
+    """``import numpy``/``from numpy ...`` statements anywhere in the module: each one runs
+    numpy's import at once, which undoes the deferral in ``hsmf._np``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "numpy":
+            found.append(f"from {node.module}")
+    return found
+
+
+def test_numpy_is_imported_only_through_np_module():
+    # the check itself: plain, dotted and from-imports of numpy are seen, at module level
+    # or inside a function; hsmf's own deferred binding and a look-alike name are not
+    sample = (
+        "from __future__ import annotations\n"
+        "import numpy as np\nimport numpy.linalg\nfrom numpy import float64\n"
+        "from ._np import np\nimport numpyish\n"
+        "def f():\n    from numpy.random import default_rng\n    return default_rng\n"
+    )
+    assert _numpy_imports(sample) == ["numpy", "numpy.linalg", "from numpy", "from numpy.random"]
+    found = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "_np.py" and (names := _numpy_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
 
 
 # Options that only tests set, each named with a test that sets it.
