@@ -11,7 +11,9 @@ and the support pieces. Every estimator at that scale reads the table; a
 count is the q = 0 moment. Two deterministic candidate classes are used:
 
 * ``"endpoints"`` (default): centers are generation-k cell endpoints, all of
-  which belong to the support. The left-to-right sweep is exactly optimal
+  which belong to the support; an endpoint shared by adjacent cells is kept
+  once, by an in-place sort and an adjacent-difference mask
+  (``sorted_distinct``). The left-to-right sweep is exactly optimal
   within this class on the line, so the q = 0 covering moment is an upper
   bound for the true covering number of the support (it covers the
   generation-k superset) and the q = 0 packing moment counts a valid packing
@@ -23,7 +25,8 @@ The sweeps' two lookups, ``separated_after`` and ``cover_steps``, are also
 the steps of the exact programs in ``oracles``, which accept any sorted class.
 
 A table owns one cover and one packing, both q-independent and each found
-once. ``covering_moment`` and ``packing_moment`` are the one ball-moment sum:
+once, as ``np.intp`` index arrays into its sorted centers that the sweeps fill
+in place. ``covering_moment`` and ``packing_moment`` are the one ball-moment sum:
 the columns of ``counting_moment_table`` are their values, and a power past
 the double range is inf there without a warning, as in the oracle's weights.
 
@@ -90,42 +93,58 @@ def cover_steps(points: np.ndarray, lefts: np.ndarray, rights: np.ndarray, r: fl
     return take, (take < 0) | (points[take] < pos - r), piece >= lefts.size
 
 
-def _covering_centers(points: np.ndarray, lefts: np.ndarray, rights: np.ndarray, r: float) -> list[int]:
+def _covering_centers(points: np.ndarray, lefts: np.ndarray, rights: np.ndarray, r: float) -> np.ndarray:
     """Indices into ``points`` of the greedy cover from ``cover_steps``: each step
     takes the farthest candidate that still covers the leftmost uncovered
     point, which on the line is optimal within the candidate class."""
     take, stuck, done = map(memoryview, cover_steps(points, lefts, rights, r))
-    centers: list[int] = []
+    centers = np.empty(points.size + 2, dtype=np.intp)
+    out = memoryview(centers)
     j = points.size  # the start slot
-    while True:
+    for n in range(points.size + 2):  # a progressing sweep takes each candidate once
         if stuck[j]:
             raise ScaleTooSmall("candidate centers cannot cover the support at this radius")
-        j = take[j]
-        centers.append(j)
+        j = out[n] = take[j]
         if done[j]:
-            return centers
-        if len(centers) > points.size + 1:
-            raise ScaleTooSmall("covering sweep failed to progress")
+            return centers[:n + 1]
+    raise ScaleTooSmall("covering sweep failed to progress")
 
 
-def _packing_centers(points: np.ndarray, r: float) -> list[int]:
+def _packing_centers(points: np.ndarray, r: float) -> np.ndarray:
     """Indices of a greedy maximal r-separated subset of sorted candidate
     points: from each chosen point, the first one r apart from it."""
     nxt = memoryview(separated_after(points, r))
-    centers = [0]
-    while (i := nxt[centers[-1]]) < points.size:
-        if i <= centers[-1]:
+    centers = np.empty(points.size, dtype=np.intp)
+    out = memoryview(centers)
+    out[0] = i = 0
+    n = 1
+    while (j := nxt[i]) < points.size:
+        if j <= i:
             raise ScaleTooSmall("packing sweep failed to progress")
-        centers.append(i)
-    return centers
+        out[n] = i = j
+        n += 1
+    return centers[:n]
+
+
+def sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of the 1-d float array ``a`` (no NaN), ascending.
+    This is ``np.unique``'s sorting path: ``a`` is sorted in place and each
+    value unequal to its predecessor is kept. ``np.unique`` itself would copy
+    ``a`` and import ``numpy.ma`` to ask whether it is masked."""
+    a.sort()
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 @dataclass(frozen=True)
 class BallTable:
-    """One scale's candidate centers (sorted) with their ball masses
-    mu(B(x, r)), and the support pieces [lefts, rights] they cover. The
-    greedy cover and packing are index arrays into ``points``, each found on
-    first use: a midpoint table that cannot cover still serves the oracle."""
+    """One scale's candidate centers (sorted, distinct by sort and mask) with
+    their ball masses mu(B(x, r)), and the support pieces [lefts, rights]
+    they cover. The greedy cover and packing are ``np.intp`` index arrays
+    into ``points``, each found on first use: a midpoint table that cannot
+    cover still serves the oracle."""
 
     r: float
     points: np.ndarray
@@ -135,11 +154,11 @@ class BallTable:
 
     @cached_property
     def cover(self) -> np.ndarray:
-        return np.array(_covering_centers(self.points, self.lefts, self.rights, self.r))
+        return _covering_centers(self.points, self.lefts, self.rights, self.r)
 
     @cached_property
     def packing(self) -> np.ndarray:
-        return np.array(_packing_centers(self.points, self.r))
+        return _packing_centers(self.points, self.r)
 
 
 def ball_table(spec: MoranSpec, r: float, depth: int | None = None, centers: str = "endpoints") -> BallTable:
@@ -156,7 +175,7 @@ def ball_table(spec: MoranSpec, r: float, depth: int | None = None, centers: str
     except TooDeep as e:
         raise ScaleTooSmall(str(e)) from e
     if centers == "endpoints":
-        pts = np.unique(np.concatenate([lefts, lefts + lengths]))
+        pts = sorted_distinct(np.concatenate([lefts, lefts + lengths]))
     elif centers == "midpoints":
         pts = lefts + 0.5 * lengths
     else:

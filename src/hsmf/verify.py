@@ -69,7 +69,7 @@ from .specs import (
     max_length_at,
     validate_spec,
 )
-from .counting import covering_moment, log_partition, packing_moment
+from .counting import covering_moment, log_partition, packing_moment, sorted_distinct
 
 K_DEEP = 4**10
 
@@ -243,9 +243,6 @@ def _random_spec(rng) -> MoranSpec:
 # Criteria 1..10
 # ---------------------------------------------------------------------------
 
-C1_QS = np.arange(-3.0, 4.0)
-
-
 def _record_grid(res: CriterionResult, grid: SeparatorGrid) -> None:
     """Keep ``grid`` as the criterion's artifact and record its shape check."""
     problems = grid.check_invariants()
@@ -257,14 +254,15 @@ def _record_grid(res: CriterionResult, grid: SeparatorGrid) -> None:
 def criterion_1(res: CriterionResult, seed: int, tol_scale: float) -> None:
     """Normalization root: beta_k(1) = 0 and the solver residual bound."""
     rng = np.random.default_rng(seed + 1)
+    qs = np.arange(-3.0, 4.0)
     worst_b1 = 0.0
     worst_resid = 0.0
     for _ in range(200):
         spec = _random_spec(rng)
         k = int(rng.integers(4, 97))
-        betas = solve_beta_k(spec, C1_QS, k)
-        resid, _ = log_partition(spec, C1_QS, betas, family_generation_counts(spec, k))
-        worst_b1 = max(worst_b1, abs(float(betas[C1_QS == 1.0][0])))
+        betas = solve_beta_k(spec, qs, k)
+        resid, _ = log_partition(spec, qs, betas, family_generation_counts(spec, k))
+        worst_b1 = max(worst_b1, abs(float(betas[qs == 1.0][0])))
         worst_resid = max(worst_resid, float(np.max(np.abs(resid))) / k)
     res.record("beta_k(1) == 0", worst_b1 <= 1e-12 * tol_scale, worst=worst_b1)
     res.record("residual <= 1e-12 k", worst_resid <= 1e-12 * tol_scale, worst=worst_resid)
@@ -430,7 +428,7 @@ def _alpha_grid_for(spec: MoranSpec, k_fin: int) -> np.ndarray:
     dist = mass_distribution(spec, k_fin)
     dominant = float(dist.log_masses[int(np.argmax(dist.log_counts))])
     anchors.append(dominant / math.log(max_length_at(spec, k_fin)))
-    return np.unique(np.concatenate([base, np.asarray(anchors)]))
+    return sorted_distinct(np.concatenate([base, np.asarray(anchors)]))
 
 
 @_criterion(7, "legendre transform and coarse upper bounds", 60.0)

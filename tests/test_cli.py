@@ -618,6 +618,33 @@ def test_commands_that_compute_nothing_never_load_numpy(tmp_path):
         assert proc.stdout.splitlines()[-1] == f"{code} []", argv
 
 
+def test_importing_verify_leaves_numpy_unexecuted():
+    # structural guard, not a timing gate: no module-level array in hsmf.verify
+    script = "import sys, hsmf.verify; print(sorted(m for m in sys.modules if m.startswith('numpy.')))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+
+
+def test_moments_verify_and_sampled_masses_never_load_numpy_ma(tmp_path):
+    # structural guard, not a timing gate: np.unique without return_counts
+    # imports numpy.ma to ask whether its input is masked; the sampled
+    # mass_distribution's np.unique(..., return_counts=True) never asks
+    wide = {"families": [{"probs": [0.05, 0.07, 0.09, 0.11, 0.13, 0.15, 0.17, 0.23], "ratios": [0.125] * 8}],
+            "schedule": {"type": "constant", "family": 0}, "gap_policy": "no_gaps", "depth_cap": 64}
+    argv = ["moments", "--spec", str(SPECS / "binomial_quarter.json"), "--r-octaves", "6", "--out", str(tmp_path)]
+    script = (
+        "import sys\n"
+        "from hsmf import cli, spec_from_dict, spectrum, validate_spec, verify\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "assert verify.criterion_7(0, 1.0).passed\n"
+        f"spec = validate_spec(spec_from_dict({wide!r}))\n"
+        "assert not spectrum.mass_distribution(spec, 40).exact\n"  # past MASS_MAX_TERMS
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+
+
 def test_np_is_the_numpy_module_whichever_is_imported_first():
     for script in ("import numpy, hsmf._np; print(hsmf._np.np is numpy)",
                    "import hsmf._np, numpy; print(hsmf._np.np is numpy and numpy.add(1, 2) == 3)"):

@@ -208,6 +208,16 @@ def test_moment_table_csv_order(uniform_spec):
     assert rows[0][2] == "0.5" and rows[1][2] == "0.25"
 
 
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.1, 0.1 + 0.2, 0.3, 1e-300, 0.5, 1.0, 2.0**-40]), max_size=40)
+       | st.lists(st.floats(allow_nan=False), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_sorted_distinct_equals_np_unique(values):
+    """The dedupe of ball_table and c7's alpha grid is np.unique's sorting
+    path to the bit, signed zeros and infinities included."""
+    a = np.array(values, dtype=float)
+    assert counting.sorted_distinct(a.copy()).tobytes() == np.unique(a).tobytes()
+
+
 @pytest.mark.parametrize("name", ["uniform", "binomial_quarter", "middle_thirds",
                                   "periodic_two_family", "block_switched", "switching_binomial"])
 def test_moment_table_columns_equal_the_table_estimators(name):

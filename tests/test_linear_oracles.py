@@ -9,13 +9,24 @@ from the sweeps' lookups, so the exact programs answer for the same floats.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsmf.counting import _covering_centers, _packing_centers, ball_table, covering_moment, packing_moment
+from hsmf import counting
+from hsmf.cli import MOMENT_MAX_CELLS, _usable_radii
+from hsmf.counting import (
+    _covering_centers,
+    _packing_centers,
+    ball_table,
+    cover_steps,
+    covering_moment,
+    packing_moment,
+    separated_after,
+)
 from hsmf.errors import ScaleTooSmall
 from hsmf.oracles import (
     _max_packing_value,
@@ -23,7 +34,7 @@ from hsmf.oracles import (
     brute_force_ball_moments,
     midpoint_ball_masses,
 )
-from hsmf.specs import max_length_at
+from hsmf.specs import load_spec, max_length_at
 from hsmf.verify import spec_binomial, spec_middle_thirds, spec_uniform
 
 
@@ -102,6 +113,33 @@ def _ref_packing_centers(points, r):
         centers.append(float(points[i]))
 
 
+def _list_covering_centers(points, lefts, rights, r):
+    """The sweep as it was before it filled an index array: a Python list."""
+    take, stuck, done = map(memoryview, cover_steps(points, lefts, rights, r))
+    centers = []
+    j = points.size  # the start slot
+    while True:
+        if stuck[j]:
+            raise ScaleTooSmall("candidate centers cannot cover the support at this radius")
+        j = take[j]
+        centers.append(j)
+        if done[j]:
+            return centers
+        if len(centers) > points.size + 1:
+            raise ScaleTooSmall("covering sweep failed to progress")
+
+
+def _list_packing_centers(points, r):
+    """The packing sweep as it was before it filled an index array."""
+    nxt = memoryview(separated_after(points, r))
+    centers = [0]
+    while (i := nxt[centers[-1]]) < points.size:
+        if i <= centers[-1]:
+            raise ScaleTooSmall("packing sweep failed to progress")
+        centers.append(i)
+    return centers
+
+
 def _assert_same_cover(points, lefts, rights, r):
     try:
         want = _ref_covering_centers(points, lefts, rights, r)
@@ -161,19 +199,19 @@ def test_packing_program_and_sweep_share_r_apart():
     # a + r <= b holds for these two endpoints of middle_thirds at r = 3^-12, b - r >= a does not
     points = np.array([3.7633528463178403e-06, 5.64502926947676e-06])
     r = max_length_at(spec_middle_thirds(), 12)
-    assert _packing_centers(points, r) == [0, 1]
+    assert _packing_centers(points, r).tolist() == [0, 1]
     assert _max_packing_value(points, np.ones(2), r) == 2.0
 
 
 def test_cover_program_and_sweep_share_covers():
     # the first ball: 0.1 + 0.2 <= 0.1 + 0.2 holds, (0.1 + 0.2) - 0.2 <= 0.1 does not
     points, lefts, rights = np.array([0.1 + 0.2]), np.array([0.1]), np.array([0.5])
-    assert _covering_centers(points, lefts, rights, 0.2) == [0]
+    assert _covering_centers(points, lefts, rights, 0.2).tolist() == [0]
     assert _min_cover_value(points, np.ones(1), 0.2, lefts, rights) == 1.0
     # a following ball: b <= (a + r) + r holds, b - r <= a + r does not
     points, r = np.array([0.08991356716121543, 0.36352589987981054]), 0.13680616635929754
     lefts, rights = np.array([0.0]), np.array([0.5])
-    assert _covering_centers(points, lefts, rights, r) == [0, 1]
+    assert _covering_centers(points, lefts, rights, r).tolist() == [0, 1]
     assert _min_cover_value(points, np.ones(2), r, lefts, rights) == 2.0
 
 
@@ -181,8 +219,11 @@ def test_packing_sweep_without_progress_raises():
     # a radius below the spacing resolution of the points cannot advance, in the
     # sweep or in the exact program that reads the same lookup
     points = np.array([1.0, 2.0])
-    with pytest.raises(ScaleTooSmall, match="progress"):
+    with pytest.raises(ScaleTooSmall, match="progress") as got:
         _packing_centers(points, 1e-20)
+    with pytest.raises(ScaleTooSmall) as want:
+        _list_packing_centers(points, 1e-20)
+    assert got.value.args == want.value.args
     with pytest.raises(ScaleTooSmall, match="progress"):
         _max_packing_value(points, np.ones(2), 1e-20)
 
@@ -224,3 +265,58 @@ def test_exact_programs_certify_the_endpoint_class(factory):
             assert cover >= bf.covering - tol and pack <= bf.packing + tol, (r, q)
             if q == 0.0:
                 assert (cover, pack) == (bf.covering, bf.packing), r
+
+
+# ---------------------------------------------------------------------------
+# The index-array sweeps against the list-based ones they replaced
+# ---------------------------------------------------------------------------
+
+SPEC_FILES = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.json")) + [
+    Path(__file__).resolve().parent / "fixtures" / "lopsided.json"
+]
+
+
+def _assert_same_sweeps(table):
+    want_cover = _list_covering_centers(table.points, table.lefts, table.rights, table.r)
+    want_pack = _list_packing_centers(table.points, table.r)
+    for got, want in ((table.cover, want_cover), (table.packing, want_pack)):
+        assert got.dtype == np.intp
+        assert got.tolist() == want
+
+
+@pytest.fixture()
+def massless_tables(monkeypatch):
+    """Ball tables without their ball masses, which the sweeps never read."""
+    monkeypatch.setattr(counting, "ball_masses", lambda spec, pts, r, depth: np.zeros(pts.size))
+
+
+@pytest.mark.parametrize("path", SPEC_FILES, ids=lambda p: p.stem)
+def test_sweeps_equal_the_list_sweeps_on_moments_tables(path, massless_tables):
+    """Every endpoint table ``moments --r-octaves 16`` builds for this spec."""
+    spec = load_spec(path)
+    radii = _usable_radii("moments skip", spec, range(1, 17), MOMENT_MAX_CELLS)
+    assert radii
+    for r in radii:
+        _assert_same_sweeps(ball_table(spec, r))
+
+
+def test_sweeps_equal_the_list_sweeps_on_criterion_10_tables(massless_tables):
+    for factory in (spec_uniform, spec_middle_thirds, spec_binomial):
+        spec = factory()
+        base = max_length_at(spec, 12)
+        for r in (base, 2.7 * base):
+            _assert_same_sweeps(midpoint_ball_masses(spec, r, 12))
+
+
+@pytest.mark.parametrize("points, lefts, rights, r", [
+    ([0.0], [0.5], [1.0], 0.1),  # stuck: no candidate within r of the first uncovered point
+    ([0.9], [0.0], [1.0], 0.1),  # stuck: no candidate left of it
+    ([0.0, 0.5], [0.0], [1.0], 0.1),  # the uncovered point stays at the first ball's reach
+])
+def test_cover_errors_equal_the_list_sweep(points, lefts, rights, r):
+    points, lefts, rights = np.array(points), np.array(lefts), np.array(rights)
+    with pytest.raises(ScaleTooSmall) as want:
+        _list_covering_centers(points, lefts, rights, r)
+    with pytest.raises(ScaleTooSmall) as got:
+        _covering_centers(points, lefts, rights, r)
+    assert got.value.args == want.value.args
