@@ -69,7 +69,6 @@ from .spectrum import (
     tilted_dimension_check,
 )
 from .oracles import (
-    BlockBounds,
     BruteForceMoments,
     block_moran_bounds,
     brute_force_ball_moments,

@@ -1,8 +1,10 @@
 """
 Deterministic command-line front end.
 
-Commands: validate, dims, spectrum, moments, sample, verify.
-Exit codes: 0 success, 1 invariant/criterion failure, 2 usage or parse error.
+Commands: validate, dims, spectrum, moments, sample, verify. Each returns the
+problems it found (an empty list on success); ``main`` alone reports them and
+maps them and errors to exit codes: 0 success, 1 spec violations, invariant or
+criterion failures, 2 usage errors and malformed spec files.
 Identical configuration and seed produce byte-identical output files; every
 file carries a header with the tool version, a config hash, and the seed.
 """
@@ -23,14 +25,7 @@ from .counting import counting_moment_table, partition_moment_table
 from .errors import HsmfError, ScaleTooSmall, SpecValidationError
 from .output import JsonStream, config_hash, csv_bytes, json_bytes, meta_line, write_json
 from .scaling import separator_grid
-from .specs import (
-    _num_cells,
-    check_spec,
-    load_spec,
-    matched_generation,
-    sample_paths,
-    validate_spec,
-)
+from .specs import _num_cells, load_spec, matched_generation, sample_paths, validate_spec
 from .spectrum import spectrum_result
 
 USAGE_ERROR = 2
@@ -161,120 +156,80 @@ def _write(path: Path, data, force: bool) -> None:
         raise
 
 
-def _emit_table(out: Path, stem: str, columns, rows, meta: str, args) -> None:
+def _emit_table(out: Path, stem: str, columns, rows, header: dict, args) -> None:
     """One table as CSV or as a JSON record list, per --format."""
     rows = list(rows)
+    line = meta_line(header["version"], header["config"], header["seed"])
     if args.format == "json":
-        payload = {"meta": meta.lstrip("# ").rstrip(), "columns": list(columns),
+        payload = {"meta": line.removeprefix("# "), "columns": list(columns),
                    "rows": [list(r) for r in rows]}
         _write(out / f"{stem}.json", json_bytes(payload), args.force)
     else:
-        _write(out / f"{stem}.csv", csv_bytes(columns, rows, meta), args.force)
+        _write(out / f"{stem}.csv", csv_bytes(columns, rows, line), args.force)
 
 
-def _config(args, spec=None) -> dict:
-    """Hashable run configuration: numeric args plus spec content, not paths."""
+def _header(args, spec) -> dict:
+    """Every artifact's header: the version, a hash of the run configuration
+    (numeric args plus spec content, not paths) and the seed."""
     cfg = {k: v for k, v in vars(args).items() if k not in ("command", "out", "force", "spec")}
-    if spec is not None:
-        cfg["spec"] = spec.as_dict()
-    return cfg
+    cfg["spec"] = spec.as_dict()
+    return {"version": __version__, "config": config_hash(cfg), "seed": args.seed}
 
 
-def _meta(args, spec=None) -> str:
-    return meta_line(__version__, config_hash(_config(args, spec)), getattr(args, "seed", 0))
-
-
-def _json_meta(args, spec=None) -> dict:
-    return {
-        "version": __version__,
-        "config": config_hash(_config(args, spec)),
-        "seed": getattr(args, "seed", 0),
-    }
-
-
-def cmd_validate(args) -> int:
-    spec = load_spec(args.spec)
-    violations = check_spec(spec)
-    if violations:
-        print(json.dumps([asdict(v) for v in violations], sort_keys=True))
-        return FAILURE
+def cmd_validate(args) -> list[str]:
+    spec = validate_spec(load_spec(args.spec))
     print(json.dumps({"valid": True, "families": len(spec.families)}, sort_keys=True))
-    return 0
+    return []
 
 
-def cmd_dims(args) -> int:
+def cmd_dims(args) -> list[str]:
     _require_at_least(args, 1, "k-max")
     spec = validate_spec(load_spec(args.spec))
-    qs = _q_grid(args)
-    grid = separator_grid(spec, qs, min(args.k_max, spec.depth_cap))
-    out = _outdir(args)
-    meta = _meta(args, spec)
-    _emit_table(out, "separators", grid.csv_columns, grid.rows_csv(), meta, args)
-    diag = {
-        "meta": _json_meta(args, spec),
-        "per_q": grid.diagnostics,
-        "schedule": spec.schedule.as_dict(),
-    }
+    grid = separator_grid(spec, _q_grid(args), min(args.k_max, spec.depth_cap))
+    out, header = _outdir(args), _header(args, spec)
+    _emit_table(out, "separators", grid.csv_columns, grid.rows_csv(), header, args)
+    diag = {"meta": header, "per_q": grid.diagnostics, "schedule": spec.schedule.as_dict()}
     if hasattr(spec.schedule, "boundary_ratios"):
         diag["boundary_ratios"] = list(spec.schedule.boundary_ratios)
     _write(out / "diagnostics.json", json_bytes(diag), args.force)
-    problems = grid.check_invariants()
-    if problems:
-        print("invariant failures: " + "; ".join(problems), file=sys.stderr)
-        return FAILURE
-    return 0
+    return grid.check_invariants()
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> list[str]:
     _require_at_least(args, 1, "k-max", "r-octaves")
     spec = validate_spec(load_spec(args.spec))
-    qs = _q_grid(args)
-    grid = separator_grid(spec, qs, min(args.k_max, spec.depth_cap))
+    grid = separator_grid(spec, _q_grid(args), min(args.k_max, spec.depth_cap))
     octaves = sorted({*range(max(4, args.r_octaves // 2), args.r_octaves + 1, 4), args.r_octaves})
     # the histogram samples cells past its enumeration cap, so no cell cap here
     r_list = _usable_radii("spectrum skips", spec, octaves, math.inf)
     alpha = np.round(np.arange(0.0, 2.5001, 0.025), 10)
-    result = spectrum_result(
-        spec, grid, alpha, r_list, epsilon=args.epsilon, seed=args.seed
-    )
-    out = _outdir(args)
-    meta = _meta(args, spec)
+    result = spectrum_result(spec, grid, alpha, r_list, epsilon=args.epsilon, seed=args.seed)
+    out, header = _outdir(args), _header(args, spec)
     _emit_table(out, "legendre", ("alpha", "b_star", "B_star", "boundary_flag"),
-                result.legendre_rows_csv(), meta, args)
-    _emit_table(out, "coarse", ("r", "alpha", "f_hat", "count"),
-                result.coarse.rows_csv(), meta, args)
-    tilted = {
-        "meta": _json_meta(args, spec),
-        "bounds": asdict(result.bounds),
-        "checks": [asdict(t) for t in result.tilted],
-    }
+                result.legendre_rows_csv(), header, args)
+    _emit_table(out, "coarse", ("r", "alpha", "f_hat", "count"), result.coarse.rows_csv(),
+                header, args)
+    tilted = {"meta": header, "bounds": asdict(result.bounds),
+              "checks": [asdict(t) for t in result.tilted]}
     _write(out / "tilted.json", json_bytes(tilted), args.force)
-    problems = result.check_invariants()
-    if problems:
-        print("invariant failures: " + "; ".join(problems), file=sys.stderr)
-        return FAILURE
-    return 0
+    return result.check_invariants()
 
 
-def cmd_moments(args) -> int:
+def cmd_moments(args) -> list[str]:
     _require_at_least(args, 1, "r-octaves")
     spec = validate_spec(load_spec(args.spec))
     qs = _q_grid(args)
     r_list = _usable_radii("moments skip", spec, range(1, args.r_octaves + 1), MOMENT_MAX_CELLS)
-    out = _outdir(args)
-    meta = _meta(args, spec)
-    rows = []
-    ks = sorted({matched_generation(spec, r) for r in r_list} | {2, 4, 8})
-    tables = [partition_moment_table(spec, qs, ks),
-              *counting_moment_table(spec, qs, r_list)]
-    for table in tables:
-        problems = table.check_invariants()
-        if problems:
-            print("invariant failures: " + "; ".join(problems), file=sys.stderr)
-            return FAILURE
-        rows.extend(table.rows_csv())
-    _emit_table(out, "moments", ("kind", "q", "r", "value", "flag"), rows, meta, args)
-    return 0
+    out, header = _outdir(args), _header(args, spec)
+    # partition rows at the matched generations and at 2, 4 and 8, none past depth_cap
+    ks = {matched_generation(spec, r) for r in r_list} | {k for k in (2, 4, 8) if k <= spec.depth_cap}
+    tables = [partition_moment_table(spec, qs, ks), *counting_moment_table(spec, qs, r_list)]
+    # the first table that fails names the problems, and nothing is written
+    problems = next((found for table in tables if (found := table.check_invariants())), [])
+    if not problems:
+        rows = [row for table in tables for row in table.rows_csv()]
+        _emit_table(out, "moments", ("kind", "q", "r", "value", "flag"), rows, header, args)
+    return problems
 
 
 def _usable_radii(skip_phrase, spec, octaves, max_cells) -> list[float]:
@@ -311,18 +266,18 @@ def _unmatchable(spec, r, max_cells) -> str | None:
     return None
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> list[str]:
     _require_at_least(args, 1, "depth")
     _require_at_least(args, 0, "count")
     spec = validate_spec(load_spec(args.spec))
     paths, log_mass, log_len = sample_paths(spec, args.q, args.t, args.depth, args.count, args.seed)
     out = _outdir(args)
     payload = {
-        "meta": {**_json_meta(args, spec), "q": args.q, "t": args.t},
+        "meta": {**_header(args, spec), "q": args.q, "t": args.t},
         "samples": JsonStream(_sample_records(paths, log_mass, log_len)),
     }
     _write(out / "samples.json", lambda f: write_json(payload, f.write), args.force)
-    return 0
+    return []
 
 
 def _sample_records(paths, log_mass, log_len):
@@ -335,7 +290,7 @@ def _sample_records(paths, log_mass, log_len):
             yield {"path": path, "log_mass": mass, "log_length": length, "alpha_hat": alpha}
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> list[str]:
     from .verify import run_verify
 
     if args.fixtures is not None:
@@ -350,7 +305,7 @@ def cmd_verify(args) -> int:
         _write(out / name, data, args.force)
     for res in results:
         print(res.status_line(), file=sys.stderr)
-    return 0 if all(res.passed for res in results) else FAILURE
+    return [f"criterion {res.cid}" for res in results if not res.passed]
 
 
 def main(argv=None) -> int:
@@ -361,15 +316,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; pass --version/help through
         return int(e.code or 0)
     try:
-        handler = {
-            "validate": cmd_validate,
-            "dims": cmd_dims,
-            "spectrum": cmd_spectrum,
-            "moments": cmd_moments,
-            "sample": cmd_sample,
-            "verify": cmd_verify,
-        }[args.command]
-        return handler(args)
+        problems = globals()[f"cmd_{args.command}"](args)  # looked up per call, so tests can patch
     except SpecValidationError as e:
         print(json.dumps([asdict(v) for v in e.violations], sort_keys=True))
         return FAILURE
@@ -379,6 +326,10 @@ def main(argv=None) -> int:
     except HsmfError as e:
         print(f"error: {e}", file=sys.stderr)
         return FAILURE
+    if problems:
+        print("invariant failures: " + "; ".join(problems), file=sys.stderr)
+        return FAILURE
+    return 0
 
 
 if __name__ == "__main__":

@@ -32,11 +32,18 @@ def uniform_beta(q: float) -> float:
     return 1.0 - q
 
 
-def _check_probs(p, where: str) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0) or abs(p.sum() - 1.0) > 1e-12:
-        raise ParameterOutOfRange(f"{where} must be a positive probability vector")
-    return p
+def _two_family_logs(p1, r1: float, p2, r2: float, q: float) -> tuple[float, float]:
+    """log sum p1^q and log sum p2^q, once p1 and p2 are positive probability
+    vectors, 0 < r1 < 1/2 (arity 2) and 0 < r2 < 1/3 (arity 3)."""
+    ps = [np.asarray(p, dtype=float) for p in (p1, p2)]
+    for p, where in zip(ps, ("p1", "p2")):
+        if np.any(p <= 0) or abs(p.sum() - 1.0) > 1e-12:
+            raise ParameterOutOfRange(f"{where} must be a positive probability vector")
+    if not (0.0 < r1 < 0.5):
+        raise ParameterOutOfRange("need 0 < r1 < 1/2")
+    if not (0.0 < r2 < 1.0 / 3.0):
+        raise ParameterOutOfRange("need 0 < r2 < 1/3")
+    return math.log(float(np.sum(ps[0] ** q))), math.log(float(np.sum(ps[1] ** q)))
 
 
 def periodic_moran_beta(p1, r1: float, p2, r2: float, q: float) -> float:
@@ -46,42 +53,19 @@ def periodic_moran_beta(p1, r1: float, p2, r2: float, q: float) -> float:
 
         beta(q) = [log sum p1^q + log sum p2^q] / (-log(r1 r2)).
     """
-    p1 = _check_probs(p1, "p1")
-    p2 = _check_probs(p2, "p2")
-    if not (0.0 < r1 < 0.5):
-        raise ParameterOutOfRange("need 0 < r1 < 1/2")
-    if not (0.0 < r2 < 1.0 / 3.0):
-        raise ParameterOutOfRange("need 0 < r2 < 1/3")
-    num = math.log(float(np.sum(p1**q))) + math.log(float(np.sum(p2**q)))
-    return num / (-math.log(r1 * r2))
+    log1, log2 = _two_family_logs(p1, r1, p2, r2, q)
+    return (log1 + log2) / (-math.log(r1 * r2))
 
 
-@dataclass(frozen=True)
-class BlockBounds:
-    liminf: float
-    limsup: float
-    liminf_branch: int  # 1 or 2: which single-family exponent is the inf
-    limsup_branch: int
-
-
-def block_moran_bounds(p1, r1: float, p2, r2: float, q: float) -> BlockBounds:
+def block_moran_bounds(p1, r1: float, p2, r2: float, q: float) -> tuple[float, float]:
     """
-    liminf/limsup exponents of the block-switched construction with block
+    (liminf, limsup) exponents of the block-switched construction with block
     length ratios growing without bound: the inf and sup of the two
-    single-family exponents log(sum p_i^q) / (-log r_i). The branch taken is
-    reported rather than assumed from a case split.
+    single-family exponents log(sum p_i^q) / (-log r_i).
     """
-    p1 = _check_probs(p1, "p1")
-    p2 = _check_probs(p2, "p2")
-    if not (0.0 < r1 < 0.5):
-        raise ParameterOutOfRange("need 0 < r1 < 1/2")
-    if not (0.0 < r2 < 1.0 / 3.0):
-        raise ParameterOutOfRange("need 0 < r2 < 1/3")
-    e1 = math.log(float(np.sum(p1**q))) / (-math.log(r1))
-    e2 = math.log(float(np.sum(p2**q))) / (-math.log(r2))
-    if e1 <= e2:
-        return BlockBounds(e1, e2, 1, 2)
-    return BlockBounds(e2, e1, 2, 1)
+    log1, log2 = _two_family_logs(p1, r1, p2, r2, q)
+    e1, e2 = log1 / (-math.log(r1)), log2 / (-math.log(r2))
+    return (e1, e2) if e1 <= e2 else (e2, e1)
 
 
 def switching_binomial_tau(p: float, p_hat: float, q: float) -> tuple[float, float]:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -280,7 +281,9 @@ def check_spec(spec: MoranSpec) -> list[Violation]:
         if fam.arity < 2:
             out.append(Violation("NonProbabilityVector", where, "family arity must be >= 2"))
             continue
-        if any(p <= 0.0 for p in fam.probs):
+        if not all(map(math.isfinite, fam.probs)):
+            out.append(Violation("NonProbabilityVector", f"{where}.probs", "entries must be finite"))
+        elif any(p <= 0.0 for p in fam.probs):
             out.append(Violation("NonProbabilityVector", f"{where}.probs", "entries must be > 0"))
         elif abs(math.fsum(fam.probs) - 1.0) > PROB_TOL:
             out.append(
@@ -609,10 +612,37 @@ def family_generation_counts(spec: MoranSpec, ks) -> np.ndarray:
 # JSON spec files
 # ---------------------------------------------------------------------------
 
-def _expect_keys(d: dict, allowed: set[str], where: str) -> None:
-    unknown = set(d) - allowed
+def _expect_keys(d, keys: tuple[str, ...], where: str) -> None:
+    """``d`` must be a JSON object holding exactly ``keys``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be an object, got {d!r}")
+    unknown = set(d) - set(keys)
     if unknown:
         raise ValueError(f"unknown keys {sorted(unknown)} in {where}")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"missing key {key!r} in {where}")
+
+
+def _int(v, where: str) -> int:
+    """A JSON integer: no bool, no string, no float such as 4.0 or 4.7."""
+    if type(v) is not int:
+        raise ValueError(f"{where} must be an integer, got {v!r}")
+    return v
+
+
+def _number(v, where: str) -> float:
+    """A finite JSON number: no bool, no string, no NaN, Infinity or 1e400."""
+    if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+        raise ValueError(f"{where} must be a finite number, got {v!r}")
+    return v
+
+
+def _array(v, where: str, item) -> tuple:
+    """A JSON array, each element read by ``item(element, where)``."""
+    if not isinstance(v, list):
+        raise ValueError(f"{where} must be a list, got {v!r}")
+    return tuple(item(x, f"{where}[{i}]") for i, x in enumerate(v))
 
 
 def schedule_from_dict(d: dict) -> Schedule:
@@ -620,35 +650,40 @@ def schedule_from_dict(d: dict) -> Schedule:
         raise ValueError("schedule must be an object with a 'type' key")
     kind = d["type"]
     if kind == "constant":
-        _expect_keys(d, {"type", "family"}, "schedule")
-        return ConstantSchedule(family=int(d["family"]))
+        _expect_keys(d, ("type", "family"), "schedule")
+        return ConstantSchedule(family=_int(d["family"], "schedule.family"))
     if kind == "periodic":
-        _expect_keys(d, {"type", "pattern"}, "schedule")
-        return PeriodicSchedule(pattern=tuple(d["pattern"]))
+        _expect_keys(d, ("type", "pattern"), "schedule")
+        return PeriodicSchedule(pattern=_array(d["pattern"], "schedule.pattern", _int))
     if kind == "blocks":
-        _expect_keys(d, {"type", "boundaries", "families"}, "schedule")
-        return BlockSchedule(boundaries=tuple(d["boundaries"]), families=tuple(d["families"]))
+        _expect_keys(d, ("type", "boundaries", "families"), "schedule")
+        return BlockSchedule(boundaries=_array(d["boundaries"], "schedule.boundaries", _int),
+                             families=_array(d["families"], "schedule.families", _int))
     raise ValueError(f"unknown schedule type {kind!r}")
 
 
+def _family_from_dict(d, where: str) -> GenerationFamily:
+    _expect_keys(d, ("probs", "ratios"), where)
+    return GenerationFamily(probs=_array(d["probs"], f"{where}.probs", _number),
+                            ratios=_array(d["ratios"], f"{where}.ratios", _number))
+
+
 def spec_from_dict(d: dict) -> MoranSpec:
-    """Build a spec from parsed JSON; unknown keys are rejected at every level."""
-    _expect_keys(d, {"families", "schedule", "gap_policy", "depth_cap"}, "spec")
-    for miss in ("families", "schedule", "gap_policy", "depth_cap"):
-        if miss not in d:
-            raise ValueError(f"missing key {miss!r} in spec")
-    fams = []
-    for i, fd in enumerate(d["families"]):
-        _expect_keys(fd, {"probs", "ratios"}, f"families[{i}]")
-        fams.append(GenerationFamily(probs=tuple(fd["probs"]), ratios=tuple(fd["ratios"])))
+    """
+    Build a spec from parsed JSON. Unknown and missing keys are rejected at
+    every level, and so is a value of the wrong JSON type: the dataclasses'
+    own coercions (``int(4.7)``, ``float("0.5")``) serve Python callers only.
+    """
+    _expect_keys(d, ("families", "schedule", "gap_policy", "depth_cap"), "spec")
     return MoranSpec(
-        families=tuple(fams),
+        families=_array(d["families"], "families", _family_from_dict),
         schedule=schedule_from_dict(d["schedule"]),
         gap_policy=GapPolicy(d["gap_policy"]),
-        depth_cap=int(d["depth_cap"]),
+        depth_cap=_int(d["depth_cap"], "depth_cap"),
     )
 
 
 def load_spec(path) -> MoranSpec:
+    """Read a spec file; a NaN or Infinity token is rejected like any non-finite number."""
     with open(path, "r", encoding="utf-8") as fh:
         return spec_from_dict(json.load(fh))

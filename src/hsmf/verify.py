@@ -274,7 +274,7 @@ def criterion_2(res: CriterionResult, seed: int, tol_scale: float) -> None:
     """Uniform oracle: b = B = 1 - q to 1e-9."""
     qs = np.arange(-5.0, 5.0 + 0.25, 0.25)
     grid = separator_grid(spec_uniform(), qs, k_max=64)
-    target = 1.0 - qs
+    target = uniform_beta(qs)
     worst = max(
         float(np.max(np.abs(grid.b - target))),
         float(np.max(np.abs(grid.B - target))),
@@ -312,14 +312,14 @@ def criterion_4(res: CriterionResult, seed: int, tol_scale: float) -> None:
     spec = spec_block()
     per_q = []
     for q in BLOCK_QS:
-        bb = block_moran_bounds(BLOCK_P1, BLOCK_R1, BLOCK_P2, BLOCK_R2, q)
+        lo, hi = block_moran_bounds(BLOCK_P1, BLOCK_R1, BLOCK_P2, BLOCK_R2, q)
         bs = beta_sequence(spec, q, K_DEEP)
-        lo_err = abs(bs.liminf_est - bb.liminf)
-        hi_err = abs(bs.limsup_est - bb.limsup)
+        lo_err = abs(bs.liminf_est - lo)
+        hi_err = abs(bs.limsup_est - hi)
         per_q.append(
             {
                 "q": q,
-                "oracle": [bb.liminf, bb.limsup],
+                "oracle": [lo, hi],
                 "estimate": [bs.liminf_est, bs.limsup_est],
                 "errors": [lo_err, hi_err],
             }
@@ -391,8 +391,8 @@ def criterion_6(res: CriterionResult, seed: int, tol_scale: float) -> None:
         "periodic_beta": lambda q: periodic_moran_beta(PERIODIC_P1, PERIODIC_R1, PERIODIC_P2, PERIODIC_R2, q),
         "switching_tau": lambda q: switching_binomial_tau(SWITCHING_P, SWITCHING_P_HAT, q)[0],
         "switching_tau_hat": lambda q: switching_binomial_tau(SWITCHING_P, SWITCHING_P_HAT, q)[1],
-        "block_upper": lambda q: block_moran_bounds(BLOCK_P1, BLOCK_R1, BLOCK_P2, BLOCK_R2, q).limsup,
-        "block_lower": lambda q: block_moran_bounds(BLOCK_P1, BLOCK_R1, BLOCK_P2, BLOCK_R2, q).liminf,
+        "block_upper": lambda q: block_moran_bounds(BLOCK_P1, BLOCK_R1, BLOCK_P2, BLOCK_R2, q)[1],
+        "block_lower": lambda q: block_moran_bounds(BLOCK_P1, BLOCK_R1, BLOCK_P2, BLOCK_R2, q)[0],
     }
     curves = {name: np.array([fn(float(q)) for q in qs]) for name, fn in forms.items()}
     not_finite = [name for name, values in curves.items() if not np.all(np.isfinite(values))]

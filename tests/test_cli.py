@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, artifact formats, byte determinism."""
 
 import argparse
+import ast
+import inspect
 import json
 import math
 import subprocess
@@ -657,6 +659,104 @@ def test_np_is_the_numpy_module_whichever_is_imported_first():
     )
     assert proc.returncode == 1
     assert "ModuleNotFoundError: No module named 'numpy'" in proc.stderr
+
+
+def test_nan_probability_is_a_usage_error_for_every_command(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(VALID_SPEC).replace("0.25", "NaN"))
+    for command in ("validate", "dims", "spectrum", "moments", "sample"):
+        out = ["--out", str(tmp_path / command)] if command != "validate" else []
+        assert cli.main([command, "--spec", str(path), *out]) == 2
+        assert capsys.readouterr() == ("", "error: families[0].probs[0] must be a finite number, got nan\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nan.json"]
+
+
+def test_moments_writes_no_partition_rows_past_depth_cap(tmp_path, capsys):
+    path = tmp_path / "cap4.json"
+    path.write_text(json.dumps(dict(VALID_SPEC, depth_cap=4)))
+    assert cli.main(["moments", "--spec", str(path), "--r-octaves", "6", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ("note: moments skip r = 2^-5..2^-6: no generation within "
+                                       "depth_cap 4 resolves them\n")
+    rows = [line.split(",") for line in (tmp_path / "moments.csv").read_text().splitlines()[2:]]
+    # generations 1..4, matched to 2^-1..2^-4; generation 8 (r = 2^-8) is past the cap
+    assert sorted({float(r[2]) for r in rows if r[0] == "partition_moment"}) == [2.0**-k for k in (4, 3, 2, 1)]
+
+
+def test_verify_names_its_failed_criteria_last(tmp_path, capsys, monkeypatch):
+    from hsmf import verify
+
+    results = [verify.CriterionResult(1, "one", 1.0), verify.CriterionResult(4, "four", 1.0, passed=False),
+               verify.CriterionResult(7, "seven", 1.0, passed=False)]
+    monkeypatch.setattr(verify, "run_verify", lambda seed, tol_scale: (results, {"report.json": b"{}\n"}))
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[:3] == [r.status_line() for r in results]
+    assert err[3:] == ["invariant failures: criterion 4; criterion 7"]
+    results.pop(1), results.pop()
+    assert cli.main(["verify", "--out", str(tmp_path), "--force"]) == 0
+    assert capsys.readouterr().err.splitlines() == [results[0].status_line()]
+
+
+def test_every_command_returns_its_problems_and_only_main_reports_them():
+    # structural guard: the one place that prints "invariant failures" and picks exit codes
+    for name in ("validate", "dims", "spectrum", "moments", "sample", "verify"):
+        source = inspect.getsource(getattr(cli, f"cmd_{name}"))
+        assert "invariant failures" not in source and "FAILURE" not in source, name
+        returns = [n.value for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Return)]
+        assert returns and not any(isinstance(v, ast.Constant) and isinstance(v.value, int)
+                                   for v in returns), name
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([10**400, -(10**400), 2**1024, 0, 1, -1, 0.5, "no_gaps", "constant"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_DELETE = object()
+_SPEC_FIELDS = [
+    (schedule, path)
+    for schedule, paths in (
+        ({"type": "constant", "family": 0},
+         [(), ("families",), ("families", 0), ("families", 0, "probs"), ("families", 0, "probs", 0),
+          ("families", 0, "ratios"), ("families", 0, "ratios", 1), ("schedule",),
+          ("schedule", "type"), ("schedule", "family"), ("gap_policy",), ("depth_cap",)]),
+        ({"type": "periodic", "pattern": [0, 0]},
+         [("schedule", "pattern"), ("schedule", "pattern", 1)]),
+        ({"type": "blocks", "boundaries": [1, 4], "families": [0, 0]},
+         [("schedule", "boundaries"), ("schedule", "boundaries", 0), ("schedule", "families"),
+          ("schedule", "families", 1)]),
+    )
+    for path in paths
+]
+
+
+@given(field=st.sampled_from(_SPEC_FIELDS), value=st.just(_DELETE) | _JSON_VALUES)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_no_json_value_in_a_spec_field_makes_validate_crash(tmp_path, capsys, field, value):
+    """Any JSON value placed in (or a key deleted from) any spec field: validate exits 0,
+    1 with a violation list, or 2 with one error line, and never raises."""
+    schedule, path = field
+    doc = json.loads(json.dumps(dict(VALID_SPEC, schedule=schedule)))
+    if not path:
+        doc = None if value is _DELETE else value
+    else:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    code = cli.main(["validate", "--spec", str(spec)])
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code in (0, 1) and err == ""
+        assert isinstance(json.loads(out), dict if code == 0 else list)
 
 
 # ---------------------------------------------------------------------------

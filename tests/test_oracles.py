@@ -54,27 +54,21 @@ def test_periodic_beta_parameter_domain():
 def test_block_bounds_values():
     p1, r1 = (0.25, 0.75), 0.25
     p2, r2 = (1 / 3, 1 / 3, 1 / 3), 1 / 9
-    bb = block_moran_bounds(p1, r1, p2, r2, 0.5)
+    # at q = 1/2 the liminf is family 1's exponent and the limsup family 2's
+    liminf, limsup = block_moran_bounds(p1, r1, p2, r2, 0.5)
     want_lo = math.log(0.5 + math.sqrt(0.75)) / math.log(4.0)
-    assert bb.liminf == pytest.approx(want_lo, abs=1e-12)
-    assert bb.limsup == pytest.approx(0.25, abs=1e-12)
-    assert bb.liminf_branch == 1 and bb.limsup_branch == 2
-
-    bb1 = block_moran_bounds(p1, r1, p2, r2, 1.0)
-    assert bb1.liminf == pytest.approx(0.0, abs=1e-12)
-    assert bb1.limsup == pytest.approx(0.0, abs=1e-12)
-
-    bb0 = block_moran_bounds(p1, r1, p2, r2, 0.0)
-    assert bb0.liminf == pytest.approx(0.5, abs=1e-12)
-    assert bb0.limsup == pytest.approx(0.5, abs=1e-12)
+    assert liminf == pytest.approx(want_lo, abs=1e-12)
+    assert limsup == pytest.approx(0.25, abs=1e-12)
+    assert block_moran_bounds(p1, r1, p2, r2, 1.0) == pytest.approx((0.0, 0.0), abs=1e-12)
+    assert block_moran_bounds(p1, r1, p2, r2, 0.0) == pytest.approx((0.5, 0.5), abs=1e-12)
 
 
 def test_block_bounds_strict_gap_off_the_crossings():
     p1, r1 = (0.25, 0.75), 0.25
     p2, r2 = (1 / 3, 1 / 3, 1 / 3), 1 / 9
     for q in (-2.0, 0.5, 2.0):
-        bb = block_moran_bounds(p1, r1, p2, r2, q)
-        assert bb.liminf < bb.limsup - 1e-6
+        liminf, limsup = block_moran_bounds(p1, r1, p2, r2, q)
+        assert liminf < limsup - 1e-6
 
 
 def test_switching_tau_values():
@@ -117,7 +111,7 @@ def test_oracle_curves_satisfy_grid_invariants():
         values = curve(fn)
         assert np.all(np.isfinite(values))
         assert separator_problems(qs, values, values) == []
-    liminf, limsup = curve(lambda q: _block(q).liminf), curve(lambda q: _block(q).limsup)
+    liminf, limsup = curve(lambda q: _block(q)[0]), curve(lambda q: _block(q)[1])
     assert np.all(np.isfinite(liminf)) and np.all(np.isfinite(limsup))
     assert separator_problems(qs, liminf, limsup) == []
 
@@ -126,7 +120,7 @@ def test_block_lower_envelope_is_not_convex_at_crossing():
     """The block liminf is the min of two crossing convex branches, so it kinks
     concavely at q = 0 and fails the convexity asked of B."""
     qs = np.arange(-1.0, 1.25, 0.25)
-    liminf = np.array([_block(float(q)).liminf for q in qs])
+    liminf = np.array([_block(float(q))[0] for q in qs])
     assert separator_problems(qs, liminf, liminf) == ["B not discretely convex"]
 
 
@@ -150,9 +144,9 @@ def test_oracle_fixture_tables_match_closed_forms():
         elif name == "periodic_beta":
             want = periodic_moran_beta((0.5, 0.5), 0.25, (1 / 3,) * 3, 0.125, q)
         elif name == "block_liminf":
-            want = block_moran_bounds((0.25, 0.75), 0.25, (1 / 3,) * 3, 1 / 9, q).liminf
+            want = block_moran_bounds((0.25, 0.75), 0.25, (1 / 3,) * 3, 1 / 9, q)[0]
         elif name == "block_limsup":
-            want = block_moran_bounds((0.25, 0.75), 0.25, (1 / 3,) * 3, 1 / 9, q).limsup
+            want = block_moran_bounds((0.25, 0.75), 0.25, (1 / 3,) * 3, 1 / 9, q)[1]
         elif name == "switching_tau":
             want = switching_binomial_tau(0.2, 0.4, q)[0]
         elif name == "switching_tau_hat":

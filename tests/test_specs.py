@@ -24,7 +24,7 @@ from hsmf import (
     validate_spec,
 )
 from hsmf.counting import ball_table
-from hsmf.specs import _tilt_weights, cells, matched_generation
+from hsmf.specs import _tilt_weights, cells, load_spec, matched_generation
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +298,79 @@ def test_spec_json_rejects_unknown_keys():
     d["families"][0]["color"] = "blue"
     with pytest.raises(ValueError, match="unknown keys"):
         spec_from_dict(d)
+
+
+def _spec_json(path, text: str) -> str:
+    """A valid spec's JSON with the value at ``path`` replaced by the JSON ``text``."""
+    d = {"families": [{"probs": [0.25, 0.75], "ratios": [0.5, 0.5]}],
+         "schedule": {"type": "constant", "family": 0}, "gap_policy": "no_gaps", "depth_cap": 8}
+    if not path:
+        return text
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@"
+    return json.dumps(d).replace('"@"', text)
+
+
+@pytest.mark.parametrize("path, text, message", [
+    ((), "[1, 2]", "spec must be an object, got [1, 2]"),
+    (("families",), "5", "families must be a list, got 5"),
+    (("families", 0), "null", "families[0] must be an object, got None"),
+    (("families", 0, "probs"), "0.5", "families[0].probs must be a list, got 0.5"),
+    (("schedule",), '{"type": "periodic", "pattern": 3}', "schedule.pattern must be a list, got 3"),
+    (("schedule",), '{"type": "blocks", "boundaries": [1], "families": {}}',
+     "schedule.families must be a list, got {}"),
+    (("schedule",), '{"type": "constant"}', "missing key 'family' in schedule"),
+    (("schedule", "family"), "null", "schedule.family must be an integer, got None"),
+    (("depth_cap",), "1e400", "depth_cap must be an integer, got inf"),
+    (("families", 0), '{"probs": [0.5, 0.5]}', "missing key 'ratios' in families[0]"),
+], ids=["top-level-list", "families-int", "family-null", "probs-number", "pattern-int",
+        "block-families-object", "family-missing", "family-null-index", "depth-cap-1e400",
+        "ratios-missing"])
+def test_spec_from_dict_names_the_malformed_field(path, text, message):
+    with pytest.raises(ValueError) as e:
+        spec_from_dict(json.loads(_spec_json(path, text)))
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("path, text, message", [
+    (("depth_cap",), "4.7", "depth_cap must be an integer, got 4.7"),
+    (("depth_cap",), "4.0", "depth_cap must be an integer, got 4.0"),
+    (("depth_cap",), "true", "depth_cap must be an integer, got True"),
+    (("schedule", "family"), "0.9", "schedule.family must be an integer, got 0.9"),
+    (("families", 0, "probs", 0), '"0.5"', "families[0].probs[0] must be a finite number, got '0.5'"),
+    (("families", 0, "ratios", 1), "false", "families[0].ratios[1] must be a finite number, got False"),
+    (("families", 0, "probs", 0), "NaN", "families[0].probs[0] must be a finite number, got nan"),
+    (("families", 0, "probs", 1), "-Infinity",
+     "families[0].probs[1] must be a finite number, got -inf"),
+    (("families", 0, "ratios", 0), "1e400", "families[0].ratios[0] must be a finite number, got inf"),
+    (("families", 0, "ratios", 0), "1" + "0" * 400,
+     f"families[0].ratios[0] must be a finite number, got 1{'0' * 400}"),
+], ids=["depth-cap-fraction", "depth-cap-float", "depth-cap-bool", "family-fraction",
+        "prob-string", "ratio-bool", "prob-nan", "prob-minus-infinity", "ratio-1e400",
+        "ratio-huge-int"])
+def test_spec_fields_take_only_their_json_type(tmp_path, path, text, message):
+    """No silent coercion: each of these used to load as a valid spec, or as a NaN one."""
+    file = tmp_path / "spec.json"
+    file.write_text(_spec_json(path, text))
+    with pytest.raises(ValueError) as e:
+        load_spec(file)
+    assert str(e.value) == message
+
+
+def test_spec_numbers_may_be_json_integers():
+    d = json.loads(_spec_json(("families", 0), '{"probs": [1, 0], "ratios": [0.5, 0.5]}'))
+    assert spec_from_dict(d).families[0].probs == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_check_spec_rejects_non_finite_probabilities(bad):
+    spec = MoranSpec(
+        families=(GenerationFamily((bad, 0.5), (0.5, 0.5)),),
+        schedule=ConstantSchedule(0),
+        gap_policy=GapPolicy.NO_GAPS,
+        depth_cap=8,
+    )
+    assert [(v.code, v.where, v.message) for v in check_spec(spec)] == [
+        ("NonProbabilityVector", "families[0].probs", "entries must be finite")]
