@@ -36,7 +36,7 @@ SAMPLE_BATCH = 512
 # moments use a radius only when its matched generation has at most this many cells
 MOMENT_MAX_CELLS = 1 << 16
 # q grids longer than this are usage errors: dims and spectrum solve beta_k on
-# a (q x generation) array with up to about 2048 generations per q
+# a (q x generation) array, one generation per q unless the schedule has blocks
 Q_GRID_MAX_POINTS = 1 << 12
 
 
@@ -129,6 +129,15 @@ def _require_at_least(args, low: int, *options: str) -> None:
             raise ValueError(f"--{option} must be at least {low}, got {value}")
 
 
+def _k_max(args, spec) -> int:
+    """--k-max, or the spec's depth_cap in its place, said in one stderr note."""
+    if args.k_max <= spec.depth_cap:
+        return args.k_max
+    print(f"note: {args.command} uses k_max {spec.depth_cap}, the spec's depth_cap, "
+          f"instead of {args.k_max}", file=sys.stderr)
+    return spec.depth_cap
+
+
 def _outdir(args) -> Path:
     out = Path(args.out) if args.out else Path.cwd()
     out.mkdir(parents=True, exist_ok=True)
@@ -185,7 +194,7 @@ def cmd_validate(args) -> list[str]:
 def cmd_dims(args) -> list[str]:
     _require_at_least(args, 1, "k-max")
     spec = validate_spec(load_spec(args.spec))
-    grid = separator_grid(spec, _q_grid(args), min(args.k_max, spec.depth_cap))
+    grid = separator_grid(spec, _q_grid(args), _k_max(args, spec))
     out, header = _outdir(args), _header(args, spec)
     _emit_table(out, "separators", grid.csv_columns, grid.rows_csv(), header, args)
     diag = {"meta": header, "per_q": grid.diagnostics, "schedule": spec.schedule.as_dict()}
@@ -198,7 +207,7 @@ def cmd_dims(args) -> list[str]:
 def cmd_spectrum(args) -> list[str]:
     _require_at_least(args, 1, "k-max", "r-octaves")
     spec = validate_spec(load_spec(args.spec))
-    grid = separator_grid(spec, _q_grid(args), min(args.k_max, spec.depth_cap))
+    grid = separator_grid(spec, _q_grid(args), _k_max(args, spec))
     octaves = sorted({*range(max(4, args.r_octaves // 2), args.r_octaves + 1, 4), args.r_octaves})
     # the histogram samples cells past its enumeration cap, so no cell cap here
     r_list = _usable_radii("spectrum skips", spec, octaves, math.inf)
@@ -270,6 +279,8 @@ def cmd_sample(args) -> list[str]:
     _require_at_least(args, 1, "depth")
     _require_at_least(args, 0, "count")
     spec = validate_spec(load_spec(args.spec))
+    if args.depth > spec.depth_cap:
+        raise ValueError(f"--depth {args.depth} exceeds the spec's depth_cap {spec.depth_cap}")
     paths, log_mass, log_len = sample_paths(spec, args.q, args.t, args.depth, args.count, args.seed)
     out = _outdir(args)
     payload = {

@@ -15,27 +15,30 @@ once and raises NoConvergence rather than return an unconverged root. Both
 routes go through the elementwise kernel ``counting.log_partition``, so
 beta_k at one generation is the same to the bit whatever is solved with it.
 
-The lower/upper separator functions are the liminf/limsup of beta_k over k.
-From a finite run these are estimated by the min/max of beta_k over the whole
-range [1, k_max] of generations. Periodic schedules are sampled at
-period-aligned generations, where beta_k has no O(1/k) truncation wobble.
-Block schedules are evaluated only at 1, k_max and the boundary pairs T_j - 1,
-T_j, which is exact: inside one block only the active family's count m grows,
+The lower/upper separator functions are the liminf/limsup of beta_k over k,
+taken exactly from a few generations of [1, k_max]. A constant or periodic
+schedule with period P needs only P (k_max below one period): at k = mP the
+family counts are m times those of one period, so log S_k(q, t) =
+m log S_P(q, t) and beta_{mP} = beta_P, the one-period equation of
+Cawley-Mauldin 1992. Block schedules need only 1, k_max and the boundary
+pairs T_j - 1, T_j: inside one block only the active family's count m grows,
 so log S_k(q, t) = C(t) + m phi_f(t). Under constant ratios
 beta = (N + m A_f) / (D + m L_f) is a Moebius map in m; otherwise the root
 moves monotonically toward phi_f's root (d beta/dm has the sign of
-phi_f(beta); a zero at one m pins beta at that root for every m). Either
-way the min and max over a run of generations inside one block sit at the
-run's ends. The whole range is used because a half-range tail [k_max/2, k_max]
-provably spans less than a factor-2 range of block mixing fractions and cannot
-see both envelope branches.
+phi_f(beta); a zero at one m pins beta at that root for every m). Either way
+the min and max over a run of generations inside one block sit at the run's
+ends. The whole range is used because a
+half-range tail [k_max/2, k_max] provably spans less than a factor-2 range of
+block mixing fractions and cannot see both envelope branches.
 
-Independently of the beta route, Theta(q) and Delta(q) are liminf/limsup
-estimates of log S_k(q, 0)/(-log r_k), with r_k the largest generation-k cell
-length, reported next to b and B so discrepancies between the two routes
-surface. Both logs are exact family sums over 16 generations spanning
-[k_max/16, k_max], whatever the q grid, so no raw moment or scale has to fit
-in a double.
+Theta(q) and Delta(q) are the partition-moment route at the largest cell
+length: the min/max of log S_k(q, 0)/(-log r_k), with r_k the largest
+generation-k cell length, over the finer half of 16 generations spanning
+[k_max/16, k_max], whatever the q grid. Nothing compares them with b and B.
+Under constant per-family ratios every generation-k cell has length r_k, so
+S_k(q, t) = S_k(q, 0) r_k^t and each table value is beta_k itself: on a
+constant or periodic spec they equal b and B by algebra. Both logs are exact
+family sums, so no raw moment or scale has to fit in a double.
 
 A separator grid makes one (q x k) root solve: ``solve_beta_k`` broadcasts
 the q grid against the sampled generations, and since every (q, k) pair is
@@ -185,23 +188,21 @@ class BetaSequence:
 
 def sample_generations(spec: MoranSpec, k_max: int) -> np.ndarray:
     """
-    Generation indices at which beta_k is evaluated over [1, k_max]. A block
-    schedule gets 1, k_max and each T_j - 1, T_j inside that range, where the
-    min and max of beta_k are attained exactly (module docstring). Other
-    schedules get every stride-th generation plus k_max, with a
-    period-aligned stride giving about 2048 samples.
+    Generation indices at which beta_k is evaluated over [1, k_max], where
+    its liminf and limsup are attained exactly (module docstring): the period
+    P of a constant or periodic schedule, or k_max when k_max < P; 1, k_max
+    and each T_j - 1, T_j inside that range for a block schedule. Raises
+    TooDeep for a k_max past ``depth_cap``.
     """
+    if k_max > spec.depth_cap:
+        raise TooDeep(f"k_max {k_max} exceeds depth_cap {spec.depth_cap}")
     sched = spec.schedule
-    if isinstance(sched, BlockSchedule):
-        pts = {1, k_max}
-        for t in sched.boundaries:
-            pts.update(k for k in (t - 1, t) if 1 <= k <= k_max)
-        return np.array(sorted(pts), dtype=np.int64)
-    stride = sched.period * max(1, (k_max // sched.period) // 2048)
-    ks = np.arange(stride, k_max + 1, stride, dtype=np.int64)
-    if ks.size == 0 or ks[-1] != k_max:
-        ks = np.append(ks, k_max)
-    return ks
+    if not isinstance(sched, BlockSchedule):
+        return np.array([min(sched.period, k_max)], dtype=np.int64)
+    pts = {1, k_max}
+    for t in sched.boundaries:
+        pts.update(k for k in (t - 1, t) if 1 <= k <= k_max)
+    return np.array(sorted(pts), dtype=np.int64)
 
 
 def beta_sequence(spec: MoranSpec, q: float, k_max: int) -> BetaSequence:
@@ -209,8 +210,6 @@ def beta_sequence(spec: MoranSpec, q: float, k_max: int) -> BetaSequence:
     Evaluate beta_k(q) on the sampled generations and estimate the
     liminf/limsup as their min/max.
     """
-    if k_max > spec.depth_cap:
-        raise TooDeep(f"k_max {k_max} exceeds depth_cap {spec.depth_cap}")
     ks = sample_generations(spec, k_max)
     vals = solve_beta_k(spec, q, ks)
     return BetaSequence(
@@ -321,7 +320,7 @@ class SeparatorGrid:
 
 
 def _table_generations(spec: MoranSpec, k_max: int) -> list[int]:
-    """Generations for the Theta/Delta cross-check: 16 period-aligned points
+    """Generations of the Theta/Delta table: 16 period-aligned points
     over [k_max/16, k_max], or the first 16 periods when that gives fewer
     than 8."""
     cap = max(k_max, 8)
@@ -336,9 +335,9 @@ def _table_generations(spec: MoranSpec, k_max: int) -> list[int]:
 
 def separator_grid(spec: MoranSpec, q_grid, k_max: int) -> SeparatorGrid:
     """
-    Estimate b and B over a q grid from the beta_k envelope (the min
-    and max over [1, k_max]), plus Theta/Delta from exact log partition sums
-    as an independent cross-check route. When those span too few scales,
+    b and B over a q grid, the min and max of beta_k over [1, k_max] at
+    ``sample_generations``, plus Theta/Delta from exact log partition sums at
+    the largest cell length. When those span too few scales,
     Theta and Delta are nan and each diagnostics entry says why under
     ``theta_delta``.
     """
@@ -366,7 +365,7 @@ def separator_grid(spec: MoranSpec, q_grid, k_max: int) -> SeparatorGrid:
     neg_log_r = sum(n * -math.log(fam.max_ratio) for fam, n in zip(spec.families, counts))
     try:
         Theta, Delta = theta_delta_from_moments(log_s, neg_log_r)
-    except InsufficientScales as e:  # no cross-check at these scales; b and B stand
+    except InsufficientScales as e:  # no Theta/Delta at these scales; b and B stand
         Theta, Delta = np.full(q_grid.size, np.nan), np.full(q_grid.size, np.nan)
         for d in diagnostics:
             d["theta_delta"] = str(e)

@@ -326,7 +326,8 @@ def test_spectrum_skips_the_radii_it_cannot_reach(tmp_path):
     out = tmp_path / "s"
     proc = run_cli("spectrum", "--spec", str(shallow), "--r-octaves", "16", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ("note: spectrum skips r = 2^-12, 2^-16: no generation within "
+    assert proc.stderr == ("note: spectrum uses k_max 10, the spec's depth_cap, instead of 1024\n"
+                           "note: spectrum skips r = 2^-12, 2^-16: no generation within "
                            "depth_cap 10 resolves them\n")
     scales = {line.split(",")[0] for line in (out / "coarse.csv").read_text().splitlines()[2:]}
     assert scales == {"0.00390625"}
@@ -336,7 +337,8 @@ def test_spectrum_skips_the_radii_it_cannot_reach(tmp_path):
     out = tmp_path / "s2"
     proc = run_cli("spectrum", "--spec", str(shallow), "--r-octaves", "16", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ("note: spectrum skips r = 2^-8, 2^-12, 2^-16: no generation within "
+    assert proc.stderr == ("note: spectrum uses k_max 2, the spec's depth_cap, instead of 1024\n"
+                           "note: spectrum skips r = 2^-8, 2^-12, 2^-16: no generation within "
                            "depth_cap 2 resolves them\n")
     assert (out / "coarse.csv").read_text().splitlines()[1:] == ["r,alpha,f_hat,count"]
     assert (out / "legendre.csv").is_file() and (out / "tilted.json").is_file()
@@ -399,6 +401,49 @@ def test_sample_usage_errors_write_nothing(spec_file, tmp_path, bad, message):
     assert message in proc.stderr
     assert "Warning" not in proc.stderr
     assert not out.exists()
+
+
+def test_sample_depth_past_depth_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cap4.json"
+    path.write_text(json.dumps(dict(VALID_SPEC, depth_cap=4)))
+
+    def no_sampling(*args):
+        raise AssertionError("sample_paths ran")
+
+    monkeypatch.setattr(cli, "sample_paths", no_sampling)
+    out = tmp_path / "s"
+    assert cli.main(["sample", "--spec", str(path), "--depth", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: --depth 10 exceeds the spec's depth_cap 4\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra, stem", [("dims", (), "separators"),
+                                                   ("spectrum", ("--r-octaves", "4"), "legendre")])
+def test_k_max_past_depth_cap_is_noted(tmp_path, capsys, command, extra, stem):
+    path = tmp_path / "cap4.json"
+    path.write_text(json.dumps(dict(VALID_SPEC, depth_cap=4)))
+    bodies = {}
+    for k_max, note in (("100", f"note: {command} uses k_max 4, the spec's depth_cap, instead of 100\n"),
+                        ("4", "")):
+        out = tmp_path / k_max
+        assert cli.main([command, "--spec", str(path), "--k-max", k_max, *extra, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == note
+        bodies[k_max] = (out / f"{stem}.csv").read_text().splitlines()[1:]  # past the meta line
+    # the note is the only difference: the run is the one at k_max = depth_cap
+    assert bodies["100"] == bodies["4"]
+
+
+def test_dims_periodic_envelope_is_exact_at_unaligned_k_max(tmp_path):
+    # periodic_two_family has period 2: beta_1001 wobbles off beta_2, the limit
+    out = tmp_path / "d"
+    assert cli.main(["dims", "--spec", str(SPECS / "periodic_two_family.json"), "--k-max", "1001",
+                     "--out", str(out)]) == 0
+    lines = (out / "separators.csv").read_text().splitlines()[1:]
+    columns = lines[0].split(",")
+    rows = [dict(zip(columns, line.split(","))) for line in lines[1:]]
+    assert rows and all(r["osc"] == "0" and r["converged"] == "true" and r["b"] == r["B"] for r in rows)
+    per_q = json.loads((out / "diagnostics.json").read_text())["per_q"]
+    assert all(d["window"] == [2, 2] and d["oscillation"] == 0.0 and d["converged"] for d in per_q)
 
 
 @pytest.mark.parametrize("command, bad, message", [
@@ -550,7 +595,8 @@ def test_spectrum_skips_skewed_radii_and_radius_error_prints_plain_float(tmp_pat
     path.write_text(json.dumps(spec))
     proc = run_cli("spectrum", "--spec", str(path), "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ("note: spectrum skips r = 2^-8, 2^-12, 2^-16: no generation within "
+    assert proc.stderr == ("note: spectrum uses k_max 64, the spec's depth_cap, instead of 1024\n"
+                           "note: spectrum skips r = 2^-8, 2^-12, 2^-16: no generation within "
                            "depth_cap 64 resolves them\n")
     with pytest.raises(ScaleTooSmall) as e:
         matched_generation(load_spec(path), np.float64(2.0**-8))

@@ -145,10 +145,22 @@ def test_beta_sequence_switching_branches(switching_spec):
 
 def test_sample_generations_increasing_to_k_max(uniform_spec, periodic_spec, block_spec):
     for spec in (uniform_spec, periodic_spec, block_spec):
-        for k_max in (1, 3, 100, 1 << 20):
+        for k_max in (1, 3, 100, min(1 << 20, spec.depth_cap)):
             ks = sample_generations(spec, k_max)
             assert np.all(np.diff(ks) > 0)
-            assert ks[0] >= 1 and ks[-1] == k_max
+            assert ks[0] >= 1 and ks[-1] <= k_max
+            if isinstance(spec.schedule, BlockSchedule):
+                assert ks[-1] == k_max
+            else:  # beta_{mP} = beta_P: one period holds the whole envelope
+                assert ks.tolist() == [min(spec.schedule.period, k_max)]
+
+
+def test_separator_grid_depth_cap_guard(uniform_spec, periodic_spec, block_spec):
+    from hsmf.errors import TooDeep
+
+    for spec in (uniform_spec, periodic_spec, block_spec):
+        with pytest.raises(TooDeep):
+            separator_grid(spec, [0.5], spec.depth_cap + 1)
 
 
 def test_beta_sequence_depth_cap_guard(uniform_spec):
@@ -247,6 +259,64 @@ def test_block_endpoints_on_shipped_spec():
     ks = sample_generations(spec, 1 << 20)
     assert ks.size <= 2 * len(spec.schedule.boundaries) + 2
     assert ks[0] == 1 and ks[-1] == 1 << 20
+
+
+def test_periodic_envelope_is_one_generation_on_shipped_specs():
+    # structural guard: a constant or periodic envelope at depth_cap (4096 or
+    # 8192) costs one generation, not a dense periodic scan
+    for path in sorted(SPECS.glob("*.json")):
+        spec = load_spec(path)
+        if not isinstance(spec.schedule, BlockSchedule):
+            assert sample_generations(spec, spec.depth_cap).tolist() == [spec.schedule.period]
+
+
+def _stride_generations(spec: MoranSpec, k_max: int) -> np.ndarray:
+    """The constant and periodic sampler the envelope used before the
+    one-period rule: every stride-th generation, with a period-aligned stride
+    giving about 2048 of them, plus k_max."""
+    period = spec.schedule.period
+    stride = period * max(1, (k_max // period) // 2048)
+    ks = np.arange(stride, k_max + 1, stride, dtype=np.int64)
+    if ks.size == 0 or ks[-1] != k_max:
+        ks = np.append(ks, k_max)
+    return ks
+
+
+def test_periodic_envelope_within_1e_14_of_stride_sampler():
+    # at a period-aligned k_max every stride sample holds beta_P up to float
+    # noise, so the one-period envelope moves b and B by at most 1e-14
+    qs = np.arange(-8.0, 8.0 + 0.125, 0.25)
+    for path in sorted(SPECS.glob("*.json")):
+        spec = load_spec(path)
+        if isinstance(spec.schedule, BlockSchedule):
+            continue
+        for k_max in (256, 1000, 1024):
+            old = solve_beta_k(spec, qs[:, None], _stride_generations(spec, k_max))
+            grid = separator_grid(spec, qs, k_max)
+            for new, ref in ((grid.b, old.min(axis=1)), (grid.B, old.max(axis=1))):
+                assert np.all(np.abs(new - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref))), (path.name, k_max)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), closed=st.booleans(), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_periodic_envelope_is_the_one_period_root(seed, closed, data):
+    rng = np.random.default_rng(seed)
+    fams, gap = _random_families(rng, closed)
+    if len(fams) > 1:
+        sched = PeriodicSchedule(tuple(int(f) for f in rng.integers(0, len(fams), size=int(rng.integers(2, 6)))))
+    else:
+        sched = ConstantSchedule(0)
+    spec = validate_spec(MoranSpec(fams, sched, gap, depth_cap=512))
+    period = sched.period
+    k_max = data.draw(st.integers(1, spec.depth_cap), label="k_max")
+    qs = np.round(np.sort(rng.uniform(-4.0, 4.0, size=3)), 6)
+    grid = separator_grid(spec, qs, k_max)
+    want = solve_beta_k(spec, qs, min(period, k_max))
+    assert grid.b.tobytes() == want.tobytes() and grid.B.tobytes() == want.tobytes()
+    assert all(d["oscillation"] == 0.0 and d["converged"] for d in grid.diagnostics)
+    if k_max >= period:
+        at_period = separator_grid(spec, qs, period)
+        assert grid.b.tobytes() == at_period.b.tobytes() and grid.B.tobytes() == at_period.B.tobytes()
 
 
 def test_block_endpoint_envelope_shipped_specs_dense():
