@@ -70,8 +70,8 @@ _NEWTON_MAX_ITER = 100
 
 def _bracket_bound(spec: MoranSpec, q: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """
-    Per (q, k) pair, a half-width h at which [-h, h] brackets the root of
-    log S_k(q, t) with margin. A family's sum of p^q c^t is at most 1 once
+    Per (q, k) pair, the half-width h of ``_newton_roots``' bracket [-h, h]
+    on the root of log S_k(q, t). A family's sum of p^q c^t is at most 1 once
     every term is at most 1/arity, t >= max_j (q log p_j + log arity) / -log c_j,
     and at least 1 once one term is, t <= max_j q log p_j / -log c_j. With U
     the largest first bound and L the smallest second one over the families
@@ -92,32 +92,18 @@ def _newton_roots(spec: MoranSpec, q: np.ndarray, ks: np.ndarray, counts: np.nda
     """
     Roots in t of log S_k(q, t) = 0 for every (q, k) pair of the flat arrays
     ``q`` and ``ks`` (counts are the family generation counts of ``ks``), each
-    with its own bracket [lo, hi]: start at [-64, 64] and double until
-    g(lo) >= 0 >= g(hi), then take Newton steps that stay inside the bracket
-    (else bisect) until |g| <= 1e-13 k. Each element stops on its own, so
-    every root is the one a lone solve gives. A bracket that reaches
-    ``_bracket_bound`` without a sign change raises NoBracket naming it;
-    errors name the first failing pair and NoConvergence counts the
-    unconverged generations at its q.
+    from its own bracket [lo, hi] = [-h, h], h from ``_bracket_bound``: Newton
+    steps that stay inside the bracket (else bisect) until |g| <= 1e-13 k.
+    Each element stops on its own, so every root is the one a lone solve
+    gives. NoBracket names the first pair whose h is not finite, where no
+    bracket exists; NoConvergence names the first unconverged pair and counts
+    the unconverged generations at its q.
     """
-    lo, hi = np.full(ks.size, -64.0), np.full(ks.size, 64.0)
-    todo = np.arange(ks.size)
-    bound = None
-    while True:
-        glo, _ = log_partition(spec, q[todo], lo[todo], counts[:, todo])
-        ghi, _ = log_partition(spec, q[todo], hi[todo], counts[:, todo])
-        todo = todo[(glo < 0.0) | (ghi > 0.0)]
-        if todo.size == 0:
-            break
-        if bound is None:  # only a bracket that must widen pays for the bound
-            bound = np.zeros(ks.size)
-            bound[todo] = _bracket_bound(spec, q[todo], counts[:, todo])
-        past = (hi[todo] >= bound[todo]) | ~np.isfinite(bound[todo])
-        if past.any():
-            i = todo[past][0]
-            raise NoBracket(f"no sign change for beta in [{lo[i]}, {hi[i]}] at q={float(q[i])}, k={ks[i]}")
-        lo[todo] *= 2.0
-        hi[todo] *= 2.0
+    hi = _bracket_bound(spec, q, counts)
+    if not np.all(np.isfinite(hi)):
+        i = np.argmin(np.isfinite(hi))
+        raise NoBracket(f"no finite bracket for beta at q={float(q[i])}, k={ks[i]}")
+    lo = -hi
     beta = np.zeros(ks.size)
     tol = 1e-13 * np.maximum(ks, 1)
     todo = np.arange(ks.size)
@@ -150,8 +136,9 @@ def solve_beta_k(spec: MoranSpec, q, k):
     shape (``q[:, None]`` against an array of generations gives a (q x k)
     grid). The closed form under constant per-family ratios, else
     ``_newton_roots`` on all (q, k) pairs at once, holding the residual to
-    |log S_k| <= 1e-13 k. Raises NoConvergence or NoBracket rather than
-    return a root that misses that bound.
+    |log S_k| <= 1e-13 k from the bracket ``_bracket_bound`` proves. Raises
+    NoConvergence rather than return a root that misses that bound, and
+    NoBracket where p^q is 0 or inf at every t, so that no root exists.
     """
     qs = np.asarray(q, dtype=float)
     ks = np.asarray(k, dtype=np.int64)

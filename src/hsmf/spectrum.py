@@ -319,9 +319,9 @@ def tilted_dimension_check(
     alphas = log_mass / log_len
     emp_mean = float(np.mean(alphas))
     emp_sd = float(np.std(alphas, ddof=1)) if sample_count > 1 else 0.0
-    stencil = np.array([q - DERIVATIVE_STEP, q, q + DERIVATIVE_STEP])
+    stencil = np.array([q - DERIVATIVE_STEP, q + DERIVATIVE_STEP])
     beta = solve_beta_k(spec, stencil, depth)
-    pred = -(beta[2] - beta[0]) / (stencil[2] - stencil[0])
+    pred = -(beta[1] - beta[0]) / (stencil[1] - stencil[0])
     return TiltedCheck(
         q=q,
         t=t,

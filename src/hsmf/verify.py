@@ -406,13 +406,15 @@ def criterion_6(res: CriterionResult, seed: int, tol_scale: float) -> None:
 
 # specs and scales for the Legendre / coarse-spectrum gate
 _SPECTRUM_CASES = (
-    # name, spec factory, finest generation, k_max for separators, assert b* bound
-    ("uniform", spec_uniform, 24, 256, True),
-    ("binomial", spec_binomial, 24, 256, True),
-    ("middle_thirds", spec_middle_thirds, 16, 256, True),
-    ("periodic", spec_periodic, 24, 1000, True),
-    ("block", spec_block, 24, K_DEEP, True),
-    ("switching", spec_switching, 24, K_DEEP, False),
+    # name, spec factory, finest generation, k_max for separators, assert b* bound,
+    # closed-form dimension D of a monofractal (None for the others)
+    ("uniform", spec_uniform, 24, 256, True, lambda: uniform_beta(0.0)),
+    ("binomial", spec_binomial, 24, 256, True, None),
+    ("middle_thirds", spec_middle_thirds, 16, 256, True, lambda: math.log(2.0) / math.log(3.0)),
+    ("periodic", spec_periodic, 24, 1000, True,
+     lambda: periodic_moran_beta(PERIODIC_P1, PERIODIC_R1, PERIODIC_P2, PERIODIC_R2, 0.0)),
+    ("block", spec_block, 24, K_DEEP, True, None),
+    ("switching", spec_switching, 24, K_DEEP, False, None),
 )
 
 
@@ -433,10 +435,16 @@ def _alpha_grid_for(spec: MoranSpec, k_fin: int) -> np.ndarray:
 
 @_criterion(7, "legendre transform and coarse upper bounds", 60.0)
 def criterion_7(res: CriterionResult, seed: int, tol_scale: float) -> None:
-    """Legendre exactness/concavity and the coarse upper bounds."""
+    """
+    Legendre exactness, the shape of every transform and the coarse upper
+    bounds. A monofractal's transform is unflagged only at its dimension D,
+    where it equals D, so it records that point against the closed form; every
+    other transform records concavity on the alpha grid plus the chord slopes
+    of its curve, the kinks of the discrete transform.
+    """
     qs = np.round(np.arange(-8.0, 8.0 + 0.25, 0.25), 10)
     case_details = []
-    for name, factory, k_fin, k_max, assert_b in _SPECTRUM_CASES:
+    for name, factory, k_fin, k_max, assert_b, dimension in _SPECTRUM_CASES:
         spec = factory()
         grid = separator_grid(spec, qs, k_max)
         alpha = _alpha_grid_for(spec, k_fin)
@@ -449,14 +457,19 @@ def criterion_7(res: CriterionResult, seed: int, tol_scale: float) -> None:
             oracle[i] = min(a * q + phi for q, phi in zip(qs, grid.b))
         res.record(f"bitwise legendre oracle: {name}", bool(np.array_equal(b_star, oracle)))
 
-        for label, curve, flg in (("b*", b_star, flag_b), ("B*", B_star, flag_B)):
-            vals = curve[~flg]
-            av = alpha[~flg]
-            if av.size >= 3:
+        for label, phi, curve, flg in (("b*", grid.b, b_star, flag_b), ("B*", grid.B, B_star, flag_B)):
+            if dimension is not None:
+                av, vals = alpha[~flg], curve[~flg]
+                worst = float(np.abs(np.concatenate([av, vals]) - dimension()).max()) if av.size else math.inf
+                check, ok = f"{label} = D at alpha = D: {name}", worst <= 1e-12 * tol_scale
+            else:
+                av = sorted_distinct(np.concatenate([alpha, -np.diff(phi) / np.diff(qs)]))
+                vals, fl = legendre_transform(qs, phi, av)
+                av, vals = av[~fl], vals[~fl]
                 second = slope_changes(av, vals)
-                res.record(
-                    f"{label} concave: {name}", bool(np.all(second <= 1e-8)), worst=float(second.max())
-                )
+                worst = float(second.max()) if second.size else math.inf
+                check, ok = f"{label} concave: {name}", worst <= 1e-8
+            res.record(check, ok, alphas=int(av.size), worst=worst)
 
         r = max_length_at(spec, k_fin)
         cs = coarse_spectrum(spec, [r], epsilon=0.05, alpha_grid=alpha)

@@ -133,7 +133,7 @@ def test_grid_criteria_check_the_grid_they_emit(monkeypatch, criterion):
 
 
 def test_criterion_7_records_a_bent_transform(monkeypatch):
-    """A dip at one unflagged alpha of each transform fails the concavity records."""
+    """A dip at one unflagged alpha of each transform fails its shape record."""
     real = V.legendre_transform
 
     def dipped(q_grid, phi, alpha_grid):
@@ -145,8 +145,45 @@ def test_criterion_7_records_a_bent_transform(monkeypatch):
 
     monkeypatch.setattr(V, "legendre_transform", dipped)
     failed = {f["check"] for f in V.criterion_7(seed=0).failures}
-    # the other transforms have fewer than three unflagged alphas, so no concavity record
-    assert {"b* concave: binomial", "B* concave: binomial", "B* concave: switching"} <= failed
+    # the monofractals' one unflagged alpha is dipped below D, so their point records fail
+    assert {f"{label} concave: {name}" for name in ("binomial", "block", "switching")
+            for label in ("b*", "B*")} <= failed
+    assert {f"{label} = D at alpha = D: {name}" for name in ("uniform", "middle_thirds", "periodic")
+            for label in ("b*", "B*")} <= failed
+
+
+def test_criterion_7_records_the_shape_of_every_transform(monkeypatch):
+    """Each of the 12 transforms, b* and B* of six measures, gets a shape
+    record: concavity, or the point alpha = D of a monofractal."""
+    checks = []
+    record = V.CriterionResult.record
+
+    def counted(self, name, ok, **info):
+        checks.append(name)
+        return record(self, name, ok, **info)
+
+    monkeypatch.setattr(V.CriterionResult, "record", counted)
+    assert V.criterion_7(seed=0).passed
+    for name, *_ in V._SPECTRUM_CASES:
+        for label in ("b*", "B*"):
+            assert any(c.startswith(f"{label} ") and c.endswith(f": {name}") for c in checks), (label, name)
+
+
+def test_criterion_7_point_record_fails_a_wrong_dimension(monkeypatch):
+    """A uniform grid of 1.01 (1 - q) puts the transform's kink at 1.01, not at
+    D = 1, so the point records fail."""
+    real = V.separator_grid
+
+    def wrong_uniform(spec, qs, k_max):
+        grid = real(spec, qs, k_max)
+        if spec != V.spec_uniform():
+            return grid
+        wrong = 1.01 * (1.0 - grid.q_grid)
+        return dataclasses.replace(grid, b=wrong, B=wrong.copy())
+
+    monkeypatch.setattr(V, "separator_grid", wrong_uniform)
+    failed = {f["check"] for f in V.criterion_7(seed=0).failures}
+    assert {"b* = D at alpha = D: uniform", "B* = D at alpha = D: uniform"} <= failed
 
 
 def test_run_verify_calls_criteria_by_name_and_keeps_grids_out_of_details(monkeypatch):

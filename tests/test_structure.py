@@ -1,8 +1,9 @@
 """Structural guards on the source tree: the benchmark's wrapped names, dead imports,
-direct numpy imports, unused options and memoizing caches."""
+direct numpy imports, unused options, memoizing caches and work done at import."""
 
 import ast
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -164,3 +165,42 @@ def test_no_memoizing_caches():
         if (names := _memo_caches(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+# Prints, as ``module.function``, each function under the root (argv[1]) that runs while
+# argv[2] is imported. Module and class bodies are not functions (no CO_OPTIMIZED flag).
+_IMPORT_PROBE = """
+import inspect, os, sys
+root, module = sys.argv[1], sys.argv[2]
+sys.path.insert(0, os.path.dirname(root))
+ran = set()
+def probe(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(root) and code.co_flags & inspect.CO_OPTIMIZED:
+        ran.add(os.path.basename(code.co_filename)[:-3] + "." + code.co_name)
+sys.setprofile(probe)
+__import__(module)
+sys.setprofile(None)
+print(" ".join(sorted(ran)))
+"""
+
+
+def _functions_run_at_import(root: Path, module: str) -> list[str]:
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(root), module],
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.split()
+
+
+def test_importing_the_cli_runs_no_package_function(tmp_path):
+    """A cold ``validate`` imports every layer but ``verify``, and the benchmark times it as
+    ``setup_s``; so importing ``hsmf.cli`` may run no ``hsmf`` function but the numpy deferral."""
+    # the check itself: a function called at import is seen; one only defined, a class
+    # body and a generator left unconsumed are not
+    pkg = tmp_path / "probed"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text(
+        "def f():\n    return 1\ndef g():\n    return 2\n"
+        "class C:\n    x = 1\nX = f()\nG = (i for i in ())\n"
+    )
+    assert _functions_run_at_import(pkg, "probed") == ["__init__.f"]
+    assert _functions_run_at_import(SRC, "hsmf.cli") == ["_np._deferred_numpy"]
