@@ -343,10 +343,16 @@ class SpectrumResult:
     alpha_grid: np.ndarray
     b_star: np.ndarray
     B_star: np.ndarray
-    boundary: np.ndarray
+    flag_b: np.ndarray
+    flag_B: np.ndarray
     bounds: AlphaBounds
     coarse: CoarseSpectrum
     tilted: list[TiltedCheck] = field(default_factory=list)
+
+    @property
+    def boundary(self) -> np.ndarray:
+        """Alphas where either transform is flagged, the ``boundary_flag`` column."""
+        return self.flag_b | self.flag_B
 
     def check_invariants(self) -> list[str]:
         tol = 1e-8
@@ -365,10 +371,10 @@ class SpectrumResult:
         ok = ~self.boundary
         if np.any(self.b_star[ok] > self.B_star[ok] + tol):
             out.append("b_star exceeds B_star")
-        for name, curve in (("b_star", self.b_star), ("B_star", self.B_star)):
-            vals = np.where(self.boundary, np.nan, curve)
-            fin = np.isfinite(vals)
-            if np.any(slope_changes(self.alpha_grid[fin], vals[fin]) > tol):
+        # each transform is concave on its own unflagged alphas
+        for name, curve, flag in (("b_star", self.b_star, self.flag_b), ("B_star", self.B_star, self.flag_B)):
+            fin = ~flag & np.isfinite(curve)
+            if np.any(slope_changes(self.alpha_grid[fin], curve[fin]) > tol):
                 out.append(f"{name} not discretely concave")
         return out
 
@@ -394,7 +400,6 @@ def spectrum_result(
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     b_star, flag_b = legendre_transform(grid.q_grid, grid.b, alpha_grid)
     B_star, flag_B = legendre_transform(grid.q_grid, grid.B, alpha_grid)
-    boundary = flag_b | flag_B
     bounds = alpha_bounds(grid)
     coarse = coarse_spectrum(spec, r_list, epsilon, alpha_grid, seed=seed)
     depth = min(TILTED_DEPTH, spec.depth_cap)
@@ -404,4 +409,4 @@ def spectrum_result(
         tilted.append(
             tilted_dimension_check(spec, float(q), t, depth, TILTED_SAMPLE_COUNT, seed)
         )
-    return SpectrumResult(alpha_grid, b_star, B_star, boundary, bounds, coarse, tilted)
+    return SpectrumResult(alpha_grid, b_star, B_star, flag_b, flag_B, bounds, coarse, tilted)

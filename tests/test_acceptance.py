@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from hsmf import verify as V
+from hsmf.scaling import beta_sequence
 from hsmf.output import json_bytes
 
 
@@ -116,11 +117,14 @@ def test_criterion_10_greedy_vs_oracle_brackets():
                          ids=["c2", "c3", "c5"])
 def test_grid_criteria_check_the_grid_they_emit(monkeypatch, criterion):
     """A separator grid whose B is raised just above its chord at q = 0 fails
-    the emitting criterion's shape record, and that grid is the one kept for its CSV."""
+    the emitting criterion's shape record, and that grid is the one kept for its
+    CSV. A grid without q = 0 (c5's per-q branch grid) is left as it is."""
     real = V.separator_grid
 
     def bumped(spec, qs, k_max):
         grid = real(spec, qs, k_max)
+        if not np.any(grid.q_grid == 0.0):
+            return grid
         B = grid.B.copy()
         i = int(np.flatnonzero(grid.q_grid == 0.0)[0])
         B[i] = (B[i - 1] + B[i + 1]) / 2 + 1e-6
@@ -130,6 +134,26 @@ def test_grid_criteria_check_the_grid_they_emit(monkeypatch, criterion):
     res = criterion(seed=0)
     assert {"check": "grid invariants", "problems": ["B not discretely convex"]} in res.failures
     assert res.grid.check_invariants() == ["B not discretely convex"]
+
+
+def _beta_sequence_rows(spec, qs):
+    """[liminf, limsup] per q from one ``beta_sequence`` call each: the loop
+    criteria 4 and 5 ran before they read one separator grid, kept as the reference."""
+    return [[bs.liminf_est, bs.limsup_est] for bs in (beta_sequence(spec, q, V.K_DEEP) for q in qs)]
+
+
+def test_branch_rows_equal_the_per_q_beta_sequence_loop():
+    """c4's and c5's per-q estimates, and c4's constant-ratio reference, equal
+    the per-q loop's liminf and limsup under ==."""
+    c4, c5 = V.criterion_4(seed=0).details, V.criterion_5(seed=0).details
+    const_qs = (-2.0, 0.5, 2.0)
+    for rows, spec, qs in (
+        (c4["per_q"], V.spec_block(), V.BLOCK_QS),
+        (c4["constant_ratio_reference"], V.spec_block(V.BLOCK_BOUNDS_CONSTANT), const_qs),
+        (c5["per_q"], V.spec_switching(), V.BLOCK_QS),
+    ):
+        assert [row["q"] for row in rows] == list(qs)
+        assert [row["estimate"] for row in rows] == _beta_sequence_rows(spec, qs)
 
 
 def test_criterion_7_records_a_bent_transform(monkeypatch):

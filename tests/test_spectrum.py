@@ -117,6 +117,27 @@ def test_bent_transform_is_not_discretely_concave(binomial_spec, name, bend):
     assert bent.check_invariants() == [f"{name} not discretely concave"]
 
 
+def test_each_transform_is_checked_on_its_own_unflagged_alphas(block_spec):
+    """On the block construction b* is flagged at most alphas where B* is not,
+    so a dip in B* at such an alpha fails B*'s concavity check; under the
+    merged mask of the two flags it would go unseen."""
+    grid = separator_grid(block_spec, np.arange(-4.0, 4.25, 0.25), 1024)
+    alpha = np.round(np.arange(0.0, 2.5001, 0.025), 10)
+    result = S.spectrum_result(block_spec, grid, alpha, [2.0**-8])
+    assert result.check_invariants() == []
+    _, flag_b = legendre_transform(grid.q_grid, grid.b, alpha)
+    _, flag_B = legendre_transform(grid.q_grid, grid.B, alpha)
+    only_b, inside_B = np.flatnonzero(flag_b & ~flag_B), np.flatnonzero(~flag_B)
+    assert only_b.size > 3 and np.count_nonzero(~(flag_b | flag_B)) < 3
+    i = only_b[only_b.size // 2]
+    assert inside_B[0] < i < inside_B[-1]
+    B_star = result.B_star.copy()
+    B_star[i] -= 0.1  # deeper than any kink of B* on this alpha grid
+    assert dataclasses.replace(result, B_star=B_star).check_invariants() == ["B_star not discretely concave"]
+    assert np.array_equal(result.flag_b, flag_b) and np.array_equal(result.flag_B, flag_B)
+    assert np.array_equal(result.boundary, flag_b | flag_B)
+
+
 # ---------------------------------------------------------------------------
 # alpha bounds
 # ---------------------------------------------------------------------------
