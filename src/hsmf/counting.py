@@ -6,20 +6,17 @@ Greedy estimators
 -----------------
 Counts and moment sums need an extremum over center sets, which is not
 tractable exactly over real centers. ``ball_table`` builds one scale's
-candidate table from one cell enumeration: the centers, their ball masses
-and the support pieces. Every estimator at that scale reads the table; a
-count is the q = 0 moment. Two deterministic candidate classes are used:
-
-* ``"endpoints"`` (default): centers are generation-k cell endpoints, all of
-  which belong to the support; an endpoint shared by adjacent cells is kept
-  once, by an in-place sort and an adjacent-difference mask
-  (``sorted_distinct``). The left-to-right sweep is exactly optimal
-  within this class on the line, so the q = 0 covering moment is an upper
-  bound for the true covering number of the support (it covers the
-  generation-k superset) and the q = 0 packing moment counts a valid packing
-  of the support, hence a lower bound for the true packing number. Both are
-  within a factor 2 of the continuum optimum.
-* ``"midpoints"``: centers are cell midpoints, the class criterion 10 runs.
+candidate table from one cell enumeration at the matched generation: the
+centers, their ball masses and the support pieces. Every estimator at that
+scale reads the table; a count is the q = 0 moment. The centers are the
+generation's cell endpoints, all of which belong to the support; an endpoint
+shared by adjacent cells is kept once, by an in-place sort and an
+adjacent-difference mask (``sorted_distinct``). The left-to-right sweep is
+exactly optimal within this class on the line, so the q = 0 covering moment
+is an upper bound for the true covering number of the support (it covers the
+generation-k superset) and the q = 0 packing moment counts a valid packing of
+the support, hence a lower bound for the true packing number. Both are within
+a factor 2 of the continuum optimum.
 
 The sweeps' two lookups, ``separated_after`` and ``cover_steps``, are also
 the steps of the exact programs in ``oracles``, which accept any sorted class.
@@ -143,8 +140,8 @@ class BallTable:
     """One scale's candidate centers (sorted, distinct by sort and mask) with
     their ball masses mu(B(x, r)), and the support pieces [lefts, rights]
     they cover. The greedy cover and packing are ``np.intp`` index arrays
-    into ``points``, each found on first use: a midpoint table that cannot
-    cover still serves the oracle."""
+    into ``points``, each found on first use: a table whose centers cannot
+    cover still serves the packing side and the exact programs."""
 
     r: float
     points: np.ndarray
@@ -161,25 +158,20 @@ class BallTable:
         return _packing_centers(self.points, self.r)
 
 
-def ball_table(spec: MoranSpec, r: float, depth: int | None = None, centers: str = "endpoints") -> BallTable:
+def ball_table(spec: MoranSpec, r: float) -> BallTable:
     """
-    The candidate table at radius r over the cells of generation ``depth``
-    (default: the matched generation), from one cell enumeration. Ball masses
-    are resolved 8 generations below it (at most depth_cap). A generation that
-    cannot be enumerated is a scale too small.
+    The endpoint table at radius r over the cells of the matched generation,
+    from one cell enumeration. Ball masses are resolved 8 generations below
+    it (at most depth_cap). A generation that cannot be enumerated is a scale
+    too small.
     """
     r = float(r)
-    k = depth if depth is not None else matched_generation(spec, r)
+    k = matched_generation(spec, r)
     try:
         lefts, lengths = cells(spec, k)[:2]
     except TooDeep as e:
         raise ScaleTooSmall(str(e)) from e
-    if centers == "endpoints":
-        pts = sorted_distinct(np.concatenate([lefts, lefts + lengths]))
-    elif centers == "midpoints":
-        pts = lefts + 0.5 * lengths
-    else:
-        raise ValueError(f"unknown center class {centers!r}")
+    pts = sorted_distinct(np.concatenate([lefts, lefts + lengths]))
     if spec.gap_policy is GapPolicy.NO_GAPS:
         lefts, lengths = np.array([0.0]), np.array([1.0])
     rights = lefts + lengths

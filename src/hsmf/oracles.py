@@ -10,7 +10,8 @@ force solves the exact packing/covering optimum by dynamic programming on the
 line, certifying the greedy estimators on the ball table they read. Both
 programs read the greedy's own lookups (``separated_after``, ``cover_steps``),
 so "r apart" and "covers" are one float test each, and accept any sorted
-candidate class; criterion 10 runs them on midpoint tables.
+candidate class; criterion 10 runs them on the endpoint tables that
+``moments`` sums over.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from ._np import np
-from .counting import BallTable, ball_table, cover_steps, separated_after
+from .counting import BallTable, cover_steps, separated_after
 from .errors import ParameterOutOfRange, ScaleTooSmall, TooDeep
-from .specs import MoranSpec, _num_cells
+from .specs import GapPolicy, MoranSpec, _num_cells, ball_masses, cells
 
 _BRUTE_FORCE_MAX_CELLS = 1 << 13
 
@@ -102,13 +103,19 @@ class BruteForceMoments:
 
 
 def midpoint_ball_masses(spec: MoranSpec, r: float, depth: int) -> BallTable:
-    """The midpoint ball table at ``depth`` (<= 12, hard cell cap): the
-    brute force's candidate class, which the greedy estimators then read too."""
+    """The generation-``depth`` cell midpoints (depth <= 12, hard cell cap) as a
+    ball table, masses resolved as ``ball_table`` resolves them."""
     if depth > 12:
         raise TooDeep("brute force is limited to depth <= 12")
     if _num_cells(spec, depth) > _BRUTE_FORCE_MAX_CELLS:
         raise TooDeep(f"brute force capped at {_BRUTE_FORCE_MAX_CELLS} cells")
-    return ball_table(spec, r, int(depth), "midpoints")
+    r, depth = float(r), int(depth)
+    lefts, lengths = cells(spec, depth)[:2]
+    pts = lefts + 0.5 * lengths
+    if spec.gap_policy is GapPolicy.NO_GAPS:
+        lefts, lengths = np.array([0.0]), np.array([1.0])
+    ball = ball_masses(spec, pts, r, min(spec.depth_cap, depth + 8))
+    return BallTable(r, pts, ball, lefts, lefts + lengths)
 
 
 def _max_packing_value(points: np.ndarray, weights: np.ndarray, r: float) -> float:

@@ -303,25 +303,25 @@ class TiltedCheck:
 def tilted_dimension_check(
     spec: MoranSpec,
     q: float,
-    t: float,
     depth: int,
     sample_count: int,
     seed: int,
 ) -> TiltedCheck:
     """
-    Draw tilted paths at (q, t) and compare their empirical local exponent
-    log(mass)/log(length) at ``depth`` against -d beta_depth / dq, the
-    exponent the tilt concentrates on, by a central difference of step
+    Draw tilted paths at (q, t = beta_depth(q)) and compare their empirical
+    local exponent log(mass)/log(length) at ``depth`` against -d beta_depth / dq,
+    the exponent the tilt concentrates on, by a central difference of step
     DERIVATIVE_STEP. ``legendre_value`` is q * alpha + t, the dimension the
     formalism assigns there.
     """
+    stencil = np.array([q - DERIVATIVE_STEP, q, q + DERIVATIVE_STEP])
+    beta = solve_beta_k(spec, stencil, depth)
+    t = float(beta[1])
+    pred = -(beta[2] - beta[0]) / (stencil[2] - stencil[0])
     _, log_mass, log_len = sample_paths(spec, q, t, depth, sample_count, seed)
     alphas = log_mass / log_len
     emp_mean = float(np.mean(alphas))
     emp_sd = float(np.std(alphas, ddof=1)) if sample_count > 1 else 0.0
-    stencil = np.array([q - DERIVATIVE_STEP, q + DERIVATIVE_STEP])
-    beta = solve_beta_k(spec, stencil, depth)
-    pred = -(beta[1] - beta[0]) / (stencil[1] - stencil[0])
     return TiltedCheck(
         q=q,
         t=t,
@@ -403,10 +403,5 @@ def spectrum_result(
     bounds = alpha_bounds(grid)
     coarse = coarse_spectrum(spec, r_list, epsilon, alpha_grid, seed=seed)
     depth = min(TILTED_DEPTH, spec.depth_cap)
-    tilted = []
-    for q in TILTED_QS:
-        t = solve_beta_k(spec, float(q), depth)
-        tilted.append(
-            tilted_dimension_check(spec, float(q), t, depth, TILTED_SAMPLE_COUNT, seed)
-        )
+    tilted = [tilted_dimension_check(spec, float(q), depth, TILTED_SAMPLE_COUNT, seed) for q in TILTED_QS]
     return SpectrumResult(alpha_grid, b_star, B_star, flag_b, flag_B, bounds, coarse, tilted)

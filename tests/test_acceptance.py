@@ -109,7 +109,8 @@ def test_criterion_9_tilted_sampler():
 
 
 def test_criterion_10_greedy_vs_oracle_brackets():
-    """Greedy moments inside the exact midpoint-class optima at depth 12."""
+    """Greedy moments inside the exact endpoint-class optima, and equal to
+    them at q = 0, at each radius's matched generation."""
     _run(V.criterion_10, 10)
 
 

@@ -32,6 +32,7 @@ from hsmf import (
 )
 from hsmf import counting
 from hsmf import specs as specs_module
+from hsmf.oracles import midpoint_ball_masses
 from hsmf.specs import BALL_CHUNK, ball_masses, cells, load_spec, matched_generation
 
 
@@ -379,9 +380,10 @@ def test_candidate_ball_masses_calls_ball_mass_once_per_center(monkeypatch, cant
 
     monkeypatch.setattr(specs_module, "ball_mass", counted)
     for spec in (cantor_spec, periodic_spec):
-        for centers in ("endpoints", "midpoints"):
+        for table_of in (lambda: counting.ball_table(spec, 0.01),
+                         lambda: midpoint_ball_masses(spec, 0.01, 6)):
             calls.clear()
-            table = counting.ball_table(spec, 0.01, 6, centers)
+            table = table_of()
             assert calls == table.points.tolist()
 
 

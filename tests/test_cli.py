@@ -198,10 +198,56 @@ def test_dims_json_format(spec_file, tmp_path):
     assert len(payload["rows"]) == 3
 
 
-def test_verify_missing_fixture_dir_exits_2(tmp_path):
-    proc = run_cli("verify", "--out", str(tmp_path / "v"), "--fixtures",
-                   str(tmp_path / "missing"))
-    assert proc.returncode == 2
+@pytest.mark.parametrize("command, extra, stem", [
+    ("dims", ("--q-min", "-1", "--q-max", "1", "--q-step", "1", "--k-max", "16"), "separators"),
+    ("moments", ("--r-octaves", "4"), "moments"),
+])
+def test_json_format_holds_the_csv_table(spec_file, tmp_path, command, extra, stem):
+    """--format json writes the CSV run's columns and rows and its meta line
+    without "# ", under the JSON run's own config hash (the hash covers
+    --format), and no CSV file."""
+    from hsmf.specs import load_spec
+
+    argv = [command, "--spec", str(spec_file), *extra]
+    assert cli.main([*argv, "--out", str(tmp_path / "csv")]) == 0
+    assert cli.main([*argv, "--format", "json", "--out", str(tmp_path / "json")]) == 0
+    meta, columns, *rows = (tmp_path / "csv" / f"{stem}.csv").read_text().splitlines()
+    payload = json.loads((tmp_path / "json" / f"{stem}.json").read_text())
+    assert payload["columns"] == columns.split(",")
+    assert payload["rows"] == [row.split(",") for row in rows]
+    csv_hash, json_hash = (cli._header(cli._parser().parse_args(a), load_spec(spec_file))["config"]
+                           for a in (argv, [*argv, "--format", "json"]))
+    assert payload["meta"] == meta.removeprefix("# ").replace(csv_hash, json_hash)
+    assert not list((tmp_path / "json").glob("*.csv"))
+
+
+def test_validate_prints_the_violation_json(tmp_path, capsys):
+    path = tmp_path / "empty_pattern.json"
+    path.write_text(json.dumps(dict(VALID_SPEC, schedule={"type": "periodic", "pattern": []})))
+    assert cli.main(["validate", "--spec", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == [{"code": "BadSchedule", "where": "schedule.pattern",
+                                "message": "must be non-empty"}]
+
+
+@pytest.fixture()
+def no_criteria(monkeypatch):
+    """``verify.run_verify`` replaced by one that fails the test: fixtures are
+    checked before any criterion runs."""
+    from hsmf import verify
+
+    def run_verify(seed, tol_scale):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(verify, "run_verify", run_verify)
+
+
+def test_verify_missing_fixture_dir_exits_2(tmp_path, capsys, no_criteria):
+    missing = tmp_path / "missing"
+    assert cli.main(["verify", "--out", str(tmp_path / "v"), "--fixtures", str(missing)]) == 2
+    assert capsys.readouterr() == ("", f"error: fixture directory {missing} not found\n")
+    assert not (tmp_path / "v").exists()
 
 
 def test_shipped_specs_validate():
@@ -223,14 +269,16 @@ def test_shipped_specs_validate():
         assert load_spec(specs_dir / f"{name}.json") == factory(), name
 
 
-def test_verify_invalid_fixture_exits_1(tmp_path):
+def test_verify_invalid_fixture_exits_1(tmp_path, capsys, no_criteria):
     fdir = tmp_path / "fixtures"
     fdir.mkdir()
-    bad = dict(VALID_SPEC, families=[{"probs": [0.5, 0.6], "ratios": [0.5, 0.5]}])
-    (fdir / "bad.json").write_text(json.dumps(bad))
-    proc = run_cli("verify", "--out", str(tmp_path / "v"), "--fixtures", str(fdir))
-    assert proc.returncode == 1
-    assert "NonProbabilityVector" in proc.stdout
+    (fdir / "bad.json").write_text(json.dumps(dict(VALID_SPEC, depth_cap=0)))
+    assert cli.main(["verify", "--out", str(tmp_path / "v"), "--fixtures", str(fdir)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == [{"code": "BadSchedule", "where": "depth_cap",
+                                "message": "must be a positive integer"}]
+    assert not (tmp_path / "v").exists()
 
 
 def test_dims_without_theta_delta_scales_keeps_b_and_B(tmp_path):

@@ -251,13 +251,14 @@ def test_equal_on_verify_measures(factory):
 
 @pytest.mark.parametrize("factory", [spec_uniform, spec_middle_thirds, spec_binomial])
 def test_exact_programs_certify_the_endpoint_class(factory):
-    """Criterion 10's cells on the endpoint tables that ``moments`` sums over:
-    the greedy stays inside the optima to criterion 10's 1e-9, and at q = 0
-    the sweeps are optimal within the class, so both sides are equal."""
+    """Criterion 10's cells on the endpoint tables that ``moments`` sums over,
+    at each radius's matched generation: the greedy stays inside the optima
+    to criterion 10's 1e-9, and at q = 0 the sweeps are optimal within the
+    class, so both sides are equal."""
     spec = factory()
     base = max_length_at(spec, 12)
     for r in (base, 2.7 * base):
-        table = ball_table(spec, r, 12)
+        table = ball_table(spec, r)
         for q in (-1.0, 0.0, 1.0, 2.0):
             bf = brute_force_ball_moments(table, q)
             cover, pack = covering_moment(table, q), packing_moment(table, q)
@@ -305,7 +306,7 @@ def test_sweeps_equal_the_list_sweeps_on_criterion_10_tables(massless_tables):
         spec = factory()
         base = max_length_at(spec, 12)
         for r in (base, 2.7 * base):
-            _assert_same_sweeps(midpoint_ball_masses(spec, r, 12))
+            _assert_same_sweeps(ball_table(spec, r))
 
 
 @pytest.mark.parametrize("points, lefts, rights, r", [

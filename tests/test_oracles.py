@@ -249,9 +249,9 @@ def test_greedy_within_certified_bracket(cantor_spec, q):
 
 
 def test_brute_force_shares_the_greedy_ball_mass_table(monkeypatch, cantor_spec):
-    """Criterion 10's flow at one (spec, r, depth): one midpoint ball table,
-    read by the oracle and both greedy estimators, evaluates each midpoint's
-    ball mass once between them."""
+    """One midpoint ball table, read by the oracle and both greedy estimators
+    as criterion 10 reads its tables, evaluates each midpoint's ball mass
+    once between them."""
     import sys
 
     from hsmf import specs

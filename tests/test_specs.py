@@ -11,6 +11,7 @@ from scipy.stats import chisquare
 from test_ball_mass import interval_of
 
 from hsmf import (
+    BlockSchedule,
     ConstantSchedule,
     GapPolicy,
     GenerationFamily,
@@ -80,6 +81,25 @@ def test_validate_bad_schedule_index():
     )
     codes = {v.code for v in check_spec(spec)}
     assert "BadSchedule" in codes
+
+
+def _spec(probs=(0.5, 0.5), ratios=(0.5, 0.5), gaps=GapPolicy.NO_GAPS,
+          schedule=ConstantSchedule(0), depth_cap=16):
+    return MoranSpec((GenerationFamily(probs, ratios),), schedule, gaps, depth_cap)
+
+
+@pytest.mark.parametrize("spec, code, where", [
+    (_spec(probs=(1.0,), ratios=(0.5,)), "NonProbabilityVector", "families[0]"),
+    (_spec(probs=(0.0, 1.0)), "NonProbabilityVector", "families[0].probs"),
+    (_spec(ratios=(0.6, 0.6)), "RatioOutOfRange", "families[0].ratios"),
+    (_spec(gaps=GapPolicy.EQUAL_GAPS), "GapPolicyMismatch", "families[0].ratios"),
+    (_spec(depth_cap=0), "BadSchedule", "depth_cap"),
+    (_spec(schedule=BlockSchedule((1, 4, 4), (0, 0, 0))), "BadSchedule", "schedule.boundaries"),
+    (_spec(schedule=PeriodicSchedule(())), "BadSchedule", "schedule.pattern"),
+], ids=["arity-1", "zero-probability", "ratio-sum-above-1", "equal-gaps-ratio-sum-1",
+        "depth-cap-0", "boundaries-not-increasing", "empty-pattern"])
+def test_check_spec_names_each_violation_alone(spec, code, where):
+    assert [(v.code, v.where) for v in check_spec(spec)] == [(code, where)]
 
 
 # ---------------------------------------------------------------------------

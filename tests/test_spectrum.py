@@ -117,6 +117,33 @@ def test_bent_transform_is_not_discretely_concave(binomial_spec, name, bend):
     assert bent.check_invariants() == [f"{name} not discretely concave"]
 
 
+def test_each_invariant_message_fires_alone(binomial_spec):
+    """Each of the bounds, histogram and order checks, on a real result
+    perturbed so that it alone fails. b_star shifted up keeps its shape."""
+    grid = separator_grid(binomial_spec, np.arange(-4.0, 4.25, 0.25), 64)
+    result = S.spectrum_result(binomial_spec, grid, np.round(np.arange(0.0, 2.5001, 0.025), 10), [2.0**-8])
+    assert result.check_invariants() == []
+    bounds, coarse = result.bounds, result.coarse
+    assert coarse.uniform_cells  # else the ceiling is not checked
+
+    def one_bin(value):
+        f_hat = coarse.f_hat.copy()
+        f_hat[0, np.flatnonzero(np.isfinite(f_hat[0]))[0]] = value
+        return dataclasses.replace(result, coarse=dataclasses.replace(coarse, f_hat=f_hat))
+
+    perturbed = {
+        "alpha_min > alpha_max": dataclasses.replace(
+            result, bounds=dataclasses.replace(bounds, alpha_min=bounds.alpha_max + 1.0)),
+        "beta_min > beta_max": dataclasses.replace(
+            result, bounds=dataclasses.replace(bounds, beta_min=bounds.beta_max + 1.0)),
+        "coarse f_hat negative": one_bin(-0.5),
+        "coarse f_hat above its cell-count ceiling": one_bin(coarse.ceiling[0] + 0.5),
+        "b_star exceeds B_star": dataclasses.replace(result, b_star=result.b_star + 1.0),
+    }
+    for message, bad in perturbed.items():
+        assert bad.check_invariants() == [message]
+
+
 def test_each_transform_is_checked_on_its_own_unflagged_alphas(block_spec):
     """On the block construction b* is flagged at most alphas where B* is not,
     so a dip in B* at such an alpha fails B*'s concavity check; under the
@@ -352,8 +379,7 @@ def test_local_exponent_nonnegative(binomial_spec, cantor_spec):
 # ---------------------------------------------------------------------------
 
 def test_tilted_uniform_exact(uniform_spec):
-    t = solve_beta_k(uniform_spec, 3.0, 20)
-    tc = tilted_dimension_check(uniform_spec, 3.0, t, 20, 512, seed=2)
+    tc = tilted_dimension_check(uniform_spec, 3.0, 20, 512, seed=2)
     assert tc.alpha_emp_mean == 1.0
     assert tc.alpha_emp_sd == 0.0
     assert tc.alpha_hat_pred == pytest.approx(1.0, abs=1e-9)
@@ -368,20 +394,19 @@ def test_tilted_uniform_exact(uniform_spec):
 )
 def test_tilted_binomial_means(binomial_spec, q, want):
     depth = 30
-    t = solve_beta_k(binomial_spec, q, depth)
-    tc = tilted_dimension_check(binomial_spec, q, t, depth, 10**4, seed=13)
+    tc = tilted_dimension_check(binomial_spec, q, depth, 10**4, seed=13)
+    assert tc.t == solve_beta_k(binomial_spec, q, depth)
     assert tc.alpha_hat_pred == pytest.approx(want, abs=1e-3)
     assert abs(tc.alpha_emp_mean - want) <= 0.02
     # statistical consistency of mean versus prediction
     margin = 3 * tc.alpha_emp_sd / math.sqrt(tc.sample_count) + 0.02
     assert abs(tc.alpha_emp_mean - tc.alpha_hat_pred) <= margin
-    assert tc.legendre_value == pytest.approx(q * want + t, abs=1e-2)
+    assert tc.legendre_value == pytest.approx(q * want + tc.t, abs=1e-2)
 
 
 def test_tilted_q2_binomial(binomial_spec):
     depth = 30
-    t = solve_beta_k(binomial_spec, 2.0, depth)
-    tc = tilted_dimension_check(binomial_spec, 2.0, t, depth, 10**4, seed=14)
+    tc = tilted_dimension_check(binomial_spec, 2.0, depth, 10**4, seed=14)
     # alpha(2) = (0.1 * 2 + 0.9 * log2(4/3))
     want = 0.1 * 2 + 0.9 * math.log2(4 / 3)
     assert abs(tc.alpha_emp_mean - want) <= 0.02
