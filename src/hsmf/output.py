@@ -24,10 +24,6 @@ _FLUSH = 1024
 
 def fmt(x) -> str:
     """Fixed 17-significant-digit decimal formatting (round-trips doubles)."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int,)):
-        return str(x)
     xf = float(x)
     if math.isnan(xf):
         return "nan"

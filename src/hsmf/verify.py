@@ -76,49 +76,38 @@ K_DEEP = 4**10
 # Fixture specs
 # ---------------------------------------------------------------------------
 
-def _constant_spec(probs, ratios, gap_policy) -> MoranSpec:
-    return validate_spec(
-        MoranSpec(
-            families=(GenerationFamily(probs, ratios),),
-            schedule=ConstantSchedule(0),
-            gap_policy=gap_policy,
-            depth_cap=4096,
-        )
-    )
+def _spec(families, schedule, gap_policy: GapPolicy, depth_cap: int) -> MoranSpec:
+    """A validated fixture whose families are given as (probs, ratios) pairs."""
+    fams = tuple(GenerationFamily(probs, ratios) for probs, ratios in families)
+    return validate_spec(MoranSpec(fams, schedule, gap_policy, depth_cap))
 
 
 def spec_uniform() -> MoranSpec:
     """Uniform dyadic measure on [0, 1]."""
-    return _constant_spec((0.5, 0.5), (0.5, 0.5), GapPolicy.NO_GAPS)
+    return _spec([((0.5, 0.5), (0.5, 0.5))], ConstantSchedule(0), GapPolicy.NO_GAPS, 4096)
 
 
 def spec_binomial() -> MoranSpec:
     """Dyadic binomial measure with child masses (1/4, 3/4)."""
-    return _constant_spec((0.25, 0.75), (0.5, 0.5), GapPolicy.NO_GAPS)
+    return _spec([((0.25, 0.75), (0.5, 0.5))], ConstantSchedule(0), GapPolicy.NO_GAPS, 4096)
 
 
 def spec_middle_thirds() -> MoranSpec:
     """Middle-thirds construction with equal child masses."""
-    return _constant_spec((0.5, 0.5), (1 / 3, 1 / 3), GapPolicy.EQUAL_GAPS)
+    return _spec([((0.5, 0.5), (1 / 3, 1 / 3))], ConstantSchedule(0), GapPolicy.EQUAL_GAPS, 4096)
 
 
+# Each two-family closed form is bound to its fixture's constants once.
 PERIODIC_P1 = (0.5, 0.5)
 PERIODIC_R1 = 0.25
 PERIODIC_P2 = (1 / 3, 1 / 3, 1 / 3)
 PERIODIC_R2 = 0.125
+periodic_beta = functools.partial(periodic_moran_beta, PERIODIC_P1, PERIODIC_R1, PERIODIC_P2, PERIODIC_R2)
 
 
 def spec_periodic() -> MoranSpec:
-    fam_a = GenerationFamily(PERIODIC_P1, (PERIODIC_R1,) * 2)
-    fam_b = GenerationFamily(PERIODIC_P2, (PERIODIC_R2,) * 3)
-    return validate_spec(
-        MoranSpec(
-            families=(fam_a, fam_b),
-            schedule=PeriodicSchedule((0, 1)),
-            gap_policy=GapPolicy.EQUAL_GAPS,
-            depth_cap=8192,
-        )
-    )
+    families = ((PERIODIC_P1, (PERIODIC_R1,) * 2), (PERIODIC_P2, (PERIODIC_R2,) * 3))
+    return _spec(families, PeriodicSchedule((0, 1)), GapPolicy.EQUAL_GAPS, 8192)
 
 
 BLOCK_P1 = (0.25, 0.75)
@@ -127,38 +116,24 @@ BLOCK_P2 = (1 / 3, 1 / 3, 1 / 3)
 BLOCK_R2 = 1 / 9
 BLOCK_BOUNDS_GROWING = (1, 4, 64, 4096, 1048576)       # ratios 4, 16, 64, 256
 BLOCK_BOUNDS_CONSTANT = tuple(4**j for j in range(11))  # constant ratio 4
+block_bounds = functools.partial(block_moran_bounds, BLOCK_P1, BLOCK_R1, BLOCK_P2, BLOCK_R2)
 
 
 def spec_block(boundaries=BLOCK_BOUNDS_GROWING) -> MoranSpec:
-    fam_c = GenerationFamily(BLOCK_P1, (BLOCK_R1,) * 2)
-    fam_d = GenerationFamily(BLOCK_P2, (BLOCK_R2,) * 3)
-    fams = tuple(j % 2 for j in range(len(boundaries)))
-    return validate_spec(
-        MoranSpec(
-            families=(fam_c, fam_d),
-            schedule=BlockSchedule(boundaries=boundaries, families=fams),
-            gap_policy=GapPolicy.EQUAL_GAPS,
-            depth_cap=1 << 21,
-        )
-    )
+    families = ((BLOCK_P1, (BLOCK_R1,) * 2), (BLOCK_P2, (BLOCK_R2,) * 3))
+    schedule = BlockSchedule(boundaries, tuple(j % 2 for j in range(len(boundaries))))
+    return _spec(families, schedule, GapPolicy.EQUAL_GAPS, 1 << 21)
 
 
 SWITCHING_P = 0.2
 SWITCHING_P_HAT = 0.4
 SWITCHING_BOUNDS = (1, 64, 8192, 1048576)
+switching_tau = functools.partial(switching_binomial_tau, SWITCHING_P, SWITCHING_P_HAT)
 
 
 def spec_switching() -> MoranSpec:
-    fam_p = GenerationFamily((SWITCHING_P, 1 - SWITCHING_P), (0.5, 0.5))
-    fam_q = GenerationFamily((SWITCHING_P_HAT, 1 - SWITCHING_P_HAT), (0.5, 0.5))
-    return validate_spec(
-        MoranSpec(
-            families=(fam_p, fam_q),
-            schedule=BlockSchedule(boundaries=SWITCHING_BOUNDS, families=(0, 1, 0, 1)),
-            gap_policy=GapPolicy.NO_GAPS,
-            depth_cap=1 << 21,
-        )
-    )
+    families = [((p, 1 - p), (0.5, 0.5)) for p in (SWITCHING_P, SWITCHING_P_HAT)]
+    return _spec(families, BlockSchedule(SWITCHING_BOUNDS, (0, 1, 0, 1)), GapPolicy.NO_GAPS, 1 << 21)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +197,7 @@ def _random_spec(rng) -> MoranSpec:
         c = np.clip(c, 1e-4, 1 - 1e-9)
         if gap is GapPolicy.NO_GAPS:
             c = c / c.sum()
-        fams.append(GenerationFamily(tuple(p), tuple(c)))
+        fams.append((tuple(p), tuple(c)))
     kind = int(rng.integers(0, 3)) if n_fam > 1 else 0
     if kind == 0:
         sched = ConstantSchedule(0)
@@ -234,7 +209,7 @@ def _random_spec(rng) -> MoranSpec:
         while len(bounds) < 4:
             bounds.append(bounds[-1] + int(rng.integers(1, 30)))
         sched = BlockSchedule(tuple(bounds), tuple(int(rng.integers(0, n_fam)) for _ in bounds))
-    return validate_spec(MoranSpec(tuple(fams), sched, gap, depth_cap=256))
+    return _spec(fams, sched, gap, 256)
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +242,13 @@ def criterion_1(res: CriterionResult, seed: int, tol_scale: float) -> None:
     res.details = {"worst_beta_at_1": worst_b1, "worst_residual_per_k": worst_resid, "specs": 200}
 
 
-def _closed_form_errors(grid: SeparatorGrid, lower, upper) -> tuple[np.ndarray, np.ndarray]:
-    """|b - lower| and |B - upper| at each q of ``grid``."""
-    return np.abs(grid.b - lower), np.abs(grid.B - upper)
-
-
 @_criterion(2, "uniform measure matches 1 - q", 1.0)
 def criterion_2(res: CriterionResult, seed: int, tol_scale: float) -> None:
     """Uniform oracle: b = B = 1 - q to 1e-9."""
     qs = np.arange(-5.0, 5.0 + 0.25, 0.25)
     grid = separator_grid(spec_uniform(), qs, k_max=64)
     target = uniform_beta(qs)
-    worst = max(float(err.max()) for err in _closed_form_errors(grid, target, target))
+    worst = float(np.max(np.abs([grid.b - target, grid.B - target])))
     res.record("max |estimate - (1-q)|", worst <= 1e-9 * tol_scale, worst=worst)
     _record_grid(res, grid)
     res.details = {"worst_abs_error": worst}
@@ -289,10 +259,8 @@ def criterion_3(res: CriterionResult, seed: int, tol_scale: float) -> None:
     """Alternating two-family construction matches its closed form to 1e-6."""
     qs = np.arange(-5.0, 5.0 + 0.25, 0.25)
     grid = separator_grid(spec_periodic(), qs, k_max=1000)
-    target = np.array(
-        [periodic_moran_beta(PERIODIC_P1, PERIODIC_R1, PERIODIC_P2, PERIODIC_R2, q) for q in qs]
-    )
-    worst = max(float(err.max()) for err in _closed_form_errors(grid, target, target))
+    target = np.array([periodic_beta(q) for q in qs])
+    worst = float(np.max(np.abs([grid.b - target, grid.B - target])))
     gap = float(np.max(np.abs(grid.B - grid.b)))
     res.record("max |estimate - closed form|", worst <= 1e-6 * tol_scale, worst=worst)
     res.record("b == B (validating case)", gap <= 1e-9 * tol_scale, worst=gap)
@@ -303,20 +271,25 @@ def criterion_3(res: CriterionResult, seed: int, tol_scale: float) -> None:
 BLOCK_QS = (-2.0, -1.0, 0.25, 0.5, 0.75, 2.0)
 
 
-@_criterion(4, "block construction liminf/limsup bounds", 10.0)
-def criterion_4(res: CriterionResult, seed: int, tol_scale: float) -> None:
-    """Block construction: envelope within 0.02 of the branch bounds; b < B."""
-    grid = separator_grid(spec_block(), BLOCK_QS, K_DEEP)
-    oracle = [block_moran_bounds(BLOCK_P1, BLOCK_R1, BLOCK_P2, BLOCK_R2, q) for q in BLOCK_QS]
-    lo_errs, hi_errs = _closed_form_errors(grid, *np.transpose(oracle))
+def _branch_rows(res: CriterionResult, spec: MoranSpec, oracle, tol_scale: float) -> list[dict]:
+    """Record the envelope of ``spec`` at each of BLOCK_QS within 0.02 of its
+    (liminf, limsup) pair in ``oracle``; the per-q rows of the report."""
+    grid = separator_grid(spec, BLOCK_QS, K_DEEP)
     per_q = []
-    for i, (q, (lo, hi)) in enumerate(zip(BLOCK_QS, oracle)):
-        b, B, lo_err, hi_err = float(grid.b[i]), float(grid.B[i]), float(lo_errs[i]), float(hi_errs[i])
+    for q, b, B, (lo, hi) in zip(BLOCK_QS, grid.b.tolist(), grid.B.tolist(), oracle):
+        lo_err, hi_err = abs(b - lo), abs(B - hi)
         per_q.append({"q": q, "oracle": [lo, hi], "estimate": [b, B], "errors": [lo_err, hi_err]})
         res.record(f"liminf error at q={q}", lo_err <= 0.02 * tol_scale, error=lo_err)
         res.record(f"limsup error at q={q}", hi_err <= 0.02 * tol_scale, error=hi_err)
-        if q == 0.5:
-            res.record("strict gap b < B at q=0.5", b < B - 1e-6)
+    return per_q
+
+
+@_criterion(4, "block construction liminf/limsup bounds", 10.0)
+def criterion_4(res: CriterionResult, seed: int, tol_scale: float) -> None:
+    """Block construction: envelope within 0.02 of the branch bounds; b < B."""
+    per_q = _branch_rows(res, spec_block(), [block_bounds(q) for q in BLOCK_QS], tol_scale)
+    b, B = per_q[BLOCK_QS.index(0.5)]["estimate"]
+    res.record("strict gap b < B at q=0.5", b < B - 1e-6)
 
     # reference: the constant-ratio-4 boundary variant cannot reach the
     # branch exponents; record its envelope for the log, no assertion.
@@ -331,15 +304,7 @@ def criterion_4(res: CriterionResult, seed: int, tol_scale: float) -> None:
 def criterion_5(res: CriterionResult, seed: int, tol_scale: float) -> None:
     """Switching binomial: branches within 0.02; admissible interval endpoints."""
     spec = spec_switching()
-    grid = separator_grid(spec, BLOCK_QS, K_DEEP)
-    oracle = [sorted(switching_binomial_tau(SWITCHING_P, SWITCHING_P_HAT, q)) for q in BLOCK_QS]
-    lo_errs, hi_errs = _closed_form_errors(grid, *np.transpose(oracle))
-    per_q = []
-    for i, (q, oracle_q) in enumerate(zip(BLOCK_QS, oracle)):
-        lo_err, hi_err = float(lo_errs[i]), float(hi_errs[i])
-        per_q.append({"q": q, "oracle": oracle_q, "estimate": [float(grid.b[i]), float(grid.B[i])]})
-        res.record(f"liminf error at q={q}", lo_err <= 0.02 * tol_scale, error=lo_err)
-        res.record(f"limsup error at q={q}", hi_err <= 0.02 * tol_scale, error=hi_err)
+    per_q = _branch_rows(res, spec, [sorted(switching_tau(q)) for q in BLOCK_QS], tol_scale)
     qs = np.arange(-32.0, 32.0 + 0.5, 0.5)
     grid = separator_grid(spec, qs, K_DEEP)
     ab = alpha_bounds(grid)
@@ -373,11 +338,11 @@ def criterion_6(res: CriterionResult, seed: int, tol_scale: float) -> None:
     qs = np.arange(-6.0, 6.0 + 0.25, 0.25)
     forms = {
         "uniform_beta": uniform_beta,
-        "periodic_beta": lambda q: periodic_moran_beta(PERIODIC_P1, PERIODIC_R1, PERIODIC_P2, PERIODIC_R2, q),
-        "switching_tau": lambda q: switching_binomial_tau(SWITCHING_P, SWITCHING_P_HAT, q)[0],
-        "switching_tau_hat": lambda q: switching_binomial_tau(SWITCHING_P, SWITCHING_P_HAT, q)[1],
-        "block_upper": lambda q: block_moran_bounds(BLOCK_P1, BLOCK_R1, BLOCK_P2, BLOCK_R2, q)[1],
-        "block_lower": lambda q: block_moran_bounds(BLOCK_P1, BLOCK_R1, BLOCK_P2, BLOCK_R2, q)[0],
+        "periodic_beta": periodic_beta,
+        "switching_tau": lambda q: switching_tau(q)[0],
+        "switching_tau_hat": lambda q: switching_tau(q)[1],
+        "block_upper": lambda q: block_bounds(q)[1],
+        "block_lower": lambda q: block_bounds(q)[0],
     }
     curves = {name: np.array([fn(float(q)) for q in qs]) for name, fn in forms.items()}
     not_finite = [name for name, values in curves.items() if not np.all(np.isfinite(values))]
@@ -396,8 +361,7 @@ _SPECTRUM_CASES = (
     ("uniform", spec_uniform, 24, 256, True, lambda: uniform_beta(0.0)),
     ("binomial", spec_binomial, 24, 256, True, None),
     ("middle_thirds", spec_middle_thirds, 16, 256, True, lambda: math.log(2.0) / math.log(3.0)),
-    ("periodic", spec_periodic, 24, 1000, True,
-     lambda: periodic_moran_beta(PERIODIC_P1, PERIODIC_R1, PERIODIC_P2, PERIODIC_R2, 0.0)),
+    ("periodic", spec_periodic, 24, 1000, True, lambda: periodic_beta(0.0)),
     ("block", spec_block, 24, K_DEEP, True, None),
     ("switching", spec_switching, 24, K_DEEP, False, None),
 )

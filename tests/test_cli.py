@@ -551,6 +551,15 @@ def test_q_grids_past_the_cap_are_usage_errors(spec_file, tmp_path, capsys, comm
     assert not out.exists()
 
 
+def test_spectrum_with_zero_epsilon_is_a_usage_error(spec_file, tmp_path, capsys):
+    out = tmp_path / "s"
+    argv = ["spectrum", "--spec", str(spec_file), "--k-max", "16", "--r-octaves", "6",
+            "--epsilon", "0", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: epsilon must be positive\n"
+    assert not out.exists()
+
+
 def test_q_grid_holds_at_most_the_stated_number_of_points():
     def grid(step):
         return cli._q_grid(argparse.Namespace(q_min=0.0, q_max=1.0, q_step=step))

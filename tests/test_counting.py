@@ -1,5 +1,6 @@
 """Counts, ball moments, partition moments."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -193,6 +194,29 @@ def test_moment_table_q_monotone_and_q0_reduction(binomial_spec):
         assert np.array_equal(table.values[i0], counts.values[i0])
         # q < 0 ball moments are flagged heuristic
         assert table.flags[0].all() and not table.flags[2].any()
+
+
+def test_each_moment_table_message_fires_alone(binomial_spec):
+    """Each check of ``MomentTable.check_invariants``, on a table that ``moments``
+    writes, perturbed so that it alone fails."""
+    qs = np.array([-1.0, 0.0, 2.0])
+    partition = partition_moment_table(binomial_spec, qs, [4, 6, 8])
+    covering = counting_moment_table(binomial_spec, qs, [2.0**-4, 2.0**-6])[0]
+    assert partition.check_invariants() == [] and covering.check_invariants() == []
+
+    def bent(table, name, index, value):
+        array = getattr(table, name).copy()
+        array[index] = value
+        return dataclasses.replace(table, **{name: array})
+
+    perturbed = {
+        "scales not strictly decreasing": bent(partition, "scales", 1, partition.scales[0]),
+        "scales outside (0, 1]": bent(partition, "scales", 0, 1.5),
+        "partition moments must be positive": bent(partition, "values", (0, 0), 0.0),
+        "counts must be positive integers": bent(covering, "values", (0, 0), 2.5),
+    }
+    for message, bad in perturbed.items():
+        assert bad.check_invariants() == [message]
 
 
 def test_moment_table_csv_order(uniform_spec):

@@ -49,6 +49,8 @@ def test_periodic_beta_parameter_domain():
         periodic_moran_beta((0.5, 0.5), 0.6, (1 / 3, 1 / 3, 1 / 3), 0.125, 1.0)
     with pytest.raises(ParameterOutOfRange):
         periodic_moran_beta((0.5, 0.5), 0.25, (1 / 3, 1 / 3, 1 / 3), 0.4, 1.0)
+    with pytest.raises(ParameterOutOfRange, match="^p1 must be a positive probability vector$"):
+        periodic_moran_beta((0.5, 0.6), 0.25, (1 / 3, 1 / 3, 1 / 3), 0.125, 1.0)
 
 
 def test_block_bounds_values():
@@ -87,6 +89,8 @@ def test_switching_alpha_interval():
     assert lo == pytest.approx(-math.log2(0.6), abs=1e-12)
     assert hi == pytest.approx(-math.log2(0.4), abs=1e-12)
     assert (round(lo, 4), round(hi, 4)) == (0.7370, 1.3219)
+    with pytest.raises(ParameterOutOfRange, match=r"^need 0 < p_hat <= 1/2$"):
+        switching_alpha_interval(0.6)
 
 
 def _block(q):

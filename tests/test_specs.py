@@ -18,6 +18,7 @@ from hsmf import (
     MoranSpec,
     PeriodicSchedule,
     SpecValidationError,
+    TooDeep,
     ball_mass,
     check_spec,
     sample_paths,
@@ -25,7 +26,7 @@ from hsmf import (
     validate_spec,
 )
 from hsmf.counting import ball_table
-from hsmf.specs import _tilt_weights, cells, load_spec, matched_generation
+from hsmf.specs import _tilt_weights, ball_masses, cells, load_spec, matched_generation
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +216,16 @@ def test_ball_mass_error_bound_brackets_truth(binomial_spec):
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
+
+def test_enumeration_sampling_and_ball_masses_stop_at_depth_cap(binomial_spec):
+    cap = binomial_spec.depth_cap
+    with pytest.raises(TooDeep, match=f"^generation {cap + 1} exceeds depth_cap {cap}$"):
+        cells(binomial_spec, cap + 1)
+    with pytest.raises(TooDeep, match=f"^depth {cap + 1} exceeds depth_cap {cap}$"):
+        sample_paths(binomial_spec, 2.0, 0.0, cap + 1, 4, 0)
+    with pytest.raises(TooDeep, match=f"^depth {cap + 1} exceeds depth_cap {cap}$"):
+        ball_masses(binomial_spec, [0.25, 0.5], 0.1, cap + 1)
+
 
 def test_sample_path_deterministic(binomial_spec):
     p1 = sample_paths(binomial_spec, 1.0, 0.0, 12, 1, seed=5)[0]

@@ -12,6 +12,7 @@ from hsmf import (
     GapPolicy,
     GenerationFamily,
     MoranSpec,
+    ScaleTooSmall,
     alpha_bounds,
     coarse_spectrum,
     legendre_transform,
@@ -38,6 +39,11 @@ def test_legendre_linear_tie_is_interior():
     vals, flags = legendre_transform(qs, 1.0 - qs, [1.0])
     assert vals[0] == 1.0
     assert not flags[0]  # every grid point ties, including interior ones
+
+
+def test_legendre_needs_two_q_points():
+    with pytest.raises(DegenerateGrid, match="^legendre transform needs at least two q points$"):
+        legendre_transform([0.5], [0.5], [1.0])
 
 
 def test_legendre_linear_boundary():
@@ -213,6 +219,12 @@ def test_coarse_uniform_degenerate(uniform_spec):
     near = np.abs(alphas - 1.0) <= 0.02 + 1e-12
     assert np.all(f[near] == pytest.approx(1.0, abs=1e-12))
     assert np.all(np.isnan(f[~near]) | (np.abs(alphas[~near] - 1.0) <= 0.04))
+
+
+def test_coarse_needs_a_scale_below_one(uniform_spec):
+    for r in (1.0, 2.0):
+        with pytest.raises(ScaleTooSmall, match=r"^coarse spectrum needs r < 1$"):
+            coarse_spectrum(uniform_spec, [r], epsilon=0.05, alpha_grid=[1.0])
 
 
 def test_coarse_ceiling_counts_cells_shorter_than_the_scale():
