@@ -158,32 +158,26 @@ class BallTable:
         return _packing_centers(self.points, self.r)
 
 
-def cell_table(spec: MoranSpec, r: float, k: int, centers) -> BallTable:
+def ball_table(spec: MoranSpec, r: float) -> BallTable:
     """
-    The ball table at radius r over ``centers(lefts, lengths)`` of the
-    generation-k cells, from one cell enumeration; the support is one piece
-    [0, 1] under no gaps. Masses are resolved 8 generations below k (at most
-    depth_cap). Every ``BallTable`` is built here.
+    The endpoint table at radius r over the cells of the matched generation,
+    from one cell enumeration. Ball masses are resolved 8 generations below
+    it (at most depth_cap). A generation that cannot be enumerated is a scale
+    too small.
     """
     r = float(r)
-    lefts, lengths = cells(spec, k)[:2]
-    pts = centers(lefts, lengths)
+    k = matched_generation(spec, r)
+    try:
+        lefts, lengths = cells(spec, k)[:2]
+    except TooDeep as e:
+        raise ScaleTooSmall(str(e)) from e
+    pts = sorted_distinct(np.concatenate([lefts, lefts + lengths]))
     if spec.gap_policy is GapPolicy.NO_GAPS:
         lefts, lengths = np.array([0.0]), np.array([1.0])
     rights = lefts + lengths
     del lengths  # free the enumeration before the ball masses, which set the peak
     ball = ball_masses(spec, pts, r, min(spec.depth_cap, k + 8))
     return BallTable(r, pts, ball, lefts, rights)
-
-
-def ball_table(spec: MoranSpec, r: float) -> BallTable:
-    """The endpoint table at radius r over the cells of the matched generation.
-    A generation that cannot be enumerated is a scale too small."""
-    try:
-        return cell_table(spec, r, matched_generation(spec, float(r)),
-                          lambda lefts, lengths: sorted_distinct(np.concatenate([lefts, lefts + lengths])))
-    except TooDeep as e:
-        raise ScaleTooSmall(str(e)) from e
 
 
 def covering_moment(table: BallTable, q: float) -> float:

@@ -21,9 +21,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from ._np import np
-from .counting import BallTable, cell_table, cover_steps, separated_after
+from .counting import BallTable, cover_steps, separated_after
 from .errors import ParameterOutOfRange, ScaleTooSmall, TooDeep
-from .specs import MoranSpec, _num_cells
+from .specs import GapPolicy, MoranSpec, _num_cells, ball_masses, cells
 
 _BRUTE_FORCE_MAX_CELLS = 1 << 13
 
@@ -104,12 +104,18 @@ class BruteForceMoments:
 
 def midpoint_ball_masses(spec: MoranSpec, r: float, depth: int) -> BallTable:
     """The generation-``depth`` cell midpoints (depth <= 12, hard cell cap) as a
-    ball table, built by ``cell_table`` as ``ball_table`` builds its endpoints."""
+    ball table, masses resolved as ``ball_table`` resolves them."""
     if depth > 12:
         raise TooDeep("brute force is limited to depth <= 12")
     if _num_cells(spec, depth) > _BRUTE_FORCE_MAX_CELLS:
         raise TooDeep(f"brute force capped at {_BRUTE_FORCE_MAX_CELLS} cells")
-    return cell_table(spec, r, int(depth), lambda lefts, lengths: lefts + 0.5 * lengths)
+    r, depth = float(r), int(depth)
+    lefts, lengths = cells(spec, depth)[:2]
+    pts = lefts + 0.5 * lengths
+    if spec.gap_policy is GapPolicy.NO_GAPS:
+        lefts, lengths = np.array([0.0]), np.array([1.0])
+    ball = ball_masses(spec, pts, r, min(spec.depth_cap, depth + 8))
+    return BallTable(r, pts, ball, lefts, lefts + lengths)
 
 
 def _max_packing_value(points: np.ndarray, weights: np.ndarray, r: float) -> float:

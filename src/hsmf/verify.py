@@ -76,25 +76,32 @@ K_DEEP = 4**10
 # Fixture specs
 # ---------------------------------------------------------------------------
 
-def _spec(families, schedule, gap_policy: GapPolicy, depth_cap: int) -> MoranSpec:
-    """A validated fixture whose families are given as (probs, ratios) pairs."""
-    fams = tuple(GenerationFamily(probs, ratios) for probs, ratios in families)
-    return validate_spec(MoranSpec(fams, schedule, gap_policy, depth_cap))
+def _spec(families, gap_policy, schedule=ConstantSchedule(0), depth_cap=4096) -> MoranSpec:
+    """A validated fixture whose families are given as (probs, ratios) pairs.
+    The one-family fixtures keep the constant schedule and depth cap."""
+    return validate_spec(
+        MoranSpec(
+            families=tuple(GenerationFamily(probs, ratios) for probs, ratios in families),
+            schedule=schedule,
+            gap_policy=gap_policy,
+            depth_cap=depth_cap,
+        )
+    )
 
 
 def spec_uniform() -> MoranSpec:
     """Uniform dyadic measure on [0, 1]."""
-    return _spec([((0.5, 0.5), (0.5, 0.5))], ConstantSchedule(0), GapPolicy.NO_GAPS, 4096)
+    return _spec([((0.5, 0.5), (0.5, 0.5))], GapPolicy.NO_GAPS)
 
 
 def spec_binomial() -> MoranSpec:
     """Dyadic binomial measure with child masses (1/4, 3/4)."""
-    return _spec([((0.25, 0.75), (0.5, 0.5))], ConstantSchedule(0), GapPolicy.NO_GAPS, 4096)
+    return _spec([((0.25, 0.75), (0.5, 0.5))], GapPolicy.NO_GAPS)
 
 
 def spec_middle_thirds() -> MoranSpec:
     """Middle-thirds construction with equal child masses."""
-    return _spec([((0.5, 0.5), (1 / 3, 1 / 3))], ConstantSchedule(0), GapPolicy.EQUAL_GAPS, 4096)
+    return _spec([((0.5, 0.5), (1 / 3, 1 / 3))], GapPolicy.EQUAL_GAPS)
 
 
 # Each two-family closed form is bound to its fixture's constants once.
@@ -106,8 +113,12 @@ periodic_beta = functools.partial(periodic_moran_beta, PERIODIC_P1, PERIODIC_R1,
 
 
 def spec_periodic() -> MoranSpec:
-    families = ((PERIODIC_P1, (PERIODIC_R1,) * 2), (PERIODIC_P2, (PERIODIC_R2,) * 3))
-    return _spec(families, PeriodicSchedule((0, 1)), GapPolicy.EQUAL_GAPS, 8192)
+    return _spec(
+        families=[(PERIODIC_P1, (PERIODIC_R1,) * 2), (PERIODIC_P2, (PERIODIC_R2,) * 3)],
+        gap_policy=GapPolicy.EQUAL_GAPS,
+        schedule=PeriodicSchedule((0, 1)),
+        depth_cap=8192,
+    )
 
 
 BLOCK_P1 = (0.25, 0.75)
@@ -120,9 +131,13 @@ block_bounds = functools.partial(block_moran_bounds, BLOCK_P1, BLOCK_R1, BLOCK_P
 
 
 def spec_block(boundaries=BLOCK_BOUNDS_GROWING) -> MoranSpec:
-    families = ((BLOCK_P1, (BLOCK_R1,) * 2), (BLOCK_P2, (BLOCK_R2,) * 3))
-    schedule = BlockSchedule(boundaries, tuple(j % 2 for j in range(len(boundaries))))
-    return _spec(families, schedule, GapPolicy.EQUAL_GAPS, 1 << 21)
+    fams = tuple(j % 2 for j in range(len(boundaries)))
+    return _spec(
+        families=[(BLOCK_P1, (BLOCK_R1,) * 2), (BLOCK_P2, (BLOCK_R2,) * 3)],
+        gap_policy=GapPolicy.EQUAL_GAPS,
+        schedule=BlockSchedule(boundaries=boundaries, families=fams),
+        depth_cap=1 << 21,
+    )
 
 
 SWITCHING_P = 0.2
@@ -132,8 +147,12 @@ switching_tau = functools.partial(switching_binomial_tau, SWITCHING_P, SWITCHING
 
 
 def spec_switching() -> MoranSpec:
-    families = [((p, 1 - p), (0.5, 0.5)) for p in (SWITCHING_P, SWITCHING_P_HAT)]
-    return _spec(families, BlockSchedule(SWITCHING_BOUNDS, (0, 1, 0, 1)), GapPolicy.NO_GAPS, 1 << 21)
+    return _spec(
+        families=[((p, 1 - p), (0.5, 0.5)) for p in (SWITCHING_P, SWITCHING_P_HAT)],
+        gap_policy=GapPolicy.NO_GAPS,
+        schedule=BlockSchedule(boundaries=SWITCHING_BOUNDS, families=(0, 1, 0, 1)),
+        depth_cap=1 << 21,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +210,10 @@ def _random_spec(rng) -> MoranSpec:
         p = p / p.sum()
         raw = rng.dirichlet(np.ones(arity) * 2.0)
         if gap is GapPolicy.NO_GAPS:
-            c = raw / raw.sum()
-        else:
-            c = raw * float(rng.uniform(0.3, 0.9))
-        c = np.clip(c, 1e-4, 1 - 1e-9)
-        if gap is GapPolicy.NO_GAPS:
+            c = np.clip(raw / raw.sum(), 1e-4, 1 - 1e-9)
             c = c / c.sum()
+        else:
+            c = np.clip(raw * float(rng.uniform(0.3, 0.9)), 1e-4, 1 - 1e-9)
         fams.append((tuple(p), tuple(c)))
     kind = int(rng.integers(0, 3)) if n_fam > 1 else 0
     if kind == 0:
@@ -209,7 +226,7 @@ def _random_spec(rng) -> MoranSpec:
         while len(bounds) < 4:
             bounds.append(bounds[-1] + int(rng.integers(1, 30)))
         sched = BlockSchedule(tuple(bounds), tuple(int(rng.integers(0, n_fam)) for _ in bounds))
-    return _spec(fams, sched, gap, 256)
+    return _spec(fams, gap, schedule=sched, depth_cap=256)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +238,11 @@ def _record_grid(res: CriterionResult, grid: SeparatorGrid) -> None:
     problems = grid.check_invariants()
     res.record("grid invariants", not problems, problems=problems)
     res.grid = grid
+
+
+def _envelope_error(grid: SeparatorGrid, target) -> float:
+    """The largest |b - target| or |B - target| over the q of ``grid``."""
+    return float(np.max(np.abs([grid.b - target, grid.B - target])))
 
 
 @_criterion(1, "normalization root and residual bound", 5.0)
@@ -248,7 +270,7 @@ def criterion_2(res: CriterionResult, seed: int, tol_scale: float) -> None:
     qs = np.arange(-5.0, 5.0 + 0.25, 0.25)
     grid = separator_grid(spec_uniform(), qs, k_max=64)
     target = uniform_beta(qs)
-    worst = float(np.max(np.abs([grid.b - target, grid.B - target])))
+    worst = _envelope_error(grid, target)
     res.record("max |estimate - (1-q)|", worst <= 1e-9 * tol_scale, worst=worst)
     _record_grid(res, grid)
     res.details = {"worst_abs_error": worst}
@@ -260,7 +282,7 @@ def criterion_3(res: CriterionResult, seed: int, tol_scale: float) -> None:
     qs = np.arange(-5.0, 5.0 + 0.25, 0.25)
     grid = separator_grid(spec_periodic(), qs, k_max=1000)
     target = np.array([periodic_beta(q) for q in qs])
-    worst = float(np.max(np.abs([grid.b - target, grid.B - target])))
+    worst = _envelope_error(grid, target)
     gap = float(np.max(np.abs(grid.B - grid.b)))
     res.record("max |estimate - closed form|", worst <= 1e-6 * tol_scale, worst=worst)
     res.record("b == B (validating case)", gap <= 1e-9 * tol_scale, worst=gap)
@@ -309,12 +331,8 @@ def criterion_5(res: CriterionResult, seed: int, tol_scale: float) -> None:
     grid = separator_grid(spec, qs, K_DEEP)
     ab = alpha_bounds(grid)
     a_lo, a_hi = switching_alpha_interval(SWITCHING_P_HAT)
-    res.record(
-        "alpha_min endpoint", abs(ab.alpha_min - a_lo) <= 0.02 * tol_scale, value=ab.alpha_min, want=a_lo
-    )
-    res.record(
-        "alpha_max endpoint", abs(ab.alpha_max - a_hi) <= 0.02 * tol_scale, value=ab.alpha_max, want=a_hi
-    )
+    for end, value, want in (("alpha_min", ab.alpha_min, a_lo), ("alpha_max", ab.alpha_max, a_hi)):
+        res.record(f"{end} endpoint", abs(value - want) <= 0.02 * tol_scale, value=value, want=want)
     _record_grid(res, grid)
     res.details = {
         "per_q": per_q,
@@ -372,10 +390,7 @@ def _alpha_grid_for(spec: MoranSpec, k_fin: int) -> np.ndarray:
     dominant cell exponent at the finest generation (so degenerate spectra
     get at least one genuinely comparable, non-boundary bin)."""
     base = np.round(np.arange(0.2, 2.4001, 0.05), 10)
-    anchors = []
-    for fam in spec.families:
-        for lp, lc in zip(fam.log_probs, fam.log_ratios):
-            anchors.append(lp / lc)
+    anchors = [lp / lc for fam in spec.families for lp, lc in zip(fam.log_probs, fam.log_ratios)]
     dist = mass_distribution(spec, k_fin)
     dominant = float(dist.log_masses[int(np.argmax(dist.log_counts))])
     anchors.append(dominant / math.log(max_length_at(spec, k_fin)))
@@ -401,9 +416,7 @@ def criterion_7(res: CriterionResult, seed: int, tol_scale: float) -> None:
         B_star, flag_B = legendre_transform(qs, grid.B, alpha)
 
         # brute-force oracle: same grid, plain loops, bitwise-identical floats
-        oracle = np.empty(alpha.size)
-        for i, a in enumerate(alpha):
-            oracle[i] = min(a * q + phi for q, phi in zip(qs, grid.b))
+        oracle = np.array([min(a * q + phi for q, phi in zip(qs, grid.b)) for a in alpha])
         res.record(f"bitwise legendre oracle: {name}", bool(np.array_equal(b_star, oracle)))
 
         for label, phi, curve, flg in (("b*", grid.b, b_star, flag_b), ("B*", grid.B, B_star, flag_B)):
@@ -426,10 +439,8 @@ def criterion_7(res: CriterionResult, seed: int, tol_scale: float) -> None:
         okB = ~np.isnan(f) & ~flag_B
         exB = float(np.max(f[okB] - B_star[okB])) if okB.any() else float("-inf")
         res.record(f"f_hat <= B* + 0.06: {name}", exB <= 0.06 * tol_scale, excess=exB)
-        exb = None
         okb = ~np.isnan(f) & ~flag_b
-        if okb.any():
-            exb = float(np.max(f[okb] - b_star[okb]))
+        exb = float(np.max(f[okb] - b_star[okb])) if okb.any() else None
         if assert_b:
             res.record(
                 f"f_hat <= b* + 0.06: {name}",

@@ -204,32 +204,3 @@ def test_importing_the_cli_runs_no_package_function(tmp_path):
     )
     assert _functions_run_at_import(pkg, "probed") == ["__init__.f"]
     assert _functions_run_at_import(SRC, "hsmf.cli") == ["_np._deferred_numpy"]
-
-
-def _ball_table_builders(sources: dict[str, str]) -> list[str]:
-    """``module.name`` for each module-level function or class whose body calls
-    ``BallTable(...)``, reached by name or as an attribute; ``module.<module>``
-    for a call outside any of them."""
-    found = []
-    for module, source in sources.items():
-        for node in ast.parse(source).body:
-            calls = [c for c in ast.walk(node) if isinstance(c, ast.Call)
-                     and (getattr(c.func, "id", None) or getattr(c.func, "attr", None)) == "BallTable"]
-            if calls:
-                found.append(f"{module}.{getattr(node, 'name', '<module>')}")
-    return found
-
-
-def test_ball_tables_are_built_by_one_function():
-    """Every ball table, endpoint or midpoint, comes from ``counting.cell_table``: the cell
-    enumeration, the no-gaps support and the mass resolution depth are stated once."""
-    # the check itself: a call by name, one through a module and one at module level are
-    # seen; a class definition, an annotation and a mere reference are not
-    sample = {
-        "a": "class BallTable:\n    pass\ndef f(x) -> BallTable:\n    return BallTable(x)\n"
-             "def g(m):\n    return m.BallTable(1)\ndef h():\n    return BallTable\n",
-        "b": "T = BallTable(0)\n",
-    }
-    assert _ball_table_builders(sample) == ["a.f", "a.g", "b.<module>"]
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    assert _ball_table_builders(sources) == ["counting.cell_table"]
