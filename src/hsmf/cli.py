@@ -207,6 +207,8 @@ def cmd_dims(args) -> list[str]:
 def cmd_spectrum(args) -> list[str]:
     _require_at_least(args, 1, "k-max", "r-octaves")
     spec = validate_spec(load_spec(args.spec))
+    if args.epsilon <= 0:  # before the grid solve; coarse_spectrum checks it for library callers
+        raise ValueError("epsilon must be positive")
     grid = separator_grid(spec, _q_grid(args), _k_max(args, spec))
     octaves = sorted({*range(max(4, args.r_octaves // 2), args.r_octaves + 1, 4), args.r_octaves})
     # the histogram samples cells past its enumeration cap, so no cell cap here

@@ -308,16 +308,12 @@ class SeparatorGrid:
 
 def _table_generations(spec: MoranSpec, k_max: int) -> list[int]:
     """Generations of the Theta/Delta table: 16 period-aligned points
-    over [k_max/16, k_max], or the first 16 periods when that gives fewer
-    than 8."""
+    over [k_max/16, k_max]."""
     cap = max(k_max, 8)
     period = spec.schedule.period or 1
-    ks = sorted(
+    return sorted(
         {max(period, period * round(k / period)) for k in np.linspace(cap / 16, cap, 16)}
     )
-    if len(ks) < 8:
-        ks = sorted(set(range(period, cap + 1, period)))[:16] or [period]
-    return ks
 
 
 def separator_grid(spec: MoranSpec, q_grid, k_max: int) -> SeparatorGrid:

@@ -18,8 +18,9 @@ run concurrently with reproducible results.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, combinations
 from math import lgamma
 from typing import Sequence
 
@@ -102,37 +103,29 @@ def alpha_bounds(grid: SeparatorGrid) -> AlphaBounds:
 # Cell-mass distribution at one generation
 # ---------------------------------------------------------------------------
 
-def _family_classes(fam) -> list[tuple[float, int]]:
-    """Distinct child log-masses with multiplicities."""
-    seen: dict[float, int] = {}
-    for lp in fam.log_probs:
-        seen[float(lp)] = seen.get(float(lp), 0) + 1
-    return sorted(seen.items())
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
-
-
 def _family_terms(m: int, classes, n_comp: int) -> tuple[np.ndarray, np.ndarray]:
     """
     (log_mass, log_count) arrays over the compositions of ``m`` children into
-    ``classes``, in ``_compositions`` order. Each class term is added in class
-    order, as a per-composition float loop would add it, so every value is
-    that loop's bit for bit.
+    ``classes``, in lexicographic order of the class counts. Stars and bars:
+    each choice of c - 1 bar positions among m + c - 1 slots is one
+    composition, ``itertools.combinations`` yields them in that order, and a
+    class's count is the gap between its bar and the one before. Each class
+    term is added in class order, as a per-composition float loop would add it,
+    so every value is that loop's bit for bit.
     """
-    comps = np.fromiter(chain.from_iterable(_compositions(m, len(classes))),
-                        dtype=np.min_scalar_type(m), count=n_comp * len(classes))
-    comps = comps.reshape(n_comp, len(classes))
-    log_gamma = np.array([lgamma(c + 1) for c in range(m + 1)])  # lgamma(cnt + 1) by cnt
+    c = len(classes)
+    bars = np.fromiter(chain.from_iterable(combinations(range(m + c - 1), c - 1)),
+                       dtype=np.min_scalar_type(m + c - 2), count=n_comp * (c - 1))
+    bars = bars.reshape(n_comp, c - 1)
+    log_gamma = np.array([lgamma(n + 1) for n in range(m + 1)])  # lgamma(cnt + 1) by cnt
     log_mass = np.zeros(n_comp)
     log_count = np.full(n_comp, lgamma(m + 1))
-    for (lp, mult), cnt in zip(classes, comps.T):
+    for i, (lp, mult) in enumerate(classes):
+        # the last class's bar is slot m + c - 1, past the end; the first count
+        # is bar 0 itself, a view, so the bars and one count at a time take no
+        # more memory than a whole composition array
+        bar = bars[:, i] if i < c - 1 else m + c - 1
+        cnt = bar if i == 0 else bar - 1 - bars[:, i - 1]
         log_count += cnt * math.log(mult) - log_gamma[cnt]
         log_mass += cnt * lp
     return log_mass, log_count
@@ -168,15 +161,13 @@ def mass_distribution(spec: MoranSpec, k: int, seed: int = 0) -> MassDistributio
         m = int(counts[f])
         if m == 0:
             continue
-        classes = _family_classes(fam)
+        classes = sorted(Counter(fam.log_probs.tolist()).items())
         n_comp = math.comb(m + len(classes) - 1, len(classes) - 1)
         if n_terms * n_comp > MASS_MAX_TERMS:
-            n_terms = MASS_MAX_TERMS + 1
             break
         per_family.append(_family_terms(m, classes, n_comp))
         n_terms *= n_comp
-
-    if n_terms <= MASS_MAX_TERMS:
+    else:  # every family enumerated within the cap
         log_masses = np.zeros(1)
         log_counts = np.zeros(1)
         for lm, lc in per_family:

@@ -6,6 +6,7 @@ with the CLI ``verify`` command so a green pytest implies a green CLI run.
 """
 
 import dataclasses
+import math
 import subprocess
 import sys
 
@@ -237,6 +238,14 @@ def test_run_verify_calls_criteria_by_name_and_keeps_grids_out_of_details(monkey
         "report.json", "separators_c2.csv", "separators_c3.csv", "separators_c5.csv",
     ]
     assert [res.cid for res in results if res.grid is not None] == [2, 3, 5]
+
+
+def test_sanitize_writes_non_finite_floats_as_strings():
+    report = {"worst": math.nan, "rows": [1.5, -math.inf, {"hi": math.inf, "ok": -0.25}],
+              "n": 3, "passed": True, "note": None, "name": "c1", "empty": [], "nested": {}}
+    want = {"worst": "nan", "rows": [1.5, "-inf", {"hi": "inf", "ok": -0.25}],
+            "n": 3, "passed": True, "note": None, "name": "c1", "empty": [], "nested": {}}
+    assert repr(V._sanitize(report)) == repr(want)  # repr tells True from 1 and 3 from 3.0
 
 
 def test_criterion_11_verify_determinism(tmp_path):

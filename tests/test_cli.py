@@ -560,6 +560,18 @@ def test_spectrum_with_zero_epsilon_is_a_usage_error(spec_file, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("epsilon", ["0", "-0.05"])
+def test_spectrum_rejects_epsilon_before_solving_the_grid(spec_file, tmp_path, capsys, monkeypatch,
+                                                          epsilon):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("separator_grid called for a non-positive epsilon")
+
+    monkeypatch.setattr(cli, "separator_grid", no_grid)
+    argv = ["spectrum", "--spec", str(spec_file), f"--epsilon={epsilon}", "--out", str(tmp_path / "s")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: epsilon must be positive\n"
+
+
 def test_q_grid_holds_at_most_the_stated_number_of_points():
     def grid(step):
         return cli._q_grid(argparse.Namespace(q_min=0.0, q_max=1.0, q_step=step))

@@ -25,9 +25,16 @@ from hsmf import (
 )
 from hsmf.counting import MomentTable, log_partition, log_partition_moment
 from hsmf.errors import InsufficientScales, NoBracket, NoConvergence
-from hsmf.scaling import _bracket_bound, sample_generations, separator_problems, slope_changes
+from hsmf.scaling import (
+    _bracket_bound,
+    _table_generations,
+    sample_generations,
+    separator_problems,
+    slope_changes,
+)
 from hsmf.specs import family_generation_counts, load_spec
 from hsmf.oracles import periodic_moran_beta, switching_binomial_tau
+from hsmf import verify
 
 LOG2_6_OVER_5 = math.log2(6) / 5  # 0.51699250014423122
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -672,6 +679,29 @@ def test_theta_delta_independent_of_q_range():
     assert wide.q_grid[7] == narrow.q_grid[0] == -1.0
     assert wide.Theta[7] == narrow.Theta[0]
     assert wide.Delta[7] == narrow.Delta[0]
+
+
+@pytest.mark.parametrize("source", ["shipped", "random"])
+def test_theta_is_a_one_sided_bound_on_beta_k(source):
+    # with r_k the largest generation-k length, |I|^t <= r_k^t for t >= 0 and
+    # >= r_k^t for t <= 0, so at each table generation theta_k = log S_k(q, 0)
+    # / (-log r_k) is >= beta_k where beta_k >= 0 and <= beta_k where beta_k <= 0
+    if source == "shipped":
+        specs = [load_spec(path) for path in sorted(SPECS.glob("*.json"))]
+    else:
+        rng = np.random.default_rng(20261020)
+        specs = [verify._random_spec(rng) for _ in range(100)]
+    qs = np.arange(-5.0, 5.0 + 0.25, 0.25)
+    for spec in specs:
+        ks = np.array(_table_generations(spec, min(1024, spec.depth_cap)))
+        counts = family_generation_counts(spec, ks)
+        log_s, _ = log_partition(spec, qs[:, None], 0.0, counts)
+        neg_log_r = sum(n * -math.log(fam.max_ratio) for fam, n in zip(spec.families, counts))
+        theta = log_s / neg_log_r
+        beta = solve_beta_k(spec, qs[:, None], ks)
+        tol = 1e-12 * ks
+        assert np.all((theta >= beta - tol) | (beta < 0))
+        assert np.all((theta <= beta + tol) | (beta > 0))
 
 
 def test_theta_cross_check_on_worked_specs(periodic_spec, binomial_spec):

@@ -1,7 +1,9 @@
 """Legendre transforms, exponent intervals, coarse histograms, tilted checks."""
 
 import dataclasses
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -335,9 +337,11 @@ def _tuple_loop_mass_distribution(spec, k):
         m = int(counts[f])
         if m == 0:
             continue
-        classes = S._family_classes(fam)
+        classes = sorted(Counter(fam.log_probs.tolist()).items())
         terms = []
-        for comp in S._compositions(m, len(classes)):
+        # every composition of m into len(classes) counts, in lexicographic order
+        heads = itertools.product(range(m + 1), repeat=len(classes) - 1)
+        for comp in ((*h, m - sum(h)) for h in heads if sum(h) <= m):
             log_count = math.lgamma(m + 1)
             log_mass = 0.0
             for (lp, mult), cnt in zip(classes, comp):
