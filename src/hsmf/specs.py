@@ -36,10 +36,14 @@ thread-safe, so the first numpy use must not race. Importing numpy before
 optional ``start`` argument begins the search at the window's anchor: the
 first node, from the root down, that is inside the window, has zero or
 several children meeting it, or is at the truncation depth. The nodes above
-it add nothing, so the result is the same to the bit. ``ball_masses`` finds
-the anchors of a column of centers by walking them down together in numpy,
-at most ``BALL_CHUNK`` centers at a time so that its working set stays
-bounded, and then calls ``ball_mass`` once per center from its anchor.
+it add nothing, so the result is the same to the bit. ``ball_masses``
+resolves a column of centers in one numpy descent, at most ``BALL_CHUNK``
+centers at a time so that its working set stays bounded: it keeps only the
+nodes that straddle a window edge, and sums each center's terms in the
+search's order, so each mass equals the search's to the bit. Only a center
+whose search is still straddling a window edge at the truncation depth goes
+to ``ball_mass``, from its anchor: that search alone applies the midpoint
+rule and returns the truncation error.
 """
 
 from __future__ import annotations
@@ -380,10 +384,17 @@ def ball_mass(spec: MoranSpec, x: float, r: float, depth: int, start=None) -> tu
     child meeting it, and its floats come from the same operations the search
     uses (``left + offset * length``, ``ratio * length``, ``logm + logp``).
     Those skipped nodes add nothing to ``mass`` or ``error``, so the result is
-    the root-started one to the bit. ``ball_masses`` computes anchors.
+    the root-started one to the bit. ``ball_masses`` calls this search, from
+    the anchor, only for the centers whose search is truncated: it is the one
+    place that applies the midpoint rule.
     """
     if depth > spec.depth_cap:
         raise TooDeep(f"depth {depth} exceeds depth_cap {spec.depth_cap}")
+    return _search(spec, x, r, depth, start)
+
+
+def _search(spec: MoranSpec, x: float, r: float, depth: int, start) -> tuple[float, float]:
+    """``ball_mass`` without the depth check."""
     lo = max(0.0, x - r)
     hi = min(1.0, x + r)
     if hi <= lo:
@@ -418,62 +429,141 @@ def ball_mass(spec: MoranSpec, x: float, r: float, depth: int, start=None) -> tu
     return mass, error
 
 
+# Roles of a straddling node in the ball_masses descent: on the path from the
+# root to the anchor, on the hi or lo chain below it, or tangled (any other
+# straddling node, which only rounding below the ulp makes).
+_PATH, _HI, _LO, _TANGLED = 0, 1, 2, 3
+
+
 def ball_masses(spec: MoranSpec, xs, r: float, depth: int) -> np.ndarray:
     """
-    ``ball_mass(spec, x, r, depth)[0]`` for every center in ``xs``, each
-    search started at its window's anchor.
+    ``ball_mass(spec, x, r, depth)[0]`` for every center in ``xs``, equal to
+    the root-started search to the bit.
 
-    The anchor is the first node on the way down from the root that is inside
-    the window, has zero or several children meeting it, or is at ``depth``.
-    All centers of a chunk of at most ``BALL_CHUNK`` descend one generation
-    per step in numpy, with the search's own float operations, so each anchor
-    is the node the root-started search would reach. Then ``ball_mass`` runs
-    once per center from its anchor, and the masses equal the root-started
-    ones to the bit.
+    The centers descend in chunks of at most ``BALL_CHUNK``, one generation
+    per step in numpy, with the search's own float operations (``left +
+    offset * length``, ``ratio * length``, ``logm + logp``). A step keeps
+    only the nodes that straddle a window edge, that is, meet the window
+    without lying inside it, and records each child inside the window as a
+    term. Down to the window's anchor (see ``ball_mass``) a center has one
+    straddling node per generation; below it at most two, a hi chain from
+    the anchor's rightmost child meeting the window and a lo chain from its
+    leftmost.
+
+    A mass is the sum, from 0.0, of ``math.exp`` of the center's terms in
+    the search's order: hi-chain terms, deepest generation first; then the
+    anchor's children; then lo-chain terms, shallowest generation first;
+    right to left inside one generation. The order comes from that
+    structure, never from left endpoints, which tie once cells are shorter
+    than their ulp. ``math.exp`` runs through ``map``, not numpy's SIMD
+    ``exp``, and ``np.add.at`` adds the terms one at a time, not with a
+    pairwise sum, so the kernel uses only IEEE ``+``, ``*``, comparisons and
+    ``math.exp``: its bytes do not depend on numpy's CPU dispatch target.
+
+    A center whose search still straddles a window edge at generation
+    ``depth`` is truncated: it goes to ``ball_mass`` from its anchor, once
+    and in order, and no other center does. Rounding can make siblings
+    overlap, so a center's straddling nodes can leave the two-chain shape
+    below the ulp; such a center, when not truncated, is finished by the same
+    search without the call.
     """
     if depth > spec.depth_cap:
         raise TooDeep(f"depth {depth} exceeds depth_cap {spec.depth_cap}")
     xs = np.asarray(xs, dtype=float)
-    table = spec.child_table
-    family_index = spec.schedule.family_index
     out = np.empty(xs.size)
     for s in range(0, xs.size, BALL_CHUNK):
         x = xs[s:s + BALL_CHUNK]
-        lo = np.maximum(x - r, 0.0)
-        hi = np.minimum(x + r, 1.0)
-        gen = np.zeros(x.size, dtype=np.int64)
-        left, length, logm = np.zeros(x.size), np.ones(x.size), np.zeros(x.size)
-        # an empty window (hi <= lo) never reads its start node
-        live = np.flatnonzero(lo < hi)
-        g = 0
-        while live.size and g < depth:
-            a, b, l, n = lo[live], hi[live], left[live], length[live]
-            g += 1
-            hits = np.zeros(live.size, dtype=np.int64)
-            next_left, next_length, next_logp = l, n, np.zeros(live.size)
-            for offset, ratio, logp in table[family_index(g)]:
-                child_left = l + offset * n
-                child_length = ratio * n
-                hit = (child_left < b) & (child_left + child_length > a)
-                hits += hit
-                next_left = np.where(hit, child_left, next_left)
-                next_length = np.where(hit, child_length, next_length)
-                next_logp = np.where(hit, logp, next_logp)
-            # a node inside the window, or with zero or several children
-            # meeting it, is its center's anchor
-            step = ~((a <= l) & (l + n <= b)) & (hits == 1)
-            live = live[step]
-            gen[live] = g
-            left[live] = next_left[step]
-            length[live] = next_length[step]
-            logm[live] += next_logp[step]
-        # memoryviews hand out Python floats and ints one at a time, so no
-        # per-chunk lists are built
-        starts = zip(memoryview(gen), memoryview(left), memoryview(length), memoryview(logm))
-        out[s:s + x.size] = np.fromiter(
-            (ball_mass(spec, xi, r, depth, st)[0] for xi, st in zip(memoryview(x), starts)),
-            float, x.size)
+        out[s:s + x.size] = _chunk_masses(spec, x, r, depth)
     return out
+
+
+def _chunk_masses(spec: MoranSpec, x: np.ndarray, r: float, depth: int) -> np.ndarray:
+    """``ball_masses`` of one chunk; every array here is freed with it."""
+    family_index = spec.schedule.family_index
+    # per family, the child table's columns, rightmost child first, so that
+    # a row-major scan of a step's (child, node) arrays runs right to left
+    columns = [tuple(np.array(col[::-1]) for col in zip(*rows)) for rows in spec.child_table]
+    # the role of a straddling child, by [parent role, whether a child right
+    # of it meets the window, whether one left of it does]
+    next_role = np.array([[_PATH, _HI, _LO, _TANGLED], [_HI, _HI, _TANGLED, _TANGLED],
+                          [_LO, _TANGLED, _LO, _TANGLED], [_TANGLED] * 4]).ravel()
+    lo = np.maximum(x - r, 0.0)
+    hi = np.minimum(x + r, 1.0)
+    mass = np.zeros(x.size)
+    whole = (lo <= 0.0) & (1.0 <= hi)  # the root is inside the window
+    mass[whole] = 1.0
+    # the frontier: one entry per straddling node, with its center and role
+    c = np.flatnonzero((lo < hi) & ~whole)
+    left, length, logm = np.zeros(c.size), np.ones(c.size), np.zeros(c.size)
+    role = np.zeros(c.size, dtype=np.intp)
+    truncated = np.zeros(x.size, dtype=bool)
+    tangled = np.zeros(x.size, dtype=bool)
+    # (generation, centers, left, length, log mass) of the anchors found
+    anchors = []
+    # per role, one (centers, exp(log masses)) pair per generation, right to left
+    terms = ([], [], [])
+    g = 0
+    while c.size and g < depth:
+        g += 1
+        offset, ratio, logp = columns[family_index(g)]
+        a, b = lo[c], hi[c]
+        child_left = offset[:, None] * length
+        child_left += left
+        child_right = ratio[:, None] * length
+        child_right += child_left
+        meets = child_left < b
+        meets &= child_right > a
+        inside = a <= child_left
+        inside &= child_right <= b
+        inside &= meets
+        del a, b, child_left, child_right  # the step's largest arrays
+        # seen[j]: a child right of row j meets the window; beyond[j]: a
+        # child left of it does
+        seen, beyond = np.zeros_like(meets), np.zeros_like(meets)
+        for j in range(1, meets.shape[0]):
+            seen[j] = seen[j - 1] | meets[j - 1]
+            beyond[-1 - j] = beyond[-j] | meets[-j]
+        anchored = (role == _PATH) & (meets.sum(axis=0) > 1)
+        if anchored.any():
+            anchors.append((g - 1, c[anchored], left[anchored], length[anchored], logm[anchored]))
+        f = np.flatnonzero(inside)  # flat (row, node) indices, right to left
+        if f.size:
+            row, k = np.divmod(f, c.size)
+            vals = np.fromiter(map(math.exp, memoryview(logm[k] + logp[row])), float, f.size)
+            parent = role[k]
+            for kind, pairs in enumerate(terms):
+                sel = parent == kind
+                pairs.append((c[k[sel]], vals[sel]))
+        inside ^= meets  # now the straddling children
+        f = np.flatnonzero(inside)
+        row, k = np.divmod(f, c.size)
+        role = next_role[4 * role[k] + 2 * seen.ravel()[f] + beyond.ravel()[f]]
+        c, length = c[k], length[k]
+        left, logm = left[k] + offset[row] * length, logm[k] + logp[row]
+        length *= ratio[row]
+        tangled[c[role == _TANGLED]] = True
+    if c.size:  # straddling nodes at generation depth
+        truncated[c] = True
+        path = role == _PATH
+        anchors.append((g, c[path], left[path], length[path], logm[path]))
+    for idx, vals in reversed(terms[_HI]):
+        np.add.at(mass, idx, vals)
+    for idx, vals in terms[_PATH] + terms[_LO]:
+        np.add.at(mass, idx, vals)
+    del terms, c, left, length, logm, role  # before the anchor table
+    calls = np.flatnonzero(truncated | tangled)
+    if calls.size:
+        start = np.empty((x.size, 4))  # a row per center: its anchor
+        for ag, ac, *node in anchors:
+            start[ac] = np.column_stack((np.full(ac.size, ag), *node))
+        for i in calls.tolist():
+            ag, al, an, am = start[i].tolist()
+            anchor = (int(ag), al, an, am)
+            if truncated[i]:
+                mass[i] = ball_mass(spec, float(x[i]), r, depth, anchor)[0]
+            else:
+                mass[i] = _search(spec, float(x[i]), r, depth, anchor)[0]
+    return mass
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,17 @@ The old search looked up each expanded node's family through ``family_at``
 and an ``lru_cache``d ``child_layout`` and took ``math.log`` of every child
 probability; it is kept here as a test-only oracle. The table-driven search
 must agree with it bit for bit (``==``), because its traversal order, and so
-its summation order, is the same. A search started at its window's anchor
-skips only nodes that add nothing, so it must agree with the root-started
-search bit for bit as well.
+its summation order, is the same. ``ball_masses`` resolves a column in one
+numpy descent and sums each center's terms in the search's order, so it must
+agree with the root-started search bit for bit as well, and it sends a
+center to ``ball_mass`` exactly when the oracle's search is truncated.
 """
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +37,11 @@ from hsmf import (
 )
 from hsmf import counting
 from hsmf import specs as specs_module
+from hsmf import verify
 from hsmf.oracles import midpoint_ball_masses
-from hsmf.specs import BALL_CHUNK, ball_masses, cells, load_spec, matched_generation
+from hsmf.specs import BALL_CHUNK, ball_masses, cells, load_spec, matched_generation, max_length_at
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
 
 
 # ---------------------------------------------------------------------------
@@ -66,15 +74,18 @@ def _old_child_layout(family, gap_policy):
     return tuple(offsets), gap
 
 
-def _old_ball_mass(spec, x, r, depth):
+def _old_search(spec, x, r, depth):
+    """``(mass, error, truncated)``: truncated when the search pops a node at
+    generation ``depth`` that meets the window without lying inside it."""
     if depth > spec.depth_cap:
         raise TooDeep(f"depth {depth} exceeds depth_cap {spec.depth_cap}")
     lo = max(0.0, x - r)
     hi = min(1.0, x + r)
     if hi <= lo:
-        return 0.0, 0.0
+        return 0.0, 0.0, False
     mass = 0.0
     error = 0.0
+    truncated = False
     stack = [(0, 0.0, 1.0, 0.0)]
     while stack:
         g, left, length, logm = stack.pop()
@@ -85,6 +96,7 @@ def _old_ball_mass(spec, x, r, depth):
             mass += math.exp(logm)
             continue
         if g >= depth:
+            truncated = True
             mid = left + 0.5 * length
             m = math.exp(logm)
             if lo <= mid <= hi:
@@ -102,7 +114,11 @@ def _old_ball_mass(spec, x, r, depth):
                     logm + math.log(fam.probs[j]),
                 )
             )
-    return mass, error
+    return mass, error, truncated
+
+
+def _old_ball_mass(spec, x, r, depth):
+    return _old_search(spec, x, r, depth)[:2]
 
 
 def _old_cells(spec, k):
@@ -253,15 +269,19 @@ def test_ball_mass_makes_no_family_lookups_after_first_call(monkeypatch, periodi
 
 
 # ---------------------------------------------------------------------------
-# anchored searches: ball_masses and ball_mass(..., start)
+# the column kernel: ball_masses, and ball_mass(..., start) for its truncated centers
 # ---------------------------------------------------------------------------
+
+ROOT = (0, 0.0, 1.0, 0.0)
+
 
 def _check_column(spec, xs, r, depth):
     """
     Assert that ``ball_masses`` equals root-started ``ball_mass`` on every
-    center, that it calls ``ball_mass`` once per center in order, and that each
-    anchored call equals the root-started ``(mass, error)``. Returns the
-    starts it passed.
+    center; that it calls ``ball_mass`` exactly once, in order, for each
+    center whose oracle search is truncated and for no other center; and
+    that each of those calls, started from its anchor, equals the
+    root-started ``(mass, error)``. Returns the starts it passed.
     """
     starts = []
 
@@ -276,9 +296,9 @@ def _check_column(spec, xs, r, depth):
         specs_module.ball_mass = ball_mass
     want = [ball_mass(spec, x, r, depth) for x in xs]
     assert got.tolist() == [mass for mass, _ in want]
-    assert [x for x, _ in starts] == list(xs)
-    for (x, start), root_started in zip(starts, want):
-        assert ball_mass(spec, x, r, depth, start) == root_started
+    assert [x for x, _ in starts] == [x for x in xs if _old_search(spec, x, r, depth)[2]]
+    for x, start in starts:
+        assert ball_mass(spec, x, r, depth, start) == ball_mass(spec, x, r, depth)
     return [start for _, start in starts]
 
 
@@ -327,8 +347,29 @@ def test_ball_masses_equal_root_started_search_below_the_ulp(data):
     _check_column(spec, xs, r, max(depth, 20))
 
 
+def _anchor(spec, x, r, depth):
+    """The window's anchor, walked down from the root with the search's float
+    operations: the first node that is inside the window, has zero or
+    several children meeting it, or is at ``depth``."""
+    lo, hi = max(0.0, x - r), min(1.0, x + r)
+    g, left, length, logm = ROOT
+    while g < depth and not (lo <= left and left + length <= hi):
+        meeting = [(left + offset * length, ratio * length, logm + logp)
+                   for offset, ratio, logp in spec.child_table[spec.schedule.family_index(g + 1)]
+                   if left + offset * length < hi and left + offset * length + ratio * length > lo]
+        if len(meeting) != 1:
+            break
+        g += 1
+        left, length, logm = meeting[0]
+    return g, left, length, logm
+
+
 def test_ball_masses_anchor_below_the_ulp():
-    """Anchors shorter than the ulp of their left endpoint occur, and agree."""
+    """Anchors shorter than the ulp of their left endpoint occur in the
+    column, and its masses agree. No search in it is truncated, and from
+    such an anchor none can be: a node shorter than that ulp has no float
+    strictly inside it, so neither it nor a descendant can straddle a
+    window edge."""
     spec = validate_spec(MoranSpec((GenerationFamily((0.2, 0.3, 0.5), (0.05, 0.05, 0.05)),),
                                    ConstantSchedule(0), GapPolicy.EQUAL_GAPS, 40))
     rng = np.random.default_rng(3)
@@ -339,26 +380,39 @@ def test_ball_masses_anchor_below_the_ulp():
             left, length, _ = interval_of(spec, tuple(address.tolist()))
             right = left + length
             xs += [left, right, left + 0.5 * length, left + r, left - r, right + r, right - r]
-    starts = _check_column(spec, xs, r, 40)
-    assert any(length < math.ulp(left) for _, left, length, _ in starts)
+    anchors = [_anchor(spec, x, r, 40) for x in xs]
+    assert any(length < math.ulp(left) for _, left, length, _ in anchors)
+    assert _check_column(spec, xs, r, 40) == []
 
 
 def test_ball_masses_anchor_kinds(cantor_spec, binomial_spec, block_spec):
-    # a window inside a gap meets no child of the root: the root is the anchor
-    assert _check_column(cantor_spec, [0.5], 0.1, 12) == [(0, 0.0, 1.0, 0.0)]
-    # a window inside the gap (1/9, 2/9) of the generation-1 cell [0, 1/3]
-    (start,) = _check_column(cantor_spec, [1 / 6], 0.02, 12)
+    """Each kind of search end: no search for a center whose search ends
+    above the depth, and the anchor as the start of one that is cut."""
+    # a window inside a gap meets no child of the root; cut at depth 0, its
+    # search starts at the root
+    assert _check_column(cantor_spec, [0.5], 0.1, 12) == []
+    assert _check_column(cantor_spec, [0.5], 0.1, 0) == [ROOT]
+    # a window inside the gap (1/9, 2/9) of the generation-1 cell [0, 1/3];
+    # cut at depth 1, its search starts at that cell
+    assert _check_column(cantor_spec, [1 / 6], 0.02, 12) == []
+    (start,) = _check_column(cantor_spec, [1 / 6], 0.02, 1)
     assert start[:3] == (1, 0.0, 1 / 3)
-    # a window holding [0, 1] after clamping: the root is inside it
-    assert _check_column(binomial_spec, [0.0, 1.0], 1.0, 12) == [(0, 0.0, 1.0, 0.0)] * 2
-    # depth 0: every anchor is the root
-    assert set(_check_column(binomial_spec, [0.1, 0.5, 0.9], 0.01, 0)) == {(0, 0.0, 1.0, 0.0)}
-    # block boundaries at generations 4 and 64: anchors above generation 4
-    # (r = 2^-5) and below it (r = 1e-6), and searches crossing 64
+    # a window holding [0, 1] after clamping: the root is inside it, at any depth
+    assert _check_column(binomial_spec, [0.0, 1.0], 1.0, 12) == []
+    assert _check_column(binomial_spec, [0.0, 1.0], 1.0, 0) == []
+    # depth 0: every other search is cut at the root
+    assert _check_column(binomial_spec, [0.1, 0.5, 0.9], 0.01, 0) == [ROOT] * 3
+    # block boundaries at generations 4 and 64: at depth 70 every window
+    # edge has left the support, so no search is cut; cut at depth 2, the
+    # r = 2^-5 searches start at generation 2, and cut at depth 8, the
+    # r = 1e-6 ones start below generation 4
     lefts, lengths, _ = cells(block_spec, 6)
     xs = np.concatenate([lefts, lefts + lengths, lefts + 0.5 * lengths]).tolist()
-    assert {start[0] for start in _check_column(block_spec, xs, 2.0**-5, 70)} == {3}
-    assert min(start[0] for start in _check_column(block_spec, xs, 1e-6, 70)) > 4
+    assert _check_column(block_spec, xs, 2.0**-5, 70) == []
+    assert _check_column(block_spec, xs, 1e-6, 70) == []
+    assert {start[0] for start in _check_column(block_spec, xs, 2.0**-5, 2)} == {2}
+    starts = _check_column(block_spec, xs, 1e-6, 8)
+    assert starts and min(start[0] for start in starts) > 4
 
 
 def test_ball_masses_column_longer_than_one_chunk(binomial_spec):
@@ -366,12 +420,16 @@ def test_ball_masses_column_longer_than_one_chunk(binomial_spec):
     xs = np.concatenate([lefts, lefts + 0.5 * lengths, [1.0]]).tolist()
     assert len(xs) > 2 * BALL_CHUNK
     _check_column(binomial_spec, xs, 2.0**-12, 20)
+    _check_column(binomial_spec, xs, 0.3 * 2.0**-12, 20)
 
 
-def test_candidate_ball_masses_calls_ball_mass_once_per_center(monkeypatch, cantor_spec, periodic_spec):
-    """Structural guard, not a timing gate: each candidate center costs
-    exactly one ``specs.ball_mass`` call, so a per-call count and a per-call
-    error statistic still cover every center."""
+def test_candidate_ball_masses_call_ball_mass_once_per_truncated_center(
+        monkeypatch, binomial_spec, cantor_spec, periodic_spec):
+    """Structural guard, not a timing gate: the candidate tables call
+    ``specs.ball_mass`` exactly once per center whose search is truncated, in
+    order, and never for another center. So a per-call error statistic
+    covers every center that has an error. The cases hold tables where every
+    center, some centers and no center is truncated."""
     calls = []
 
     def counted(*args):
@@ -379,20 +437,24 @@ def test_candidate_ball_masses_calls_ball_mass_once_per_center(monkeypatch, cant
         return ball_mass(*args)
 
     monkeypatch.setattr(specs_module, "ball_mass", counted)
-    for spec in (cantor_spec, periodic_spec):
-        for table_of in (lambda: counting.ball_table(spec, 0.01),
-                         lambda: midpoint_ball_masses(spec, 0.01, 6)):
+    seen = set()
+    for spec, r in ((binomial_spec, 0.01), (cantor_spec, 0.25), (periodic_spec, 0.01)):
+        depth = min(spec.depth_cap, matched_generation(spec, r) + 8)
+        for table_of, d in ((lambda: counting.ball_table(spec, r), depth),
+                            (lambda: midpoint_ball_masses(spec, r, 6), 14)):
             calls.clear()
             table = table_of()
-            assert calls == table.points.tolist()
+            assert calls == [x for x in table.points.tolist() if _old_search(spec, x, r, d)[2]]
+            seen.add(min(len(calls), 1) + (len(calls) == table.points.size))
+    assert seen == {0, 1, 2}  # none, some and all of a table's centers
 
 
 def test_ball_masses_skip_the_shared_descent(monkeypatch):
     """Structural guard, not a timing gate: on binomial_quarter at r = 2^-12
-    the anchored column looks up at most half the families that root-started
-    searches do. Starting from the root would add the descent's lookups to
-    the root-started ones."""
-    spec = load_spec(Path(__file__).resolve().parents[1] / "specs" / "binomial_quarter.json")
+    the column kernel looks up at most half the families that root-started
+    searches do. It looks one family up per generation and chunk, so a
+    per-center search from the root would add its lookups to the kernel's."""
+    spec = load_spec(SPECS / "binomial_quarter.json")
     r = 2.0**-12
     k = matched_generation(spec, r)
     pts = counting.ball_table(spec, r).points
@@ -410,3 +472,111 @@ def test_ball_masses_skip_the_shared_descent(monkeypatch):
     for x in pts.tolist():
         ball_mass(spec, x, r, k + 8)
     assert anchored <= len(lookups) / 2
+
+
+# ---------------------------------------------------------------------------
+# the ball tables that moments and criterion 10 build
+# ---------------------------------------------------------------------------
+
+def _c10_tables():
+    """Criterion 10's six (spec, r): base and 2.7 x base on three specs."""
+    for factory in (verify.spec_uniform, verify.spec_middle_thirds, verify.spec_binomial):
+        spec = factory()
+        base = max_length_at(spec, 12)
+        for r in (base, 2.7 * base):
+            yield spec, r
+
+
+def _searched(monkeypatch, spec, r):
+    """``ball_table(spec, r)`` and the centers it sent to ``ball_mass``."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return ball_mass(*args)
+
+    monkeypatch.setattr(specs_module, "ball_mass", counted)
+    table = counting.ball_table(spec, r)
+    monkeypatch.setattr(specs_module, "ball_mass", ball_mass)
+    return table, calls
+
+
+@pytest.mark.parametrize("tables", [
+    pytest.param(lambda: [(load_spec(SPECS / f"{name}.json"), 2.0**-j)
+                          for name, octaves in (("binomial_quarter", 12), ("periodic_two_family", 12),
+                                                ("middle_thirds", 10))
+                          for j in range(1, octaves + 1)], id="specs"),
+    pytest.param(lambda: list(_c10_tables()), id="criterion_10"),
+])
+def test_ball_table_masses_equal_the_old_search(monkeypatch, tables):
+    """Old-versus-new equivalence at table level: every ball mass equals the
+    per-node oracle search byte for byte, and the centers sent to
+    ``ball_mass`` are exactly those whose oracle search is truncated."""
+    for spec, r in tables():
+        table, calls = _searched(monkeypatch, spec, r)
+        depth = min(spec.depth_cap, matched_generation(spec, r) + 8)
+        old = [_old_search(spec, x, r, depth) for x in table.points.tolist()]
+        assert table.ball_mass.tobytes() == np.array([mass for mass, _, _ in old]).tobytes()
+        assert calls == [x for x, (_, _, cut) in zip(table.points.tolist(), old) if cut]
+
+
+def test_moments_tables_keep_the_traced_ball_mass_calls(monkeypatch):
+    """Structural guard for the benchmark's traced pass, not a timing gate:
+    ``moments`` on middle_thirds at its 10 octaves sends truncated centers to
+    ``ball_mass`` (36 of them), so ``specs.ball_mass.calls > 0`` still holds
+    on the fixed-radius workload, while binomial_quarter at 15 octaves,
+    whose window edges all land on cell edges, sends none."""
+    thirds, quarter = load_spec(SPECS / "middle_thirds.json"), load_spec(SPECS / "binomial_quarter.json")
+    assert sum(len(_searched(monkeypatch, thirds, 2.0**-j)[1]) for j in range(1, 11)) > 0
+    assert sum(len(_searched(monkeypatch, quarter, 2.0**-j)[1]) for j in range(1, 16)) == 0
+
+
+def test_ball_masses_free_each_chunk_before_the_next():
+    """Working-set guard: on criterion 10's middle_thirds 2.7 x base column
+    (8192 centers, two chunks) the traced peak of ``ball_masses`` is no more
+    than on its first chunk alone, plus the larger output array and 16 KiB.
+    Terms or frontiers kept past their chunk would add to it."""
+    spec, r = list(_c10_tables())[3]
+    pts = counting.ball_table(spec, r).points
+    depth = min(spec.depth_cap, matched_generation(spec, r) + 8)
+    assert pts.size == 2 * BALL_CHUNK
+
+    def peak(xs):
+        tracemalloc.start()
+        try:
+            ball_masses(spec, xs, r, depth)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    first = peak(pts[:BALL_CHUNK])
+    assert peak(pts) <= first + 8 * (pts.size - BALL_CHUNK) + 16 * 1024
+
+
+_DISPATCH_CASE = """
+import sys
+from hsmf import counting
+from hsmf.specs import load_spec
+spec = load_spec(sys.argv[1])
+sys.stdout.write(counting.ball_table(spec, 2.0**-10).ball_mass.tobytes().hex())
+"""
+
+
+def test_ball_masses_do_not_depend_on_the_simd_dispatch_target():
+    """The kernel uses only IEEE +, *, comparisons and math.exp, so its bytes
+    are the same with numpy's AVX-512 targets disabled. Only the child
+    process's environment changes."""
+    from numpy._core import _multiarray_umath as umath
+
+    targets = [t for t in umath.__cpu_dispatch__
+               if (t.startswith("AVX512") or t == "X86_V4") and umath.__cpu_features__.get(t)]
+    if not targets:
+        pytest.skip("no AVX-512 dispatch target above the baseline on this CPU and numpy build")
+    spec_path = SPECS / "binomial_quarter.json"
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+               PYTHONPATH=os.pathsep.join([str(Path(specs_module.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _DISPATCH_CASE, str(spec_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    here = counting.ball_table(load_spec(spec_path), 2.0**-10).ball_mass
+    assert done.stdout == here.tobytes().hex()

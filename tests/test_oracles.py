@@ -254,22 +254,22 @@ def test_greedy_within_certified_bracket(cantor_spec, q):
 
 def test_brute_force_shares_the_greedy_ball_mass_table(monkeypatch, cantor_spec):
     """One midpoint ball table, read by the oracle and both greedy estimators
-    as criterion 10 reads its tables, evaluates each midpoint's ball mass
-    once between them."""
+    as criterion 10 reads its tables, resolves its ball masses in one
+    ``ball_masses`` column of one entry per midpoint between them."""
     import sys
 
     from hsmf import specs
 
-    original = specs.ball_mass
-    calls = []
+    original = specs.ball_masses
+    columns = []
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(spec, xs, r, depth):
+        columns.append(len(xs))
+        return original(spec, xs, r, depth)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "hsmf" and getattr(module, "ball_mass", None) is original:
-            monkeypatch.setattr(module, "ball_mass", counted)
+        if name.split(".")[0] == "hsmf" and getattr(module, "ball_masses", None) is original:
+            monkeypatch.setattr(module, "ball_masses", counted)
     depth = 7
     r = 1.9 * max_length_at(cantor_spec, depth)
     table = midpoint_ball_masses(cantor_spec, r, depth)
@@ -277,4 +277,4 @@ def test_brute_force_shares_the_greedy_ball_mass_table(monkeypatch, cantor_spec)
         brute_force_ball_moments(table, q)
         covering_moment(table, q)
         packing_moment(table, q)
-    assert len(calls) == 2**depth
+    assert columns == [2**depth]
