@@ -487,8 +487,9 @@ def _chunk_masses(spec: MoranSpec, x: np.ndarray, r: float, depth: int) -> np.nd
     # of it meets the window, whether one left of it does]
     next_role = np.array([[_PATH, _HI, _LO, _TANGLED], [_HI, _HI, _TANGLED, _TANGLED],
                           [_LO, _TANGLED, _LO, _TANGLED], [_TANGLED] * 4]).ravel()
-    lo = np.maximum(x - r, 0.0)
-    hi = np.minimum(x + r, 1.0)
+    # fmax/fmin clamp a NaN edge as the search's max/min do
+    lo = np.fmax(x - r, 0.0)
+    hi = np.fmin(x + r, 1.0)
     mass = np.zeros(x.size)
     whole = (lo <= 0.0) & (1.0 <= hi)  # the root is inside the window
     mass[whole] = 1.0

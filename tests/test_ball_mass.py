@@ -402,6 +402,9 @@ def test_ball_masses_anchor_kinds(cantor_spec, binomial_spec, block_spec):
     assert _check_column(binomial_spec, [0.0, 1.0], 1.0, 0) == []
     # depth 0: every other search is cut at the root
     assert _check_column(binomial_spec, [0.1, 0.5, 0.9], 0.01, 0) == [ROOT] * 3
+    # a NaN center clamps to all of [0, 1], as the search's max and min do,
+    # and an infinite one to nothing
+    assert _check_column(binomial_spec, [math.nan, math.inf, -math.inf], 0.01, 12) == []
     # block boundaries at generations 4 and 64: at depth 70 every window
     # edge has left the support, so no search is cut; cut at depth 2, the
     # r = 2^-5 searches start at generation 2, and cut at depth 8, the
