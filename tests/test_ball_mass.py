@@ -418,6 +418,29 @@ def test_ball_masses_anchor_kinds(cantor_spec, binomial_spec, block_spec):
     assert starts and min(start[0] for start in starts) > 4
 
 
+def test_ball_masses_finish_a_tangled_center_without_a_ball_mass_call(monkeypatch):
+    """Siblings that overlap through rounding can leave a center's straddling
+    nodes outside the hi/lo two-chain shape. These two centers are tangled
+    and not truncated: the private search finishes them, their masses agree,
+    and they make no ``ball_mass`` call."""
+    spec = validate_spec(MoranSpec((GenerationFamily((3 / 13, 6 / 13, 1 / 13, 3 / 13),
+                                                     (0.05, 0.05, 0.85, 0.05)),),
+                                   ConstantSchedule(0), GapPolicy.NO_GAPS, 35))
+    xs, r = [0.9998812499999999, 0.9502499999999999], 1.4802973661668753e-16
+    searched = []
+    search = specs_module._search
+
+    def counted(spec_, x, *args):
+        searched.append(x)
+        return search(spec_, x, *args)
+
+    monkeypatch.setattr(specs_module, "_search", counted)
+    ball_masses(spec, xs, r, 35)
+    monkeypatch.undo()
+    assert searched == xs
+    assert _check_column(spec, xs, r, 35) == []
+
+
 def test_ball_masses_column_longer_than_one_chunk(binomial_spec):
     lefts, lengths, _ = cells(binomial_spec, 12)
     xs = np.concatenate([lefts, lefts + 0.5 * lengths, [1.0]]).tolist()
