@@ -19,7 +19,8 @@ the support, hence a lower bound for the true packing number. Both are within
 a factor 2 of the continuum optimum.
 
 The sweeps' two lookups, ``separated_after`` and ``cover_steps``, are also
-the steps of the exact programs in ``oracles``, which accept any sorted class.
+the steps of the exact programs in ``oracles``, which accept any sorted class;
+a ball table finds each once and keeps it for the sweeps and the programs.
 
 A table owns one cover and one packing, both q-independent and each found
 once, as ``np.intp`` index arrays into its sorted centers that the sweeps fill
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._np import np
 from .errors import ScaleTooSmall, TooDeep
@@ -85,20 +86,27 @@ def cover_steps(points: np.ndarray, lefts: np.ndarray, rights: np.ndarray, r: fl
     """
     reach = points + r
     piece = np.searchsorted(rights, reach, side="right")
-    pos = np.append(np.maximum(reach, lefts[np.minimum(piece, lefts.size - 1)]), lefts[0])
-    take = np.searchsorted(points, pos + r, side="right") - 1
+    # filled in place and freed early: a table keeps these lookups, so the
+    # temporaries beside them set the peak of the finest scale's sweep
+    pos = np.empty(points.size + 1)
+    np.maximum(reach, lefts[np.minimum(piece, lefts.size - 1)], out=pos[:-1])
+    pos[-1] = lefts[0]
+    del reach
+    take = np.searchsorted(points, pos + r, side="right")
+    take -= 1
     return take, (take < 0) | (points[take] < pos - r), piece >= lefts.size
 
 
-def _covering_centers(points: np.ndarray, lefts: np.ndarray, rights: np.ndarray, r: float) -> np.ndarray:
-    """Indices into ``points`` of the greedy cover from ``cover_steps``: each step
+def _covering_centers(steps) -> np.ndarray:
+    """Indices of the greedy cover from ``cover_steps``' lookups: each step
     takes the farthest candidate that still covers the leftmost uncovered
     point, which on the line is optimal within the candidate class."""
-    take, stuck, done = map(memoryview, cover_steps(points, lefts, rights, r))
-    centers = np.empty(points.size + 2, dtype=np.intp)
+    take, stuck, done = map(memoryview, steps)
+    size = len(done)
+    centers = np.empty(size + 2, dtype=np.intp)
     out = memoryview(centers)
-    j = points.size  # the start slot
-    for n in range(points.size + 2):  # a progressing sweep takes each candidate once
+    j = size  # the start slot
+    for n in range(size + 2):  # a progressing sweep takes each candidate once
         if stuck[j]:
             raise ScaleTooSmall("candidate centers cannot cover the support at this radius")
         j = out[n] = take[j]
@@ -107,15 +115,16 @@ def _covering_centers(points: np.ndarray, lefts: np.ndarray, rights: np.ndarray,
     raise ScaleTooSmall("covering sweep failed to progress")
 
 
-def _packing_centers(points: np.ndarray, r: float) -> np.ndarray:
+def _packing_centers(after: np.ndarray) -> np.ndarray:
     """Indices of a greedy maximal r-separated subset of sorted candidate
-    points: from each chosen point, the first one r apart from it."""
-    nxt = memoryview(separated_after(points, r))
-    centers = np.empty(points.size, dtype=np.intp)
+    points from their ``separated_after`` lookup: from each chosen point, the
+    first one r apart from it."""
+    nxt = memoryview(after)
+    centers = np.empty(after.size, dtype=np.intp)
     out = memoryview(centers)
     out[0] = i = 0
     n = 1
-    while (j := nxt[i]) < points.size:
+    while (j := nxt[i]) < after.size:
         if j <= i:
             raise ScaleTooSmall("packing sweep failed to progress")
         out[n] = i = j
@@ -139,9 +148,11 @@ def sorted_distinct(a: np.ndarray) -> np.ndarray:
 class BallTable:
     """One scale's candidate centers (sorted, distinct by sort and mask) with
     their ball masses mu(B(x, r)), and the support pieces [lefts, rights]
-    they cover. The greedy cover and packing are ``np.intp`` index arrays
-    into ``points``, each found on first use: a table whose centers cannot
-    cover still serves the packing side and the exact programs."""
+    they cover. The sweeps' lookups ``after`` (``separated_after``) and
+    ``steps`` (``cover_steps``), and the greedy cover and packing, as
+    ``np.intp`` index arrays into ``points``, are each found on first use
+    and kept for the exact programs: a table whose centers cannot cover
+    still serves the packing side."""
 
     r: float
     points: np.ndarray
@@ -150,12 +161,20 @@ class BallTable:
     rights: np.ndarray
 
     @cached_property
+    def after(self) -> np.ndarray:
+        return separated_after(self.points, self.r)
+
+    @cached_property
+    def steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return cover_steps(self.points, self.lefts, self.rights, self.r)
+
+    @cached_property
     def cover(self) -> np.ndarray:
-        return _covering_centers(self.points, self.lefts, self.rights, self.r)
+        return _covering_centers(self.steps)
 
     @cached_property
     def packing(self) -> np.ndarray:
-        return _packing_centers(self.points, self.r)
+        return _packing_centers(self.after)
 
 
 def ball_table(spec: MoranSpec, r: float) -> BallTable:
@@ -216,20 +235,31 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
     return np.log1p(rest / n_top) + np.log(n_top) + top[..., 0]
 
 
-def log_partition(spec: MoranSpec, q, t, counts) -> tuple[np.ndarray, np.ndarray]:
+class FamilyRows(NamedTuple):
+    """One family's log child masses and log contraction ratios: (arity,)
+    rows for one spec, or rows stacked over leading axes, one spec each."""
+
+    log_probs: np.ndarray
+    log_ratios: np.ndarray
+
+
+def log_partition(families, q, t, counts) -> tuple[np.ndarray, np.ndarray]:
     """
     log S(q, t) = sum_f n_f log sum_j p_fj^q c_fj^t and its t-derivative for
     each column of a (families x n) matrix of generation counts n_f; q and t
-    broadcast against the columns. Families are accumulated one at a time
-    with elementwise operations and children are reduced along the last
-    axis, so a column's value does not depend on which columns share the call.
+    broadcast against the columns. ``families`` are a spec's families or
+    ``FamilyRows``: each family's ``log_probs`` and ``log_ratios`` rows
+    broadcast against the columns too, so stacked rows give each column its
+    own spec. Families are accumulated one at a time with elementwise
+    operations and children are reduced along the last axis, so a column's
+    value does not depend on which columns share the call.
     """
     q = np.asarray(q, dtype=float)[..., None]
     t = np.asarray(t, dtype=float)[..., None]
     counts = np.asarray(counts, dtype=float)
     shape = np.broadcast_shapes(q.shape[:-1], t.shape[:-1], counts.shape[1:])
     g, dg = np.zeros(shape), np.zeros(shape)
-    for fam, n in zip(spec.families, counts):
+    for fam, n in zip(families, counts):
         if n.any():
             v = q * fam.log_probs + t * fam.log_ratios
             ls = logsumexp(v)
@@ -244,7 +274,7 @@ def log_partition_moment(spec: MoranSpec, q: float, t: float, k: int) -> float:
     computed in the factorized form prod_i (sum_j p_ij^q c_ij^t) without
     enumerating cells (``log_partition`` at one generation).
     """
-    return float(log_partition(spec, q, t, family_generation_counts(spec, k))[0][0])
+    return float(log_partition(spec.families, q, t, family_generation_counts(spec, k))[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +326,7 @@ def partition_moment_table(spec: MoranSpec, q_grid, ks) -> MomentTable:
     """
     ks = sorted(int(k) for k in ks)
     q_grid = np.asarray(q_grid, dtype=float)
-    log_s, _ = log_partition(spec, q_grid[:, None], 0.0, family_generation_counts(spec, ks))
+    log_s, _ = log_partition(spec.families, q_grid[:, None], 0.0, family_generation_counts(spec, ks))
     with np.errstate(over="ignore"):
         vals = np.exp(log_s)
     scales = [max_length_at(spec, k) for k in ks]

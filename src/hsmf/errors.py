@@ -52,4 +52,4 @@ class DegenerateGrid(HsmfError):
 
 
 class ParameterOutOfRange(HsmfError):
-    """A closed-form reference curve was queried outside its parameter domain."""
+    """A closed-form reference curve or the beta_k solver was queried outside its parameter domain."""

@@ -9,9 +9,9 @@ switching binomial's branches are the two dyadic moment exponents. The brute
 force solves the exact packing/covering optimum by dynamic programming on the
 line, certifying the greedy estimators on the ball table they read. Both
 programs read the greedy's own lookups (``separated_after``, ``cover_steps``),
-so "r apart" and "covers" are one float test each, and accept any sorted
-candidate class; criterion 10 runs them on the endpoint tables that
-``moments`` sums over.
+which the table finds once for its sweeps and every q, so "r apart" and
+"covers" are one float test each, and accept any sorted candidate class;
+criterion 10 runs them on the endpoint tables that ``moments`` sums over.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ._np import np
-from .counting import BallTable, cover_steps, separated_after
+from .counting import BallTable
 from .errors import ParameterOutOfRange, ScaleTooSmall, TooDeep
 from .specs import GapPolicy, MoranSpec, _num_cells, ball_masses, cells
 
@@ -118,52 +118,55 @@ def midpoint_ball_masses(spec: MoranSpec, r: float, depth: int) -> BallTable:
     return BallTable(r, pts, ball, lefts, lefts + lengths)
 
 
-def _max_packing_value(points: np.ndarray, weights: np.ndarray, r: float) -> float:
+def _max_packing_value(table: BallTable, weights: np.ndarray) -> float:
     """
-    Exact max of sum(weights) over r-separated subsets of the sorted
-    ``points``: prefix-max dynamic program on the line, where the last point
-    r apart left of each point is read from ``separated_after``.
+    Exact max of sum(weights) over r-separated subsets of the table's sorted
+    points: prefix-max dynamic program on the line, where the points r apart
+    left of each point form a prefix, whose length one ``searchsorted`` on
+    the table's ``separated_after`` lookup gives. The weights are >= 0 or
+    inf, so the empty packing's 0.0 is the sentinel and one comparison keeps
+    the running max.
     """
-    idx = np.arange(points.size)
-    after = separated_after(points, r)
+    after = table.after
+    idx = np.arange(after.size)
     if np.any(after <= idx):  # r below the points' spacing resolution, as in _packing_centers
         raise ScaleTooSmall("packing program failed to progress")
-    before = np.searchsorted(after, idx, side="right") - 1
-    prefix: list[float] = []  # prefix[i] = max value of a packing within points[:i+1]
-    for i, (j, w) in enumerate(zip(before.tolist(), weights.tolist())):
-        best = w + max(prefix[j] if j >= 0 else 0.0, 0.0)  # packing ending at i
-        prefix.append(best if i == 0 else max(prefix[-1], best))
-    return prefix[-1]
+    before = np.searchsorted(after, idx, side="right")
+    prefix = [0.0]  # prefix[i] = max value of a packing within points[:i]
+    last = 0.0
+    for j, w in zip(before.tolist(), weights.tolist()):
+        best = w + prefix[j]  # the best packing ending at this point
+        if best > last:
+            last = best
+        prefix.append(last)
+    return last
 
 
-def _min_cover_value(
-    points: np.ndarray,
-    weights: np.ndarray,
-    r: float,
-    lefts: np.ndarray,
-    rights: np.ndarray,
-) -> float:
+def _min_cover_value(table: BallTable, weights: np.ndarray) -> float:
     """
     Exact min of sum(weights) over center subsets whose radius-r balls cover
-    the sorted pieces [lefts, rights], by a left-to-right dynamic program on
-    the greedy's ``cover_steps``: ball j may come first when it covers
-    lefts[0], and follow ball i < j when j <= take_i or i is done. take is
-    non-decreasing, so ball j's predecessors form a suffix [lo_j, j), and a
+    the table's sorted pieces [lefts, rights], by a left-to-right dynamic
+    program on its ``cover_steps`` lookups: ball j may come first when it
+    covers lefts[0], and follow ball i < j when j <= take_i or i is done. take
+    is non-decreasing, so ball j's predecessors form a suffix [lo_j, j), and a
     monotone deque yields each suffix minimum, an existing value.
     """
+    points = table.points
     assert np.all(points[1:] >= points[:-1]), "points must be sorted"
     n = points.size
-    take, _, done = cover_steps(points, lefts, rights, r)
-    first, last = int(np.searchsorted(points, lefts[0] - r, side="left")), int(take[n])
+    take, _, done = table.steps
+    first, last = int(np.searchsorted(points, table.lefts[0] - table.r, side="left")), int(take[n])
     lo = np.searchsorted(np.where(done, n - 1, take[:n]), np.arange(n), side="left").tolist()
     cost: list[float] = []
     window: deque[int] = deque()  # indices in [lo_j, j) with increasing cost
-    for j, w in enumerate(weights.tolist()):
-        c = w if first <= j <= last else math.inf
-        while window and window[0] < lo[j]:
+    for j, (lo_j, w) in enumerate(zip(lo, weights.tolist())):
+        while window and window[0] < lo_j:
             window.popleft()
-        if window and cost[window[0]] + w < c:
-            c = cost[window[0]] + w
+        c = w if first <= j <= last else math.inf
+        if window:
+            via = cost[window[0]] + w
+            if via < c:
+                c = via
         cost.append(c)
         while window and cost[window[-1]] >= c:
             window.pop()
@@ -179,6 +182,6 @@ def brute_force_ball_moments(table: BallTable, q: float) -> BruteForceMoments:
     """
     with np.errstate(over="ignore"):  # an overflowing weight is inf, as in the greedy sums
         weights = table.ball_mass**q
-    pack = _max_packing_value(table.points, weights, table.r)
-    cover = _min_cover_value(table.points, weights, table.r, table.lefts, table.rights)
+    pack = _max_packing_value(table, weights)
+    cover = _min_cover_value(table, weights)
     return BruteForceMoments(packing=pack, covering=cover)

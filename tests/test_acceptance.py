@@ -13,8 +13,11 @@ import sys
 import numpy as np
 import pytest
 
+from hsmf import scaling
 from hsmf import verify as V
-from hsmf.scaling import beta_sequence
+from hsmf.counting import log_partition
+from hsmf.scaling import beta_sequence, solve_beta_k
+from hsmf.specs import family_generation_counts
 from hsmf.output import json_bytes
 
 
@@ -136,6 +139,52 @@ def test_grid_criteria_check_the_grid_they_emit(monkeypatch, criterion):
     res = criterion(seed=0)
     assert {"check": "grid invariants", "problems": ["B not discretely convex"]} in res.failures
     assert res.grid.check_invariants() == ["B not discretely convex"]
+
+
+def _per_spec_criterion_1_details(seed):
+    """Criterion 1's details from one ``solve_beta_k`` and one residual call
+    per random spec: the loop it ran before it stacked the specs by family
+    shape, kept as the reference."""
+    rng = np.random.default_rng(seed + 1)
+    qs = np.arange(-3.0, 4.0)
+    worst_b1 = 0.0
+    worst_resid = 0.0
+    for _ in range(200):
+        spec = V._random_spec(rng)
+        k = int(rng.integers(4, 97))
+        betas = solve_beta_k(spec, qs, k)
+        resid, _ = log_partition(spec.families, qs, betas, family_generation_counts(spec, k))
+        worst_b1 = max(worst_b1, abs(float(betas[qs == 1.0][0])))
+        worst_resid = max(worst_resid, float(np.max(np.abs(resid))) / k)
+    return {"worst_beta_at_1": worst_b1, "worst_residual_per_k": worst_resid, "specs": 200}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_criterion_1_details_equal_the_per_spec_loop(seed):
+    got = V.criterion_1(seed=seed).details
+    assert json_bytes(got) == json_bytes(_per_spec_criterion_1_details(seed))
+
+
+def test_criterion_1_solves_one_stack_per_family_shape(monkeypatch):
+    """Structural guard, not a timing gate: at seed 0 the 200 random specs
+    fall into at most 12 family shapes, and criterion 1 makes one stacked
+    solve and one residual call per shape, one Newton call each (no random
+    spec has constant ratios), and no per-spec ``solve_beta_k`` call."""
+    calls = {"solve_beta_stack": 0, "_newton_roots": 0, "log_partition": 0}
+    for module, name in ((V, "solve_beta_stack"), (scaling, "_newton_roots"), (V, "log_partition")):
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def lone(*args):
+        raise AssertionError("criterion 1 solved a spec alone")
+
+    monkeypatch.setattr(scaling, "solve_beta_k", lone)
+    assert V.criterion_1(seed=0).passed
+    assert 1 <= calls["solve_beta_stack"] <= 12
+    assert calls == {name: calls["solve_beta_stack"] for name in calls}
 
 
 def _beta_sequence_rows(spec, qs):

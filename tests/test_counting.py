@@ -262,8 +262,9 @@ def test_moment_table_columns_equal_the_table_estimators(name):
 
 def test_criterion_10_finds_each_cover_and_packing_once(monkeypatch):
     """Structural guard, not a timing gate: criterion 10 reads 6 ball tables at
-    4 q each, and each table finds its cover and its packing once."""
-    calls = {"_covering_centers": 0, "_packing_centers": 0}
+    4 q each, and each table finds its cover and its packing once, and each
+    sweep lookup once for its sweep and the exact programs."""
+    calls = {"_covering_centers": 0, "_packing_centers": 0, "separated_after": 0, "cover_steps": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(counting, name)):
             calls[_name] += 1
@@ -271,7 +272,7 @@ def test_criterion_10_finds_each_cover_and_packing_once(monkeypatch):
 
         monkeypatch.setattr(counting, name, counted)
     assert criterion_10().passed
-    assert calls == {"_covering_centers": 6, "_packing_centers": 6}
+    assert calls == {"_covering_centers": 6, "_packing_centers": 6, "separated_after": 6, "cover_steps": 6}
 
 
 @pytest.mark.filterwarnings("error")

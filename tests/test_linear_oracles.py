@@ -6,9 +6,13 @@ the verify artifacts are byte-compared, so the rewrite may not move a bit.
 The references spell "r apart" (a + r <= b) and "covers" (p <= y + r and
 y - r <= p) as the greedy sweeps do, written out per step rather than read
 from the sweeps' lookups, so the exact programs answer for the same floats.
+The exact programs' loops as they were before they were tightened are kept
+too, and the programs must equal them on every weight they receive: mass^q,
+which is >= 0 or inf.
 """
 
 import math
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 from hsmf import counting
 from hsmf.cli import MOMENT_MAX_CELLS, _usable_radii
 from hsmf.counting import (
+    BallTable,
     _covering_centers,
     _packing_centers,
     ball_table,
@@ -36,6 +41,14 @@ from hsmf.oracles import (
 )
 from hsmf.specs import load_spec, max_length_at
 from hsmf.verify import spec_binomial, spec_middle_thirds, spec_uniform
+
+
+def _table(points, r, lefts=(0.0,), rights=(1.0,)):
+    """A ball table over sorted ``points`` without ball masses, which the
+    sweeps and the exact programs never read."""
+    points = np.asarray(points, dtype=float)
+    return BallTable(r, points, np.zeros(points.size), np.asarray(lefts, dtype=float),
+                     np.asarray(rights, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +153,57 @@ def _list_packing_centers(points, r):
     return centers
 
 
+def _loop_max_packing_value(points, weights, r):
+    """The packing program as it was before its loop lost ``enumerate``, the
+    builtin ``max`` calls and the ``j >= 0`` branch."""
+    idx = np.arange(points.size)
+    after = separated_after(points, r)
+    if np.any(after <= idx):
+        raise ScaleTooSmall("packing program failed to progress")
+    before = np.searchsorted(after, idx, side="right") - 1
+    prefix = []
+    for i, (j, w) in enumerate(zip(before.tolist(), weights.tolist())):
+        best = w + max(prefix[j] if j >= 0 else 0.0, 0.0)
+        prefix.append(best if i == 0 else max(prefix[-1], best))
+    return prefix[-1]
+
+
+def _loop_min_cover_value(points, weights, r, lefts, rights):
+    """The cover program as it was before its deque loop was tightened."""
+    n = points.size
+    take, _, done = cover_steps(points, lefts, rights, r)
+    first, last = int(np.searchsorted(points, lefts[0] - r, side="left")), int(take[n])
+    lo = np.searchsorted(np.where(done, n - 1, take[:n]), np.arange(n), side="left").tolist()
+    cost = []
+    window = deque()
+    for j, w in enumerate(weights.tolist()):
+        c = w if first <= j <= last else math.inf
+        while window and window[0] < lo[j]:
+            window.popleft()
+        if window and cost[window[0]] + w < c:
+            c = cost[window[0]] + w
+        cost.append(c)
+        while window and cost[window[-1]] >= c:
+            window.pop()
+        window.append(j)
+    return min(cost[n - int(np.count_nonzero(done)):], default=math.inf)
+
+
+def _assert_same_as_loops(table, weights):
+    """Both exact programs equal their loop versions on ``table``, as floats."""
+    args = (table.points, weights, table.r)
+    assert _max_packing_value(table, weights) == _loop_max_packing_value(*args)
+    assert _min_cover_value(table, weights) == _loop_min_cover_value(*args, table.lefts, table.rights)
+
+
 def _assert_same_cover(points, lefts, rights, r):
     try:
         want = _ref_covering_centers(points, lefts, rights, r)
     except ScaleTooSmall as e:
         with pytest.raises(ScaleTooSmall, match=str(e)):
-            _covering_centers(points, lefts, rights, r)
+            _covering_centers(cover_steps(points, lefts, rights, r))
         return
-    assert points[_covering_centers(points, lefts, rights, r)].tolist() == want
+    assert points[_covering_centers(cover_steps(points, lefts, rights, r))].tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -181,38 +237,74 @@ def line_problems(draw):
 @settings(max_examples=200, deadline=None)
 def test_equal_the_per_step_oracles(problem):
     points, weights, r, lefts, rights = problem
-    assert _max_packing_value(points, weights, r) == _ref_max_packing_value(points, weights, r)
-    assert _min_cover_value(points, weights, r, lefts, rights) == _ref_min_cover_value(
+    _assert_same_as_loops(_table(points, r, lefts, rights), weights)
+    assert _max_packing_value(_table(points, r), weights) == _ref_max_packing_value(points, weights, r)
+    assert _min_cover_value(_table(points, r, lefts, rights), weights) == _ref_min_cover_value(
         points, weights, r, lefts, rights
     )
-    assert points[_packing_centers(points, r)].tolist() == _ref_packing_centers(points, r)
+    assert points[_packing_centers(separated_after(points, r))].tolist() == _ref_packing_centers(points, r)
     _assert_same_cover(points, lefts, rights, r)
+
+
+@pytest.mark.parametrize("weights", [
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [math.inf, 1.0, math.inf, 0.0, 2.0],
+    [math.inf] * 5,
+    [0.5] * 5,
+    [1.0, 0.0, 1.0, 0.0, 1.0],
+], ids=["zero", "some-inf", "all-inf", "equal", "alternating"])
+@pytest.mark.parametrize("r", [0.1, 0.25, 0.3, 2.0])
+def test_programs_equal_their_loops_on_special_weights(weights, r):
+    """Zero, inf and equal weights, with touching, tied and overlapping
+    balls, over one piece and over two pieces with a gap."""
+    points = np.array([0.0, 0.25, 0.25, 0.5, 1.0])
+    for lefts, rights in (([0.0], [1.0]), ([0.0, 0.75], [0.5, 1.0])):
+        _assert_same_as_loops(_table(points, r, lefts, rights), np.array(weights))
+
+
+@pytest.mark.parametrize("w", [0.0, 0.3, 1.0, math.inf])
+def test_programs_equal_their_loops_on_a_single_point(w):
+    for r, lefts, rights in ((0.5, [0.0], [1.0]), (0.1, [0.0], [1.0]), (0.2, [0.5], [0.6])):
+        _assert_same_as_loops(_table([0.5], r, lefts, rights), np.array([w]))
+
+
+def test_programs_equal_their_loops_on_criterion_10_tables():
+    """Criterion 10's six endpoint tables at its four q."""
+    for factory in (spec_uniform, spec_middle_thirds, spec_binomial):
+        spec = factory()
+        base = max_length_at(spec, 12)
+        for r in (base, 2.7 * base):
+            table = ball_table(spec, r)
+            for q in (-1.0, 0.0, 1.0, 2.0):
+                with np.errstate(over="ignore"):
+                    weights = table.ball_mass**q
+                _assert_same_as_loops(table, weights)
 
 
 def test_cover_dp_rejects_unsorted_points():
     points = np.array([0.5, 0.1, 0.9])
     with pytest.raises(AssertionError, match="sorted"):
-        _min_cover_value(points, np.ones(3), 0.2, np.array([0.0]), np.array([1.0]))
+        _min_cover_value(_table(points, 0.2), np.ones(3))
 
 
 def test_packing_program_and_sweep_share_r_apart():
     # a + r <= b holds for these two endpoints of middle_thirds at r = 3^-12, b - r >= a does not
     points = np.array([3.7633528463178403e-06, 5.64502926947676e-06])
     r = max_length_at(spec_middle_thirds(), 12)
-    assert _packing_centers(points, r).tolist() == [0, 1]
-    assert _max_packing_value(points, np.ones(2), r) == 2.0
+    assert _packing_centers(separated_after(points, r)).tolist() == [0, 1]
+    assert _max_packing_value(_table(points, r), np.ones(2)) == 2.0
 
 
 def test_cover_program_and_sweep_share_covers():
     # the first ball: 0.1 + 0.2 <= 0.1 + 0.2 holds, (0.1 + 0.2) - 0.2 <= 0.1 does not
     points, lefts, rights = np.array([0.1 + 0.2]), np.array([0.1]), np.array([0.5])
-    assert _covering_centers(points, lefts, rights, 0.2).tolist() == [0]
-    assert _min_cover_value(points, np.ones(1), 0.2, lefts, rights) == 1.0
+    assert _covering_centers(cover_steps(points, lefts, rights, 0.2)).tolist() == [0]
+    assert _min_cover_value(_table(points, 0.2, lefts, rights), np.ones(1)) == 1.0
     # a following ball: b <= (a + r) + r holds, b - r <= a + r does not
     points, r = np.array([0.08991356716121543, 0.36352589987981054]), 0.13680616635929754
     lefts, rights = np.array([0.0]), np.array([0.5])
-    assert _covering_centers(points, lefts, rights, r).tolist() == [0, 1]
-    assert _min_cover_value(points, np.ones(2), r, lefts, rights) == 2.0
+    assert _covering_centers(cover_steps(points, lefts, rights, r)).tolist() == [0, 1]
+    assert _min_cover_value(_table(points, r, lefts, rights), np.ones(2)) == 2.0
 
 
 def test_packing_sweep_without_progress_raises():
@@ -220,12 +312,12 @@ def test_packing_sweep_without_progress_raises():
     # sweep or in the exact program that reads the same lookup
     points = np.array([1.0, 2.0])
     with pytest.raises(ScaleTooSmall, match="progress") as got:
-        _packing_centers(points, 1e-20)
+        _packing_centers(separated_after(points, 1e-20))
     with pytest.raises(ScaleTooSmall) as want:
         _list_packing_centers(points, 1e-20)
     assert got.value.args == want.value.args
     with pytest.raises(ScaleTooSmall, match="progress"):
-        _max_packing_value(points, np.ones(2), 1e-20)
+        _max_packing_value(_table(points, 1e-20), np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +331,12 @@ def test_equal_on_verify_measures(factory):
     for r in (max_length_at(spec, depth), 2.7 * max_length_at(spec, depth)):
         table = midpoint_ball_masses(spec, r, depth)
         mids, masses, lefts, rights = table.points, table.ball_mass, table.lefts, table.rights
-        assert mids[_packing_centers(mids, r)].tolist() == _ref_packing_centers(mids, r)
+        assert mids[_packing_centers(separated_after(mids, r))].tolist() == _ref_packing_centers(mids, r)
         _assert_same_cover(mids, lefts, rights, r)
         for q in (-1.0, 0.0, 1.0, 2.0):
             w = masses**q
-            assert _max_packing_value(mids, w, r) == _ref_max_packing_value(mids, w, r)
-            assert _min_cover_value(mids, w, r, lefts, rights) == _ref_min_cover_value(
+            assert _max_packing_value(table, w) == _ref_max_packing_value(mids, w, r)
+            assert _min_cover_value(table, w) == _ref_min_cover_value(
                 mids, w, r, lefts, rights
             )
 
@@ -319,5 +411,5 @@ def test_cover_errors_equal_the_list_sweep(points, lefts, rights, r):
     with pytest.raises(ScaleTooSmall) as want:
         _list_covering_centers(points, lefts, rights, r)
     with pytest.raises(ScaleTooSmall) as got:
-        _covering_centers(points, lefts, rights, r)
+        _covering_centers(cover_steps(points, lefts, rights, r))
     assert got.value.args == want.value.args

@@ -24,13 +24,15 @@ from hsmf import (
     validate_spec,
 )
 from hsmf.counting import MomentTable, log_partition, log_partition_moment
-from hsmf.errors import InsufficientScales, NoBracket, NoConvergence
+from hsmf.errors import InsufficientScales, NoBracket, NoConvergence, ParameterOutOfRange
 from hsmf.scaling import (
     _bracket_bound,
     _table_generations,
     sample_generations,
     separator_problems,
     slope_changes,
+    solve_beta_stack,
+    stack_by_shape,
 )
 from hsmf.specs import family_generation_counts, load_spec
 from hsmf.oracles import periodic_moran_beta, switching_binomial_tau
@@ -77,7 +79,7 @@ def test_beta_closed_form_matches_root_solver():
         lo, hi = -64.0, 64.0
         for _ in range(90):
             mid = 0.5 * (lo + hi)
-            g, _ = log_partition(spec, q, mid, counts)
+            g, _ = log_partition(spec.families, q, mid, counts)
             if g[0] > 0:
                 lo = mid
             else:
@@ -518,10 +520,10 @@ def test_bracket_bound_brackets_every_root(probs, ratios):
     qs = np.repeat([-1e4, -20.0, -1.0, 0.0, 0.5, 1.0, 20.0, 1e4], 3)
     ks = np.tile([1, 7, 256], 8)
     counts = family_generation_counts(spec, ks)
-    h = _bracket_bound(spec, qs, counts)
+    h = _bracket_bound(spec.families, qs, counts)
     assert np.all(np.isfinite(h))
-    assert np.all(log_partition(spec, qs, h, counts)[0] < 0.0)
-    assert np.all(log_partition(spec, qs, -h, counts)[0] > 0.0)
+    assert np.all(log_partition(spec.families, qs, h, counts)[0] < 0.0)
+    assert np.all(log_partition(spec.families, qs, -h, counts)[0] > 0.0)
     roots = solve_beta_k(spec, qs, ks)
     assert np.all(np.abs(roots) < h)
 
@@ -532,10 +534,10 @@ def _doubling_newton_roots(spec: MoranSpec, q: np.ndarray, ks: np.ndarray, count
     up to that bound, then the same safeguarded Newton steps to 1e-13 k."""
     lo, hi = np.full(ks.size, -64.0), np.full(ks.size, 64.0)
     todo = np.arange(ks.size)
-    bound = _bracket_bound(spec, q, counts)
+    bound = _bracket_bound(spec.families, q, counts)
     while True:
-        glo, _ = log_partition(spec, q[todo], lo[todo], counts[:, todo])
-        ghi, _ = log_partition(spec, q[todo], hi[todo], counts[:, todo])
+        glo, _ = log_partition(spec.families, q[todo], lo[todo], counts[:, todo])
+        ghi, _ = log_partition(spec.families, q[todo], hi[todo], counts[:, todo])
         todo = todo[(glo < 0.0) | (ghi > 0.0)]
         if todo.size == 0:
             break
@@ -547,7 +549,7 @@ def _doubling_newton_roots(spec: MoranSpec, q: np.ndarray, ks: np.ndarray, count
     todo = np.arange(ks.size)
     for _ in range(100):
         b = beta[todo]
-        g, dg = log_partition(spec, q[todo], b, counts[:, todo])
+        g, dg = log_partition(spec.families, q[todo], b, counts[:, todo])
         moving = np.abs(g) > tol[todo]
         todo, b, g, dg = todo[moving], b[moving], g[moving], dg[moving]
         if todo.size == 0:
@@ -595,6 +597,154 @@ def test_batched_solve_errors_name_the_first_failing_pair(monkeypatch):
         solve_beta_k(spec, np.array([1.0, 2.0, 3.0])[:, None], ks)
     with pytest.raises(NoConvergence, match=r"q=3\.0, k=40 \(1 of 1 generations"):
         solve_beta_k(spec, np.array([1.0, 3.0]), np.array([7, 40]))
+
+
+def test_generations_below_one_raise_before_any_solve(monkeypatch):
+    """k < 1 has no generation-k cells: both routes name the first such k
+    before they evaluate anything, and so does a stack."""
+    from hsmf import scaling
+
+    def no_solve(*args):
+        raise AssertionError("solved a generation below 1")
+
+    monkeypatch.setattr(scaling, "log_partition", no_solve)
+    newton = validate_spec(MoranSpec((GenerationFamily((0.2, 0.5, 0.3), (0.2, 0.3, 0.25)),),
+                                     ConstantSchedule(0), GapPolicy.EQUAL_GAPS, 256))
+    closed = load_spec(SPECS / "uniform.json")
+    for spec in (closed, newton):
+        for k in (0, -1):
+            with pytest.raises(ParameterOutOfRange, match=rf"^generation {k} is below 1$"):
+                solve_beta_k(spec, 1.0, k)
+        with pytest.raises(ParameterOutOfRange, match=r"^generation 0 is below 1$"):
+            solve_beta_k(spec, np.array([0.5, 2.0])[:, None], np.array([3, 0, -1]))
+        with pytest.raises(ParameterOutOfRange, match=r"^generation -2 is below 1$"):
+            stack_by_shape([spec, spec, spec], [5, -2, 0])
+
+
+def _shaped_spec(rng, arities, closed: bool, kind: int) -> MoranSpec:
+    """Families of the given arities with constant (closed form) or mixed
+    (Newton) ratios, under a constant, periodic or block schedule (``kind``
+    0, 1 or 2); room for k up to 300."""
+    gap = GapPolicy.NO_GAPS if rng.random() < 0.5 else GapPolicy.EQUAL_GAPS
+    fams = []
+    for arity in arities:
+        p = rng.dirichlet(np.ones(arity) * 2.0)
+        total = 1.0 if gap is GapPolicy.NO_GAPS else float(rng.uniform(0.3, 0.9))
+        if closed:
+            c = np.full(arity, total / arity)
+        else:
+            c = np.clip(rng.dirichlet(np.ones(arity) * 2.0) * total, 1e-4, 1 - 1e-9)
+            if gap is GapPolicy.NO_GAPS:
+                c = c / c.sum()
+        fams.append(GenerationFamily(tuple(p / p.sum()), tuple(c)))
+    n_fam = len(fams)
+    if kind == 0:
+        sched = ConstantSchedule(int(rng.integers(0, n_fam)))
+    elif kind == 1:
+        sched = PeriodicSchedule(tuple(int(f) for f in rng.integers(0, n_fam, size=int(rng.integers(2, 5)))))
+    else:
+        bounds = tuple(int(t) for t in np.cumsum([1, *rng.integers(1, 100, size=3)]))
+        sched = BlockSchedule(bounds, tuple(int(f) for f in rng.integers(0, n_fam, size=4)))
+    return validate_spec(MoranSpec(tuple(fams), sched, gap, depth_cap=512))
+
+
+@st.composite
+def spec_batches(draw):
+    """2-9 specs drawn from 1-3 family shapes (1-3 families of arity 2-6,
+    closed form or Newton), every schedule kind, one generation each, and a
+    q grid reaching +-20."""
+    shapes = draw(st.lists(st.tuples(st.lists(st.integers(2, 6), min_size=1, max_size=3), st.booleans()),
+                           min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specs, ks = [], []
+    for _ in range(draw(st.integers(2, 9))):
+        arities, closed = shapes[draw(st.integers(0, len(shapes) - 1))]
+        specs.append(_shaped_spec(rng, arities, closed, draw(st.integers(0, 2))))
+        ks.append(draw(st.integers(1, 300)))
+    qs = draw(st.lists(st.one_of(st.sampled_from([-20.0, -1.0, 0.0, 1.0, 20.0]),
+                                 st.floats(-20.0, 20.0)), min_size=1, max_size=6))
+    return specs, ks, np.array(qs)
+
+
+def _assert_stacks_equal_lone_solves(specs, ks, qs):
+    """Every stacked root and residual equals a lone solve's, to the bit, and
+    the stacks hold each spec once, grouped by family arities and route."""
+    stacks = stack_by_shape(specs, ks)
+    assert sorted(i for stack in stacks for i in stack.positions) == list(range(len(specs)))
+    for stack in stacks:
+        shapes = {(tuple(f.arity for f in specs[i].families),
+                   all(f.constant_ratio for f in specs[i].families)) for i in stack.positions}
+        assert len(shapes) == 1
+        betas = solve_beta_stack(stack, qs)
+        g, dg = log_partition(stack.families, qs, betas, stack.counts)
+        assert betas.shape == g.shape == dg.shape == (len(stack.positions), qs.size)
+        for row, i in enumerate(stack.positions):
+            alone = solve_beta_k(specs[i], qs, ks[i])
+            assert betas[row].tobytes() == alone.tobytes()
+            g_alone, dg_alone = log_partition(specs[i].families, qs, alone,
+                                              family_generation_counts(specs[i], ks[i]))
+            assert g[row].tobytes() == g_alone.tobytes()
+            assert dg[row].tobytes() == dg_alone.tobytes()
+    return stacks
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_stacked_roots_equal_lone_solves_on_criterion_1_pairs(seed):
+    rng = np.random.default_rng(seed + 1)
+    specs, ks = [], []
+    for _ in range(200):
+        specs.append(verify._random_spec(rng))
+        ks.append(int(rng.integers(4, 97)))
+    stacks = _assert_stacks_equal_lone_solves(specs, ks, np.arange(-3.0, 4.0))
+    assert len(stacks) <= 12
+
+
+@given(spec_batches())
+@settings(max_examples=60, deadline=None)
+def test_stacked_roots_equal_lone_solves(batch):
+    _assert_stacks_equal_lone_solves(*batch)
+
+
+def _first_loop_error(specs, ks, qs):
+    """The error that solving the specs one by one raises first."""
+    for spec, k in zip(specs, ks):
+        try:
+            solve_beta_k(spec, qs, k)
+        except (NoBracket, NoConvergence) as e:
+            return e
+    return None
+
+
+def _assert_stack_raises_as_the_loop(specs, ks, qs):
+    want = _first_loop_error(specs, ks, qs)
+    (stack,) = stack_by_shape(specs, ks)
+    with pytest.raises(type(want)) as got:
+        solve_beta_stack(stack, qs)
+    assert got.value.args == want.args
+    return want
+
+
+def test_stacked_errors_name_the_pair_the_loop_raises_first(monkeypatch):
+    from hsmf import scaling
+
+    def newton_spec(probs):
+        return validate_spec(MoranSpec((GenerationFamily(probs, (0.3, 0.25)),), ConstantSchedule(0),
+                                       GapPolicy.EQUAL_GAPS, 256))
+
+    # at q = -1e306, (1e-300)^q overflows, so no bracket exists; (1/2)^q does not
+    halves, tiny = newton_spec((0.5, 0.5)), newton_spec((1e-300, 1.0 - 1e-300))
+    extreme = np.array([0.5, -1e306])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for specs, ks in (([halves, tiny, halves], [5, 7, 9]), ([tiny, halves], [7, 5])):
+            want = _assert_stack_raises_as_the_loop(specs, ks, extreme)
+            assert str(want) == "no finite bracket for beta at q=-1e+306, k=7"
+        # beta_k(1) = 0 is the starting point, so q = 1 converges in one step
+        monkeypatch.setattr(scaling, "_NEWTON_MAX_ITER", 1)
+        want = _assert_stack_raises_as_the_loop([halves, tiny, halves], [5, 7, 9], np.array([2.0, -1e306]))
+        assert str(want).endswith("q=2.0, k=5 (1 of 1 generations unconverged)")
+    # the unconverged count is that spec's own, not the stack's
+    want = _assert_stack_raises_as_the_loop([halves, tiny, halves], [5, 7, 9], np.array([1.0, 2.0, 2.0]))
+    assert str(want).endswith("q=2.0, k=5 (2 of 2 generations unconverged)")
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +798,7 @@ def test_theta_delta_requires_scales():
 def test_theta_matches_beta_route(uniform_spec):
     # partition moments at dyadic scales reproduce beta(2) = -1
     ks = np.arange(2, 24)
-    log_s, _ = log_partition(uniform_spec, [[2.0]], 0.0, family_generation_counts(uniform_spec, ks))
+    log_s, _ = log_partition(uniform_spec.families, [[2.0]], 0.0, family_generation_counts(uniform_spec, ks))
     theta, delta = theta_delta_from_moments(log_s, ks * math.log(2.0))
     assert theta[0] == pytest.approx(-1.0, abs=0.01)
     assert delta[0] == pytest.approx(-1.0, abs=0.01)
@@ -663,7 +813,7 @@ def test_log_route_matches_linear_table(binomial_spec, periodic_spec):
         table = partition_moment_table(spec, qs, ks)
         assert np.all(np.isfinite(table.values)) and np.all(table.values > 0)
         counts = family_generation_counts(spec, ks)
-        log_s, _ = log_partition(spec, qs[:, None], 0.0, counts)
+        log_s, _ = log_partition(spec.families, qs[:, None], 0.0, counts)
         neg_log_r = sum(n * -math.log(f.max_ratio) for f, n in zip(spec.families, counts))
         theta, delta = theta_delta_from_moments(log_s, neg_log_r)
         for i, q in enumerate(qs):
@@ -695,7 +845,7 @@ def test_theta_is_a_one_sided_bound_on_beta_k(source):
     for spec in specs:
         ks = np.array(_table_generations(spec, min(1024, spec.depth_cap)))
         counts = family_generation_counts(spec, ks)
-        log_s, _ = log_partition(spec, qs[:, None], 0.0, counts)
+        log_s, _ = log_partition(spec.families, qs[:, None], 0.0, counts)
         neg_log_r = sum(n * -math.log(fam.max_ratio) for fam, n in zip(spec.families, counts))
         theta = log_s / neg_log_r
         beta = solve_beta_k(spec, qs[:, None], ks)
