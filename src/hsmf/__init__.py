@@ -6,7 +6,10 @@ covering/packing/partition moment statistics at fixed radii, extract the
 lower/upper separator exponents from normalization-root envelopes, and form
 Legendre-transform spectrum bounds with coarse-histogram and tilted-sampling
 verification. Ships closed-form oracle curves and small-depth exact optima
-for acceptance testing, plus a deterministic CLI.
+for acceptance testing, plus a deterministic CLI. Its files are byte-identical
+for one numpy build on one CPU dispatch target. Across targets, numbers agree
+to 4.4e-15 relative (near 0, to an absolute floor), flags, counts and verdicts
+are equal, and k_b/k_B can name another generation on a tie.
 """
 
 __version__ = "0.1.0"

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from ._np import np
 from .errors import ScaleTooSmall, TooDeep
@@ -53,6 +53,7 @@ from .specs import (
     ball_masses,
     cells,
     family_generation_counts,
+    family_rows,
     matched_generation,
     max_length_at,
 )
@@ -235,20 +236,12 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
     return np.log1p(rest / n_top) + np.log(n_top) + top[..., 0]
 
 
-class FamilyRows(NamedTuple):
-    """One family's log child masses and log contraction ratios: (arity,)
-    rows for one spec, or rows stacked over leading axes, one spec each."""
-
-    log_probs: np.ndarray
-    log_ratios: np.ndarray
-
-
 def log_partition(families, q, t, counts) -> tuple[np.ndarray, np.ndarray]:
     """
     log S(q, t) = sum_f n_f log sum_j p_fj^q c_fj^t and its t-derivative for
     each column of a (families x n) matrix of generation counts n_f; q and t
-    broadcast against the columns. ``families`` are a spec's families or
-    ``FamilyRows``: each family's ``log_probs`` and ``log_ratios`` rows
+    broadcast against the columns. ``families`` are ``FamilyRows``
+    (``family_rows``): each family's ``log_probs`` and ``log_ratios`` rows
     broadcast against the columns too, so stacked rows give each column its
     own spec. Families are accumulated one at a time with elementwise
     operations and children are reduced along the last axis, so a column's
@@ -274,7 +267,7 @@ def log_partition_moment(spec: MoranSpec, q: float, t: float, k: int) -> float:
     computed in the factorized form prod_i (sum_j p_ij^q c_ij^t) without
     enumerating cells (``log_partition`` at one generation).
     """
-    return float(log_partition(spec.families, q, t, family_generation_counts(spec, k))[0][0])
+    return float(log_partition(family_rows(spec), q, t, family_generation_counts(spec, k))[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +319,7 @@ def partition_moment_table(spec: MoranSpec, q_grid, ks) -> MomentTable:
     """
     ks = sorted(int(k) for k in ks)
     q_grid = np.asarray(q_grid, dtype=float)
-    log_s, _ = log_partition(spec.families, q_grid[:, None], 0.0, family_generation_counts(spec, ks))
+    log_s, _ = log_partition(family_rows(spec), q_grid[:, None], 0.0, family_generation_counts(spec, ks))
     with np.errstate(over="ignore"):
         vals = np.exp(log_s)
     scales = [max_length_at(spec, k) for k in ks]

@@ -45,12 +45,12 @@ the q grid against the sampled generations, and since every (q, k) pair is
 solved elementwise, each value is the one a lone solve gives. Many specs,
 each at one generation, are solved the same way: ``stack_by_shape`` groups
 them by family shape (the tuple of family arities and the route) and stacks
-each family's (log_probs, log_ratios) rows spec by spec, so the rows
-broadcast against the elements as one spec's do, and ``solve_beta_stack``
-solves a group in one closed-form evaluation or one Newton call. Arities are
-never padded, so every reduction is as long as in a lone solve and every
-root equals the lone solve's to the bit; criterion 1 of ``verify`` solves
-its 200 random specs this way.
+each family's (log_probs, log_ratios) rows spec by spec; Newton reads any
+rows as (specs, arity) and gathers each element's by its spec number, and
+``solve_beta_stack`` solves a group in one closed-form evaluation or one
+Newton call. Arities are never padded, so every reduction is as long as in a
+lone solve and every root equals the lone solve's to the bit; criterion 1 of
+``verify`` solves its 200 random specs this way.
 """
 
 from __future__ import annotations
@@ -64,10 +64,12 @@ from .errors import InsufficientScales, NoBracket, NoConvergence, ParameterOutOf
 from .output import fmt
 from .specs import (
     BlockSchedule,
+    FamilyRows,
     MoranSpec,
     family_generation_counts,
+    family_rows,
 )
-from .counting import FamilyRows, log_partition
+from .counting import log_partition
 
 _CONVERGED_TOL = 1e-6
 _NEWTON_MAX_ITER = 100
@@ -91,18 +93,15 @@ def _bracket_bound(families, q: np.ndarray, counts: np.ndarray) -> np.ndarray:
     upper, lower = np.full(q.size, -np.inf), np.full(q.size, np.inf)
     with np.errstate(over="ignore"):
         for fam, n in zip(families, counts):
-            qlp, inv = q[:, None] * fam.log_probs, -fam.log_ratios
-            arity = fam.log_probs.shape[-1]
-            upper = np.where(n > 0, np.maximum(upper, ((qlp + math.log(arity)) / inv).max(axis=-1)), upper)
+            qlp, inv, log_n = q[:, None] * fam.log_probs, -fam.log_ratios, math.log(fam.log_probs.shape[-1])
+            upper = np.where(n > 0, np.maximum(upper, ((qlp + log_n) / inv).max(axis=-1)), upper)
             lower = np.where(n > 0, np.minimum(lower, (qlp / inv).max(axis=-1)), lower)
         return 2.0 * np.maximum(np.abs(lower), np.abs(upper)) + 1.0
 
 
-def _rows_at(families, idx: np.ndarray) -> list[FamilyRows]:
-    """Each family's rows at the elements ``idx``: stacked (n, arity) rows
-    are indexed like the elements, a lone spec's (arity,) rows broadcast."""
-    return [fam if fam.log_probs.ndim == 1 else FamilyRows(fam.log_probs[idx], fam.log_ratios[idx])
-            for fam in families]
+def _rows_at(families, member: np.ndarray) -> list[FamilyRows]:
+    """Each family's rows, read as (specs, arity), gathered at the spec numbers ``member``."""
+    return [FamilyRows(*(a.reshape(-1, a.shape[-1]).take(member, axis=0) for a in fam)) for fam in families]
 
 
 def _newton_roots(families, q: np.ndarray, ks: np.ndarray, counts: np.ndarray,
@@ -110,7 +109,7 @@ def _newton_roots(families, q: np.ndarray, ks: np.ndarray, counts: np.ndarray,
     """
     Roots in t of log S_k(q, t) = 0 for every (q, k) pair of the flat arrays
     ``q`` and ``ks`` (counts are the family generation counts of ``ks``; each
-    family's rows are (arity,) or one (arity,) row per pair), each from its
+    family's rows are read as one (arity,) row per spec), each from its
     own bracket [lo, hi] = [-h, h], h from ``_bracket_bound``: Newton steps
     that stay inside the bracket (else bisect) until |g| <= 1e-13 k. Each
     element stops on its own, so every root is the one a lone solve gives.
@@ -121,17 +120,17 @@ def _newton_roots(families, q: np.ndarray, ks: np.ndarray, counts: np.ndarray,
     bracket exists; NoConvergence names its first unconverged pair and counts
     its unconverged generations at that q.
     """
-    hi = _bracket_bound(families, q, counts)
+    hi = _bracket_bound(_rows_at(families, member), q, counts)
     bad = ~np.isfinite(hi)
     lo = -hi
     beta = np.zeros(ks.size)
-    tol = 1e-13 * np.maximum(ks, 1)
+    tol = 1e-13 * ks
     todo = np.arange(ks.size)
     if bad.any():  # only the specs before the first one without a bracket can fail first
         todo = todo[member < member[bad.argmax()]]
     for _ in range(_NEWTON_MAX_ITER):
         b = beta[todo]
-        g, dg = log_partition(_rows_at(families, todo), q[todo], b, counts[:, todo])
+        g, dg = log_partition(_rows_at(families, member[todo]), q[todo], b, counts[:, todo])
         moving = np.abs(g) > tol[todo]
         todo, b, g, dg = todo[moving], b[moving], g[moving], dg[moving]
         if todo.size == 0:
@@ -162,18 +161,15 @@ def _roots(families, neg_log_c, q: np.ndarray, ks: np.ndarray, counts: np.ndarra
     rows, the counts (families x ks.shape) and ``member``, the number of each
     element's spec, broadcast against the same elements. Given each family's
     -log c, ``neg_log_c``, the closed form; else ``_newton_roots`` on the
-    flattened elements, with stacked rows flattened alongside.
+    flattened elements, which gathers each one's rows by its spec number.
     """
     if neg_log_c is not None:
         num, _ = log_partition(families, q, 0.0, counts)
         return num / sum(n * c for n, c in zip(counts, neg_log_c))
     shape = np.broadcast_shapes(q.shape, ks.shape)
-    rows = [fam if fam.log_probs.ndim == 1 else
-            FamilyRows(*(np.broadcast_to(a, shape + a.shape[-1:]).reshape(-1, a.shape[-1]) for a in fam))
-            for fam in families]
     counts = np.stack([np.broadcast_to(n, shape).ravel() for n in counts])
     q, ks, member = (np.broadcast_to(a, shape).ravel() for a in (q, ks, member))
-    return _newton_roots(rows, q, ks, counts, member).reshape(shape)
+    return _newton_roots(families, q, ks, counts, member).reshape(shape)
 
 
 def _check_generations(spec: MoranSpec, ks: np.ndarray) -> None:
@@ -206,8 +202,7 @@ def solve_beta_k(spec: MoranSpec, q, k):
     _check_generations(spec, ks)
     counts = family_generation_counts(spec, ks.ravel()).reshape(-1, *ks.shape)
     neg_log_c = [-math.log(fam.ratios[0]) for fam in spec.families] if _closed_form(spec) else None
-    rows = [FamilyRows(fam.log_probs, fam.log_ratios) for fam in spec.families]  # logs taken once
-    beta = _roots(rows, neg_log_c, qs, ks, counts, 0)
+    beta = _roots(family_rows(spec), neg_log_c, qs, ks, counts, 0)
     return float(beta) if beta.ndim == 0 else beta
 
 
@@ -249,8 +244,8 @@ def stack_by_shape(specs, ks) -> list[SpecStack]:
             positions=tuple(positions),
             ks=np.array([[ks[i]] for i in positions], dtype=np.int64),
             counts=np.concatenate(counts, axis=1)[..., None],
-            families=tuple(FamilyRows(np.stack([f.log_probs for f in fam])[:, None],
-                                      np.stack([f.log_ratios for f in fam])[:, None]) for fam in fams),
+            families=tuple(FamilyRows(*(np.stack(a)[:, None] for a in zip(*rows)))
+                           for rows in zip(*map(family_rows, members))),
             neg_log_c=tuple(np.array([[-math.log(f.ratios[0])] for f in fam]) for fam in fams) if closed else None,
         ))
     return stacks
@@ -454,7 +449,7 @@ def separator_grid(spec: MoranSpec, q_grid, k_max: int) -> SeparatorGrid:
     ]
 
     counts = family_generation_counts(spec, _table_generations(spec, k_max))
-    log_s, _ = log_partition(spec.families, q_grid[:, None], 0.0, counts)
+    log_s, _ = log_partition(family_rows(spec), q_grid[:, None], 0.0, counts)
     neg_log_r = sum(n * -math.log(fam.max_ratio) for fam, n in zip(spec.families, counts))
     try:
         Theta, Delta = theta_delta_from_moments(log_s, neg_log_r)

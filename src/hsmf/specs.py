@@ -55,12 +55,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 from ._np import np
-from .errors import ScaleTooSmall, SpecValidationError, TooDeep, Violation
+from .errors import ParameterOutOfRange, ScaleTooSmall, SpecValidationError, TooDeep, Violation
 
 PROB_TOL = 1e-12
+MAX_GENERATION = 1 << 53  # largest depth_cap and block boundary: a double holds each one exactly
 # Hard cap for exhaustive cell enumeration (counts, coarse histograms, oracles).
 MAX_ENUM_CELLS = 1 << 21
 # Centers per numpy descent in ball_masses; bounds the working set of a column.
@@ -86,22 +87,6 @@ class GenerationFamily:
     @property
     def arity(self) -> int:
         return len(self.probs)
-
-    @property
-    def prob_array(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=float)
-
-    @property
-    def ratio_array(self) -> np.ndarray:
-        return np.asarray(self.ratios, dtype=float)
-
-    @property
-    def log_probs(self) -> np.ndarray:
-        return np.log(self.prob_array)
-
-    @property
-    def log_ratios(self) -> np.ndarray:
-        return np.log(self.ratio_array)
 
     @property
     def ratio_sum(self) -> float:
@@ -325,12 +310,16 @@ def check_spec(spec: MoranSpec) -> list[Violation]:
     n_fam = len(spec.families)
     if spec.depth_cap < 1:
         out.append(Violation("BadSchedule", "depth_cap", "must be a positive integer"))
+    elif spec.depth_cap > MAX_GENERATION:
+        out.append(Violation("BadSchedule", "depth_cap", "must be at most 2**53"))
     if isinstance(sched, BlockSchedule):
         b = sched.boundaries
         if not b or b[0] != 1:
             out.append(Violation("BadSchedule", "schedule.boundaries", "must start at 1"))
         if any(b[j + 1] <= b[j] for j in range(len(b) - 1)):
             out.append(Violation("BadSchedule", "schedule.boundaries", "must be strictly increasing"))
+        if any(t > MAX_GENERATION for t in b):
+            out.append(Violation("BadSchedule", "schedule.boundaries", "must be at most 2**53"))
         if len(sched.families) != len(b):
             out.append(
                 Violation(
@@ -360,6 +349,20 @@ def validate_spec(spec: MoranSpec) -> MoranSpec:
 # ---------------------------------------------------------------------------
 # Geometry
 # ---------------------------------------------------------------------------
+
+class FamilyRows(NamedTuple):
+    """One family's log child masses and log contraction ratios: (arity,)
+    rows for one spec, or rows stacked over leading axes, one spec each."""
+
+    log_probs: np.ndarray
+    log_ratios: np.ndarray
+
+
+def family_rows(spec: MoranSpec) -> tuple[FamilyRows, ...]:
+    """Each family's rows, the one form in which the kernels read a family."""
+    return tuple(FamilyRows(*(np.log(np.asarray(v, dtype=float)) for v in (f.probs, f.ratios)))
+                 for f in spec.families)
+
 
 def ball_mass(spec: MoranSpec, x: float, r: float, depth: int, start=None) -> tuple[float, float]:
     """
@@ -571,11 +574,11 @@ def _chunk_masses(spec: MoranSpec, x: np.ndarray, r: float, depth: int) -> np.nd
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _tilt_weights(fam: GenerationFamily, q: float, t: float) -> np.ndarray:
-    logw = q * fam.log_probs + t * fam.log_ratios
-    logw -= logw.max()
-    w = np.exp(logw)
-    return w / w.sum()
+def _tilt_weights(rows: FamilyRows, q: float, t: float) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN weights unless max(q log p + t log c) is finite
+        logw = q * rows.log_probs + t * rows.log_ratios
+        w = np.exp(logw - logw.max())
+        return w / w.sum()
 
 
 def sample_paths(spec: MoranSpec, q: float, t: float, depth: int, n: int, seed: int):
@@ -588,7 +591,8 @@ def sample_paths(spec: MoranSpec, q: float, t: float, depth: int, n: int, seed: 
     Returns a 1-based (n, depth) array of child indices and per-path
     log_mass and log_length arrays. The paths are stored in the narrowest
     signed integer dtype that holds the spec's largest arity (int8 up to
-    arity 127), so ``tolist()`` still gives Python ints.
+    arity 127), so ``tolist()`` still gives Python ints. Raises
+    ParameterOutOfRange at the first generation whose weights are not finite.
     """
     if depth > spec.depth_cap:
         raise TooDeep(f"depth {depth} exceeds depth_cap {spec.depth_cap}")
@@ -598,16 +602,18 @@ def sample_paths(spec: MoranSpec, q: float, t: float, depth: int, n: int, seed: 
     paths = np.empty((n, depth), dtype=dtype)
     log_mass = np.zeros(n)
     log_len = np.zeros(n)
+    rows = family_rows(spec)
+    weights = [_tilt_weights(fam, q, t) for fam in rows]
     for g in range(1, depth + 1):
-        fam = spec.family_at(g)
-        w = _tilt_weights(fam, q, t)
-        cum = np.cumsum(w)
+        f = spec.schedule.family_index(g)
+        cum = np.cumsum(weights[f])
+        if not math.isfinite(cum[-1]):
+            raise ParameterOutOfRange(f"tilted weights at q={q!r}, t={t!r} are not finite at generation {g}")
         cum[-1] = 1.0
         idx = np.searchsorted(cum, rng.random(n), side="right")
-        idx = np.minimum(idx, fam.arity - 1)
         paths[:, g - 1] = idx + 1
-        log_mass += fam.log_probs[idx]
-        log_len += fam.log_ratios[idx]
+        log_mass += rows[f].log_probs[idx]
+        log_len += rows[f].log_ratios[idx]
     return paths, log_mass, log_len
 
 
@@ -639,7 +645,7 @@ def cells(spec: MoranSpec, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for g in range(1, k + 1):
         f = spec.schedule.family_index(g)
         off, ratios, _ = np.array(spec.child_table[f]).T
-        probs = spec.families[f].prob_array
+        probs = np.asarray(spec.families[f].probs, dtype=float)
         lefts = (lefts[:, None] + lengths[:, None] * off[None, :]).ravel()
         masses = (masses[:, None] * probs[None, :]).ravel()
         lengths = (lengths[:, None] * ratios[None, :]).ravel()

@@ -32,6 +32,7 @@ from .scaling import SeparatorGrid, slope_changes, solve_beta_k
 from .specs import (
     MoranSpec,
     family_generation_counts,
+    family_rows,
     matched_generation,
     max_length_at,
     sample_paths,
@@ -157,11 +158,10 @@ def mass_distribution(spec: MoranSpec, k: int, seed: int = 0) -> MassDistributio
     )
     per_family: list[tuple[np.ndarray, np.ndarray]] = []
     n_terms = 1
-    for f, fam in enumerate(spec.families):
-        m = int(counts[f])
+    for m, rows in zip(counts.tolist(), family_rows(spec)):
         if m == 0:
             continue
-        classes = sorted(Counter(fam.log_probs.tolist()).items())
+        classes = sorted(Counter(rows.log_probs.tolist()).items())
         n_comp = math.comb(m + len(classes) - 1, len(classes) - 1)
         if n_terms * n_comp > MASS_MAX_TERMS:
             break

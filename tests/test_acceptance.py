@@ -17,7 +17,7 @@ from hsmf import scaling
 from hsmf import verify as V
 from hsmf.counting import log_partition
 from hsmf.scaling import beta_sequence, solve_beta_k
-from hsmf.specs import family_generation_counts
+from hsmf.specs import family_generation_counts, family_rows
 from hsmf.output import json_bytes
 
 
@@ -153,7 +153,7 @@ def _per_spec_criterion_1_details(seed):
         spec = V._random_spec(rng)
         k = int(rng.integers(4, 97))
         betas = solve_beta_k(spec, qs, k)
-        resid, _ = log_partition(spec.families, qs, betas, family_generation_counts(spec, k))
+        resid, _ = log_partition(family_rows(spec), qs, betas, family_generation_counts(spec, k))
         worst_b1 = max(worst_b1, abs(float(betas[qs == 1.0][0])))
         worst_resid = max(worst_resid, float(np.max(np.abs(resid))) / k)
     return {"worst_beta_at_1": worst_b1, "worst_residual_per_k": worst_resid, "specs": 200}

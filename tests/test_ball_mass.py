@@ -127,8 +127,8 @@ def _old_cells(spec, k):
         fam = spec.family_at(g)
         off = np.asarray(_old_child_layout(fam, spec.gap_policy)[0])
         lefts = (lefts[:, None] + lengths[:, None] * off[None, :]).ravel()
-        masses = (masses[:, None] * fam.prob_array[None, :]).ravel()
-        lengths = (lengths[:, None] * fam.ratio_array[None, :]).ravel()
+        masses = (masses[:, None] * np.asarray(fam.probs, dtype=float)[None, :]).ravel()
+        lengths = (lengths[:, None] * np.asarray(fam.ratios, dtype=float)[None, :]).ravel()
     return lefts, lengths, masses
 
 

@@ -465,6 +465,47 @@ def test_sample_depth_past_depth_cap_is_a_usage_error(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+def test_sample_with_no_finite_tilted_weight_exits_1(tmp_path, capsys):
+    # q log p + t log c overflows to -inf at every child, so no weight is finite; the
+    # draw once went on without a word and took child 1 at every generation
+    out = tmp_path / "s"
+    argv = ["sample", "--spec", str(SPECS / "middle_thirds.json"), "--q", "1.5e308", "--t", "1.5e308",
+            "--depth", "4", "--count", "6", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 1
+    assert capsys.readouterr() == (
+        "", "error: tilted weights at q=1.5e+308, t=1.5e+308 are not finite at generation 1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "dims", "spectrum", "moments"])
+def test_block_boundary_past_2_to_53_is_a_violation(tmp_path, capsys, command):
+    # such a spec once validated, and dims, spectrum and moments died converting the
+    # boundary to int64
+    spec = json.loads((SPECS / "block_switched.json").read_text(encoding="utf-8"))
+    spec["schedule"]["boundaries"][-1] = 10**30
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "o"
+    assert cli.main([command, "--spec", str(path), *(["--out", str(out)] if command != "validate" else [])]) == 1
+    assert json.loads(capsys.readouterr().out) == [
+        {"code": "BadSchedule", "where": "schedule.boundaries", "message": "must be at most 2**53"}]
+    assert not out.exists()
+
+
+def test_depth_cap_past_2_to_53_is_a_violation(tmp_path, capsys):
+    # dims once died casting the generations to int64
+    spec = json.loads((SPECS / "binomial_quarter.json").read_text(encoding="utf-8"))
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(dict(spec, depth_cap=10**30)))
+    assert cli.main(["dims", "--spec", str(path), "--k-max", str(10**20), "--out", str(tmp_path / "o")]) == 1
+    assert json.loads(capsys.readouterr().out) == [
+        {"code": "BadSchedule", "where": "depth_cap", "message": "must be at most 2**53"}]
+    path.write_text(json.dumps(dict(spec, depth_cap=2**53)))
+    assert cli.main(["validate", "--spec", str(path)]) == 0
+
+
 @pytest.mark.parametrize("command, extra, stem", [("dims", (), "separators"),
                                                    ("spectrum", ("--r-octaves", "4"), "legendre")])
 def test_k_max_past_depth_cap_is_noted(tmp_path, capsys, command, extra, stem):
@@ -740,6 +781,18 @@ def test_importing_verify_leaves_numpy_unexecuted():
     script = "import sys, hsmf.verify; print(sorted(m for m in sys.modules if m.startswith('numpy.')))"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+
+
+def test_verify_runs_numpy_before_criterion_1_starts():
+    # numpy's deferred import once ran inside criterion 1, whose time then included it
+    script = (
+        "import sys\nfrom hsmf import verify\nseen = []\n"
+        "def probe(seed, tol_scale):\n    seen.append(any(m.startswith('numpy.') for m in sys.modules))\n"
+        "for cid in range(1, 11):\n    setattr(verify, f'criterion_{cid}', probe)\n"
+        "verify.run_criteria()\nprint(seen[0])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "True"), proc.stderr
 
 
 def test_moments_verify_and_sampled_masses_never_load_numpy_ma(tmp_path):

@@ -34,7 +34,7 @@ from hsmf.scaling import (
     solve_beta_stack,
     stack_by_shape,
 )
-from hsmf.specs import family_generation_counts, load_spec
+from hsmf.specs import family_generation_counts, family_rows, load_spec
 from hsmf.oracles import periodic_moran_beta, switching_binomial_tau
 from hsmf import verify
 
@@ -79,7 +79,7 @@ def test_beta_closed_form_matches_root_solver():
         lo, hi = -64.0, 64.0
         for _ in range(90):
             mid = 0.5 * (lo + hi)
-            g, _ = log_partition(spec.families, q, mid, counts)
+            g, _ = log_partition(family_rows(spec), q, mid, counts)
             if g[0] > 0:
                 lo = mid
             else:
@@ -382,7 +382,7 @@ def _oracle_newton_beta_k(spec: MoranSpec, q: float, k: int) -> float:
     residual target, on per-family terms built independently of the kernel."""
     counts = family_generation_counts(spec, k)[:, 0]
     terms = [(float(c), q * f.log_probs, f.log_ratios)
-             for f, c in zip(spec.families, counts) if c]
+             for f, c in zip(family_rows(spec), counts) if c]
 
     def g_and_slope(beta):
         g = dg = 0.0
@@ -433,7 +433,7 @@ def test_closed_form_matches_count_products(seed):
     ks = _sampled_ks(rng)
     q = float(rng.uniform(-8.0, 8.0))
     counts = family_generation_counts(spec, ks)
-    A = np.array([logsumexp(q * f.log_probs) for f in spec.families])
+    A = np.array([logsumexp(q * f.log_probs) for f in family_rows(spec)])
     L = np.array([-math.log(f.ratios[0]) for f in spec.families])
     want = (A @ counts) / (L @ counts)
     got = solve_beta_k(spec, q, ks)
@@ -520,10 +520,10 @@ def test_bracket_bound_brackets_every_root(probs, ratios):
     qs = np.repeat([-1e4, -20.0, -1.0, 0.0, 0.5, 1.0, 20.0, 1e4], 3)
     ks = np.tile([1, 7, 256], 8)
     counts = family_generation_counts(spec, ks)
-    h = _bracket_bound(spec.families, qs, counts)
+    h = _bracket_bound(family_rows(spec), qs, counts)
     assert np.all(np.isfinite(h))
-    assert np.all(log_partition(spec.families, qs, h, counts)[0] < 0.0)
-    assert np.all(log_partition(spec.families, qs, -h, counts)[0] > 0.0)
+    assert np.all(log_partition(family_rows(spec), qs, h, counts)[0] < 0.0)
+    assert np.all(log_partition(family_rows(spec), qs, -h, counts)[0] > 0.0)
     roots = solve_beta_k(spec, qs, ks)
     assert np.all(np.abs(roots) < h)
 
@@ -534,10 +534,11 @@ def _doubling_newton_roots(spec: MoranSpec, q: np.ndarray, ks: np.ndarray, count
     up to that bound, then the same safeguarded Newton steps to 1e-13 k."""
     lo, hi = np.full(ks.size, -64.0), np.full(ks.size, 64.0)
     todo = np.arange(ks.size)
-    bound = _bracket_bound(spec.families, q, counts)
+    rows = family_rows(spec)
+    bound = _bracket_bound(rows, q, counts)
     while True:
-        glo, _ = log_partition(spec.families, q[todo], lo[todo], counts[:, todo])
-        ghi, _ = log_partition(spec.families, q[todo], hi[todo], counts[:, todo])
+        glo, _ = log_partition(rows, q[todo], lo[todo], counts[:, todo])
+        ghi, _ = log_partition(rows, q[todo], hi[todo], counts[:, todo])
         todo = todo[(glo < 0.0) | (ghi > 0.0)]
         if todo.size == 0:
             break
@@ -549,7 +550,7 @@ def _doubling_newton_roots(spec: MoranSpec, q: np.ndarray, ks: np.ndarray, count
     todo = np.arange(ks.size)
     for _ in range(100):
         b = beta[todo]
-        g, dg = log_partition(spec.families, q[todo], b, counts[:, todo])
+        g, dg = log_partition(rows, q[todo], b, counts[:, todo])
         moving = np.abs(g) > tol[todo]
         todo, b, g, dg = todo[moving], b[moving], g[moving], dg[moving]
         if todo.size == 0:
@@ -681,7 +682,7 @@ def _assert_stacks_equal_lone_solves(specs, ks, qs):
         for row, i in enumerate(stack.positions):
             alone = solve_beta_k(specs[i], qs, ks[i])
             assert betas[row].tobytes() == alone.tobytes()
-            g_alone, dg_alone = log_partition(specs[i].families, qs, alone,
+            g_alone, dg_alone = log_partition(family_rows(specs[i]), qs, alone,
                                               family_generation_counts(specs[i], ks[i]))
             assert g[row].tobytes() == g_alone.tobytes()
             assert dg[row].tobytes() == dg_alone.tobytes()
@@ -798,7 +799,8 @@ def test_theta_delta_requires_scales():
 def test_theta_matches_beta_route(uniform_spec):
     # partition moments at dyadic scales reproduce beta(2) = -1
     ks = np.arange(2, 24)
-    log_s, _ = log_partition(uniform_spec.families, [[2.0]], 0.0, family_generation_counts(uniform_spec, ks))
+    counts = family_generation_counts(uniform_spec, ks)
+    log_s, _ = log_partition(family_rows(uniform_spec), [[2.0]], 0.0, counts)
     theta, delta = theta_delta_from_moments(log_s, ks * math.log(2.0))
     assert theta[0] == pytest.approx(-1.0, abs=0.01)
     assert delta[0] == pytest.approx(-1.0, abs=0.01)
@@ -813,7 +815,7 @@ def test_log_route_matches_linear_table(binomial_spec, periodic_spec):
         table = partition_moment_table(spec, qs, ks)
         assert np.all(np.isfinite(table.values)) and np.all(table.values > 0)
         counts = family_generation_counts(spec, ks)
-        log_s, _ = log_partition(spec.families, qs[:, None], 0.0, counts)
+        log_s, _ = log_partition(family_rows(spec), qs[:, None], 0.0, counts)
         neg_log_r = sum(n * -math.log(f.max_ratio) for f, n in zip(spec.families, counts))
         theta, delta = theta_delta_from_moments(log_s, neg_log_r)
         for i, q in enumerate(qs):
@@ -845,7 +847,7 @@ def test_theta_is_a_one_sided_bound_on_beta_k(source):
     for spec in specs:
         ks = np.array(_table_generations(spec, min(1024, spec.depth_cap)))
         counts = family_generation_counts(spec, ks)
-        log_s, _ = log_partition(spec.families, qs[:, None], 0.0, counts)
+        log_s, _ = log_partition(family_rows(spec), qs[:, None], 0.0, counts)
         neg_log_r = sum(n * -math.log(fam.max_ratio) for fam, n in zip(spec.families, counts))
         theta = log_s / neg_log_r
         beta = solve_beta_k(spec, qs[:, None], ks)

@@ -26,7 +26,7 @@ from hsmf import (
     validate_spec,
 )
 from hsmf.counting import ball_table
-from hsmf.specs import _tilt_weights, ball_masses, cells, load_spec, matched_generation
+from hsmf.specs import _tilt_weights, ball_masses, cells, family_rows, load_spec, matched_generation
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +239,10 @@ def _int64_sample_paths(spec, q, t, depth, n, seed):
     """Reference: the path matrix drawn as ``sample_paths`` draws it, stored as int64."""
     rng = np.random.default_rng(seed)
     paths = np.empty((n, depth), dtype=np.int64)
+    rows = family_rows(spec)
     for g in range(1, depth + 1):
         fam = spec.family_at(g)
-        cum = np.cumsum(_tilt_weights(fam, q, t))
+        cum = np.cumsum(_tilt_weights(rows[spec.schedule.family_index(g)], q, t))
         cum[-1] = 1.0
         paths[:, g - 1] = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), fam.arity - 1) + 1
     return paths

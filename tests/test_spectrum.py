@@ -329,15 +329,15 @@ def test_mass_distribution_total(periodic_spec):
 def _tuple_loop_mass_distribution(spec, k):
     """Reference: the exact (log_mass, log_count) arrays built from one Python
     tuple per composition term, as ``mass_distribution`` once built them."""
-    from hsmf.specs import family_generation_counts
+    from hsmf.specs import family_generation_counts, family_rows
 
     counts = family_generation_counts(spec, k)[:, 0]
     log_masses, log_counts = np.zeros(1), np.zeros(1)
-    for f, fam in enumerate(spec.families):
+    for f, rows in enumerate(family_rows(spec)):
         m = int(counts[f])
         if m == 0:
             continue
-        classes = sorted(Counter(fam.log_probs.tolist()).items())
+        classes = sorted(Counter(rows.log_probs.tolist()).items())
         terms = []
         # every composition of m into len(classes) counts, in lexicographic order
         heads = itertools.product(range(m + 1), repeat=len(classes) - 1)

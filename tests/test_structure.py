@@ -1,5 +1,6 @@
 """Structural guards on the source tree: the benchmark's wrapped names, dead imports,
-direct numpy imports, unused options, memoizing caches and work done at import."""
+direct numpy imports, unused options, memoizing caches, work done at import and the
+numpy-free spec model."""
 
 import ast
 import importlib
@@ -204,3 +205,32 @@ def test_importing_the_cli_runs_no_package_function(tmp_path):
     )
     assert _functions_run_at_import(pkg, "probed") == ["__init__.f"]
     assert _functions_run_at_import(SRC, "hsmf.cli") == ["_np._deferred_numpy"]
+
+
+# The spec model: families, schedules, the spec, validation and JSON loading. Kernels read a
+# family's numbers through ``specs.family_rows``, so none of these needs numpy.
+SPEC_MODEL = ("GenerationFamily", "ConstantSchedule", "PeriodicSchedule", "BlockSchedule", "MoranSpec",
+              "check_spec", "validate_spec", "schedule_from_dict", "spec_from_dict", "load_spec",
+              "_expect_keys", "_int", "_number", "_array", "_family_from_dict")
+
+
+def _numpy_users(source: str, names) -> dict[str, bool]:
+    """For each module-level class or function among ``names``, whether it names ``np``."""
+    return {node.name: any(isinstance(n, ast.Name) and n.id == "np" for n in ast.walk(node))
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in names}
+
+
+def test_spec_model_never_names_numpy():
+    # the check itself: a planted np use in a method or an annotation is seen, a look-alike
+    # name and a definition outside the model are not
+    sample = (
+        "class GenerationFamily:\n    @property\n    def log_probs(self):\n        return np.log(self.probs)\n"
+        "def check_spec(spec) -> np.ndarray:\n    return []\n"
+        "def load_spec(path):\n    npx = 1\n    return npx\n"
+        "def cells(spec):\n    return np.zeros(1)\n"
+    )
+    assert _numpy_users(sample, SPEC_MODEL) == {"GenerationFamily": True, "check_spec": True,
+                                                 "load_spec": False}
+    users = _numpy_users((SRC / "specs.py").read_text(encoding="utf-8"), SPEC_MODEL)
+    assert users == dict.fromkeys(SPEC_MODEL, False)
