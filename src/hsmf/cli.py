@@ -23,16 +23,13 @@ from . import __version__
 from ._np import np
 from .counting import counting_moment_table, partition_moment_table
 from .errors import HsmfError, ScaleTooSmall, SpecValidationError
-from .output import JsonStream, config_hash, csv_bytes, json_bytes, meta_line, write_json
+from .output import config_hash, csv_bytes, json_bytes, meta_line, write_samples
 from .scaling import separator_grid
 from .specs import _num_cells, load_spec, matched_generation, sample_paths, validate_spec
 from .spectrum import spectrum_result
 
 USAGE_ERROR = 2
 FAILURE = 1
-# samples.json records built and encoded at a time, which bounds the
-# command's memory by its (count, depth) paths array
-SAMPLE_BATCH = 512
 # moments use a radius only when its matched generation has at most this many cells
 MOMENT_MAX_CELLS = 1 << 16
 # q grids longer than this are usage errors: dims and spectrum solve beta_k on
@@ -103,7 +100,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--force", action="store_true")
     sp.add_argument("--tol-scale", type=_finite_float, default=1.0,
-                    help="scale all tolerances (0.1 tightens 10x)")
+                    help="scale the accuracy tolerances (0.1 tightens 10x)")
     sp.add_argument("--fixtures", default=None,
                     help="optional directory of spec fixtures to validate first")
     return p
@@ -284,26 +281,15 @@ def cmd_sample(args) -> list[str]:
     if args.depth > spec.depth_cap:
         raise ValueError(f"--depth {args.depth} exceeds the spec's depth_cap {spec.depth_cap}")
     paths, log_mass, log_len = sample_paths(spec, args.q, args.t, args.depth, args.count, args.seed)
-    out = _outdir(args)
-    payload = {
-        "meta": {**_header(args, spec), "q": args.q, "t": args.t},
-        "samples": JsonStream(_sample_records(paths, log_mass, log_len)),
-    }
-    _write(out / "samples.json", lambda f: write_json(payload, f.write), args.force)
+    meta = {**_header(args, spec), "q": args.q, "t": args.t}
+    _write(_outdir(args) / "samples.json",
+           lambda f: write_samples(meta, paths, log_mass, log_len, f.write), args.force)
     return []
 
 
-def _sample_records(paths, log_mass, log_len):
-    """samples.json records, built SAMPLE_BATCH at a time from array slices."""
-    for lo in range(0, len(paths), SAMPLE_BATCH):
-        rows = slice(lo, lo + SAMPLE_BATCH)
-        m, ln = log_mass[rows], log_len[rows]
-        for path, mass, length, alpha in zip(paths[rows].tolist(), m.tolist(), ln.tolist(),
-                                             (m / ln).tolist()):
-            yield {"path": path, "log_mass": mass, "log_length": length, "alpha_hat": alpha}
-
-
 def cmd_verify(args) -> list[str]:
+    if args.tol_scale <= 0:
+        raise ValueError(f"--tol-scale must be positive, got {args.tol_scale}")
     from .verify import run_verify
 
     if args.fixtures is not None:

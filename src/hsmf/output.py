@@ -1,11 +1,10 @@
 """
 Deterministic, locale-independent serialization for CSV/JSON artifacts.
 
-``json_bytes`` writes exactly the bytes of ``json.dumps(obj, sort_keys=True,
-indent=2, ensure_ascii=True) + "\n"`` without the stdlib's pure-Python
-encoder, which ``indent`` forces and which allocates several times the
-output size in small chunk strings. ``write_json`` streams the same bytes
-into a sink, so a document with a ``JsonStream`` array never exists whole.
+Every JSON artifact is ``json.dumps(obj, sort_keys=True, indent=2,
+ensure_ascii=True) + "\n"``, the stdlib's encoding. ``write_samples`` writes
+those same bytes for ``samples.json``, the one document too large to build
+whole, from ``sample_paths``' arrays a batch of records at a time.
 """
 
 from __future__ import annotations
@@ -13,13 +12,16 @@ from __future__ import annotations
 import io
 import json
 import math
-from collections.abc import Callable, Iterable
-from itertools import repeat
-from json.encoder import encode_basestring_ascii as _json_str
+from collections.abc import Callable
 
-_INDENT = "  "
-# str pieces joined into one ASCII chunk at a time, which bounds how many are alive
-_FLUSH = 1024
+# samples.json records formatted at a time, which bounds the sample
+# command's memory by its (count, depth) paths array
+SAMPLE_BATCH = 512
+# one samples.json record as json.dumps(indent=2) lays it out at its depth:
+# alpha_hat, log_length and log_mass, then the path's child indices
+_RECORD = ('{{\n      "alpha_hat": {},\n      "log_length": {},\n      "log_mass": {},\n'
+           '      "path": [\n        {}\n      ]\n    }}')
+_PATH_SEP = ",\n        "
 
 
 def fmt(x) -> str:
@@ -32,109 +34,40 @@ def fmt(x) -> str:
     return f"{xf:.17g}"
 
 
-class JsonStream:
-    """A JSON array whose elements come from ``items``, consumed once as it is written."""
-
-    __slots__ = ("items",)
-
-    def __init__(self, items: Iterable):
-        self.items = items
-
-
 def json_bytes(obj) -> bytes:
+    """Canonical JSON: sorted keys, two-space indent, ASCII, newline-terminated."""
+    return (json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n").encode("ascii")
+
+
+def write_samples(meta: dict, paths, log_mass, log_len, sink: Callable[[bytes], object]) -> None:
     """
-    Canonical JSON: sorted keys, two-space indent, ASCII, newline-terminated.
-
-    Accepts what the stdlib encoder accepts without ``default=`` (str and
-    str subclasses such as ``GapPolicy``, int, float including
-    ``np.float64``, bool, None, list, tuple, dict), plus ``JsonStream``, and
-    raises ``TypeError`` on anything else, such as ``np.int64``, set or bytes.
+    Pass the bytes of ``json_bytes({"meta": meta, "samples": records})`` to
+    ``sink``: the header, then one record per call, then the closing
+    brackets. Record j holds ``paths[j]`` as ints, ``log_mass[j]``,
+    ``log_len[j]`` and their quotient ``alpha_hat``; the records are
+    formatted ``SAMPLE_BATCH`` rows at a time from slices of the arrays.
     """
-    chunks: list[bytes] = []
-    write_json(obj, chunks.append)
-    return b"".join(chunks)
-
-
-def write_json(obj, sink: Callable[[bytes], object]) -> None:
-    """
-    Pass the bytes of ``json_bytes(obj)`` to ``sink`` in ASCII chunks.
-
-    ``obj`` may also hold ``JsonStream`` arrays, written as lists are, one
-    element at a time.
-    """
-    parts: list[str] = []
-    _write(obj, "\n", parts, sink)
-    parts.append("\n")
-    sink("".join(parts).encode("ascii"))
-
-
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_scalar(v) -> str | None:
-    """JSON text of a scalar, None for a container; same type order as json."""
-    if isinstance(v, str):
-        return _json_str(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        return _json_float(v)
-    if isinstance(v, (list, tuple, dict, JsonStream)):
-        return None
-    raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
-
-
-def _json_key(k) -> str:
-    text = k if isinstance(k, str) else _json_scalar(k)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-    return text
-
-
-def _write(obj, nl: str, parts: list[str], sink: Callable[[bytes], object]) -> None:
-    """Append ``obj``'s text at indent ``nl`` to ``parts``, flushing full ones to ``sink``."""
-    text = _json_scalar(obj)
-    if text is not None:
-        parts.append(text)
+    head = json_bytes({"meta": meta})[:-3]  # without the closing "\n}\n"
+    if not len(paths):
+        sink(head + b',\n  "samples": []\n}\n')
         return
-    inner = nl + _INDENT
-    kinds = set(map(type, obj)) if isinstance(obj, (list, tuple)) else ()
-    if kinds == {int} or kinds == {float}:
-        texts = map(int.__repr__ if kinds == {int} else _json_float, obj)
-        parts.append("[" + inner + ("," + inner).join(texts) + nl + "]")
-    else:
-        if isinstance(obj, dict):
-            brackets = "{}"
-            items = [(_json_str(_json_key(k)) + ": ", v) for k, v in sorted(obj.items())]
-        else:
-            brackets = "[]"
-            items = zip(repeat(""), obj.items if isinstance(obj, JsonStream) else obj)
-        sep = first = brackets[0] + inner
-        for head, v in items:
-            text = _json_scalar(v)
-            if text is None:
-                parts.append(sep + head)
-                _write(v, inner, parts, sink)
-            else:
-                parts.append(sep + head + text)
-            sep = "," + inner
-        parts.append(brackets if sep is first else nl + brackets[1])
-    if len(parts) >= _FLUSH:
-        sink("".join(parts).encode("ascii"))
-        parts.clear()
+    sink(head + b',\n  "samples": [')
+    # the text of every child index up to the largest drawn, looked up, not formatted per entry
+    digits = [str(i) for i in range(int(paths.max()) + 1)]
+    sep = "\n    "
+    for lo in range(0, len(paths), SAMPLE_BATCH):
+        rows = slice(lo, lo + SAMPLE_BATCH)
+        m, ln = log_mass[rows], log_len[rows]
+        for path, *floats in zip(paths[rows].tolist(), *map(_json_texts, (m / ln, ln, m))):
+            sink((sep + _RECORD.format(*floats, _PATH_SEP.join(map(digits.__getitem__, path))))
+                 .encode("ascii"))
+            sep = ",\n    "
+    sink(b"\n  ]\n}\n")
+
+
+def _json_texts(values) -> list[str]:
+    """The stdlib's JSON text of each float in the 1-D array ``values``."""
+    return json.dumps(values.tolist())[1:-1].split(", ")
 
 
 def config_hash(obj) -> str:

@@ -250,6 +250,14 @@ def test_verify_missing_fixture_dir_exits_2(tmp_path, capsys, no_criteria):
     assert not (tmp_path / "v").exists()
 
 
+@pytest.mark.parametrize("scale", ["0", "-1"])
+def test_verify_refuses_a_non_positive_tol_scale(tmp_path, capsys, no_criteria, scale):
+    out = tmp_path / "v"
+    assert cli.main(["verify", f"--tol-scale={scale}", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: --tol-scale must be positive, got {float(scale)}\n")
+    assert not out.exists()
+
+
 def test_shipped_specs_validate():
     from hsmf import verify
     from hsmf.specs import load_spec
@@ -399,14 +407,22 @@ def test_spectrum_skips_the_radii_it_cannot_reach(tmp_path):
     pytest.param("binomial_quarter", 2.0, 64, 1, id="count-1"),
     pytest.param("block_switched", 0.5, 40, 2 * 512 + 37, id="count-off-batch"),
     pytest.param("binomial_quarter", 2.0, 1, 700, id="depth-1"),
+    # child indices of two digits, and of three in int16 paths
+    pytest.param("arity_12", 2.0, 16, 600, id="arity-12"),
+    pytest.param("arity_300", 0.5, 8, 600, id="arity-300"),
 ])
-def test_sample_json_equals_stdlib_encoding_of_per_element_records(tmp_path, spec_name, q, depth,
-                                                                    count):
-    from hsmf import cli
+def test_sample_json_equals_stdlib_encoding_of_per_element_records(tmp_path, tmp_path_factory,
+                                                                    spec_name, q, depth, count):
+    from hsmf import cli, output
     from hsmf.specs import load_spec, sample_paths
 
-    assert cli.SAMPLE_BATCH == 512  # the counts above straddle batch boundaries
+    assert output.SAMPLE_BATCH == 512  # the counts above straddle batch boundaries
     spec = SPECS / f"{spec_name}.json"
+    if spec_name.startswith("arity_"):
+        n = int(spec_name.removeprefix("arity_"))
+        spec = tmp_path_factory.mktemp("spec") / f"{spec_name}.json"
+        family = {"probs": [(i + 1) / (n * (n + 1) / 2) for i in range(n)], "ratios": [1 / n] * n}
+        spec.write_text(json.dumps(dict(VALID_SPEC, families=[family])))
     seed = 3
     assert cli.main(["sample", "--spec", str(spec), "--q", str(q), "--t", "0", "--depth",
                      str(depth), "--count", str(count), "--seed", str(seed),
@@ -643,27 +659,27 @@ def test_sample_format_json_is_accepted(spec_file, tmp_path):
 def test_failed_stream_leaves_no_file_and_keeps_the_old_one(spec_file, tmp_path, monkeypatch):
     from hsmf import cli
 
-    real = cli.write_json
+    real = cli.write_samples
 
-    def fail_after_first_chunk(obj, sink):
+    def fail_after_first_chunk(meta, paths, log_mass, log_len, sink):
         def write_then_fail(chunk):
             sink(chunk)
             raise OSError("disk full")
-        real(obj, write_then_fail)
+        real(meta, paths, log_mass, log_len, write_then_fail)
 
     out = tmp_path / "out"
     args = ["sample", "--spec", str(spec_file), "--depth", "20", "--count", "2000",
             "--out", str(out)]
-    monkeypatch.setattr(cli, "write_json", fail_after_first_chunk)
+    monkeypatch.setattr(cli, "write_samples", fail_after_first_chunk)
     with pytest.raises(OSError, match="disk full"):
         cli.main(args)
     assert list(out.iterdir()) == []
 
-    monkeypatch.setattr(cli, "write_json", real)
+    monkeypatch.setattr(cli, "write_samples", real)
     assert cli.main(args) == 0
     before = (out / "samples.json").read_bytes()
     assert cli.main(args) == 2  # exists, no --force: refused before anything is written
-    monkeypatch.setattr(cli, "write_json", fail_after_first_chunk)
+    monkeypatch.setattr(cli, "write_samples", fail_after_first_chunk)
     with pytest.raises(OSError, match="disk full"):
         cli.main([*args, "--seed", "1", "--force"])
     assert (out / "samples.json").read_bytes() == before
